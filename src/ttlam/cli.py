@@ -35,6 +35,7 @@ from .lamination import (
     ilt_contraction,
     leaf_language,
     leaf_window,
+    singular_language,
     singular_leaves,
 )
 from .mapfile import MapFile, parse_map_path
@@ -291,7 +292,7 @@ def _cmd_bfh(mf: MapFile, args) -> tuple[int, dict]:
     f = mf.map
     g = f.graph
     data = _envelope("bfh", mf)
-    lang = leaf_language(f, args.window, max_iter=args.max_iter)
+    lang = leaf_language(f, args.window)
     data["window"] = args.window
     data["count"] = len(lang)
     data["words"] = sorted(g.path_str(w) for w in lang)
@@ -330,8 +331,8 @@ def _cmd_dual(mf: MapFile, args) -> tuple[int, dict]:
             return INPUT_ERROR, data
         extra.append("inverse-of (assumed by flag)")
     data = _envelope("dual", mf, extra)
-    words = dual_language(f, args.window)
     base = leaf_language(f, args.window)
+    words = base | singular_language(f, args.window)
     data["window"] = args.window
     data["count"] = len(words)
     data["words"] = sorted(g.path_str(w) for w in words)
@@ -417,7 +418,6 @@ def _build_parser() -> _CliParser:
     sp.add_argument("--length", type=int, default=32)
     sp = add("bfh", "leaf language of iterated edge images")
     sp.add_argument("--window", type=int, required=True)
-    sp.add_argument("--max-iter", type=int, default=400)
     sp = add("singular", "singular leaves beyond the leaf language")
     sp.add_argument("--window", type=int, default=16)
     sp = add("dual", "dual lamination language (inverse-direction map)")

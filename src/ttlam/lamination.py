@@ -15,7 +15,7 @@ tuples, and every reported structure can be re-checked by direct iteration.
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, IncompatibleGraphsError, MapError
+from .errors import BudgetExceededError, IncompatibleGraphsError, MapError, NotTrainTrackError
 from .graph import Path, Turn, reverse_path, turn
 from .graph_map import GraphSelfMap
 from .nielsen import InpReport, detect_inps, eigenray_prefix, periodic_structures
@@ -23,47 +23,58 @@ from .spectral import matrix_power_lengths, pf_data
 from .train_track import Gates, gates, ilt_count, legal_segments
 
 
+# -- exact factor closure -----------------------------------------------------------
+#
+# A train track map never cancels on a legal path P, so every factor of
+# length <= n of f(P) is a factor of f(u) for a factor u of P with |u| <= n,
+# and |u| = n will do when |P| >= n.  The languages below are therefore
+# closures of finite sets under one finite map, with no length budget.  The
+# argument needs the absence of cancellation, so every image checks it.
+
+def _image(f: GraphSelfMap, u: Path) -> Path:
+    """f(u), raising NotTrainTrackError if the image cancels."""
+    img = f.apply(u)
+    if len(img) != sum(len(f.edge_image[d >> 1]) for d in u):
+        raise NotTrainTrackError(f"f({f.graph.path_str(u)}) cancels: not a train track map")
+    return img
+
+
+def _windows(p: Path, n: int) -> set[Path]:
+    return {p[i : i + n] for i in range(len(p) - n + 1)}
+
+
+def _flip_closed(words: Iterable[Path]) -> frozenset[Path]:
+    out = set(words)
+    out.update([reverse_path(w) for w in out])
+    return frozenset(out)
+
+
 # -- leaf language --------------------------------------------------------------
 
-def leaf_language(
-    f: GraphSelfMap,
-    n: int,
-    max_iter: int = 400,
-    max_total: int = 2_000_000,
-    stable_rounds: int = 2,
-) -> frozenset[Path]:
-    """All length-n factors of iterated edge images, closed under reversal.
+def leaf_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
+    """All length-n factors of the iterated edge images f^t(e), t >= 1,
+    closed under reversal.
 
-    Iterates every edge simultaneously and harvests sliding windows until no
-    new factor shows up for `stable_rounds` consecutive rounds.  The language
-    is finite so this terminates; the caps guard against runaway growth.
+    Exact for train track maps: each edge is iterated only until its image
+    has n darts, and those images' length-n factors are closed under
+    u -> F_n(f(u)).  Raises NotTrainTrackError if an image cancels, which
+    a train track map never does.
     """
     if n < 1:
         raise MapError("window length must be >= 1")
     f.require_expanding()
     words: set[Path] = set()
-    paths: list[Path] = [(2 * e,) for e in range(f.graph.num_edges)]
-    stable = 0
-    for _ in range(max_iter):
-        paths = [f.apply(p) for p in paths]
-        if sum(len(p) for p in paths) > max_total:
-            raise BudgetExceededError("iterated edge images exceeded the length budget")
-        grew = False
-        for p in paths:
-            for i in range(len(p) - n + 1):
-                w = p[i : i + n]
-                if w not in words:
-                    words.add(w)
-                    words.add(reverse_path(w))
-                    grew = True
-        # stability only counts once every image is long enough to harvest from
-        if grew or min(len(p) for p in paths) < n:
-            stable = 0
-        else:
-            stable += 1
-            if stable >= stable_rounds:
-                return frozenset(words)
-    raise BudgetExceededError(f"leaf language did not stabilize in {max_iter} rounds")
+    for e in range(f.graph.num_edges):
+        p = _image(f, (2 * e,))
+        while len(p) < n:
+            p = _image(f, p)
+        words |= _windows(p, n)
+    todo = list(words)
+    while todo:
+        new = _windows(_image(f, todo.pop()), n) - words
+        words |= new
+        todo += new
+    return _flip_closed(words)
 
 
 # -- uniform recurrence -----------------------------------------------------------
@@ -73,60 +84,53 @@ class RecurrenceReport:
     """Witness that the whole factor language recurs in every deep image.
 
     `witness` is the first iterate T such that every length-m language word
-    occurs (up to flip) in f^t(e) for every edge e and every checked t >= T.
+    occurs (up to flip) in f^t(e) for every edge e and every t >= T.
     """
 
     m: int
-    witness: int  # -1 when no such iterate was found below the cap
+    witness: int  # -1 when the language never recurs in every deep image
     conclusive: bool
     factors: int
 
 
-def _occurs(hay: Path, needle: Path) -> bool:
-    flipped = reverse_path(needle)
-    k = len(needle)
-    return any(
-        hay[i : i + k] == needle or hay[i : i + k] == flipped
-        for i in range(len(hay) - k + 1)
-    )
-
-
-def uniform_recurrence_check(
-    f: GraphSelfMap,
-    m: int,
-    cap: int = 25,
-    margin: int = 3,
-    max_total: int = 2_000_000,
-) -> RecurrenceReport:
+def uniform_recurrence_check(f: GraphSelfMap, m: int) -> RecurrenceReport:
     """Find the iterate from which every edge image carries the full language.
 
     A flip of a factor counts as an occurrence: leaves are unoriented.  The
-    scan runs to cap + margin rounds; the witness must hold on every round
-    after it, so the extra margin rounds double as a persistence check.
+    factor sets S_t(e) = F_<=m(f^t(e)) follow S_{t+1}(e) = union of
+    F_<=m(f(u)) over u in S_t(e), a deterministic system on finitely many
+    states, so it is run until the tuple (S_t(e))_e repeats; from then on
+    it cycles, and the witness is exact.  The length-m words met on the way
+    are exactly the leaf language.
     """
-    lang = leaf_language(f, m, max_total=max_total)
-    # one representative per flip pair keeps the scan half as large
-    reps = []
-    seen = set()
-    for w in sorted(lang):
-        if w in seen:
-            continue
-        seen.add(w)
-        seen.add(reverse_path(w))
-        reps.append(w)
-    paths: list[Path] = [(2 * e,) for e in range(f.graph.num_edges)]
-    witness = -1
-    for t in range(1, cap + margin + 1):
-        paths = [f.apply(p) for p in paths]
-        if sum(len(p) for p in paths) > max_total:
-            raise BudgetExceededError("recurrence paths exceeded the length budget")
-        ok = all(_occurs(p, w) for p in paths for w in reps)
-        if ok and witness < 0:
-            witness = t
-        elif not ok:
-            witness = -1
-    conclusive = 0 < witness <= cap
-    return RecurrenceReport(m=m, witness=witness, conclusive=conclusive, factors=len(lang))
+    if m < 1:
+        raise MapError("window length must be >= 1")
+    f.require_expanding()
+    step: dict[Path, frozenset[Path]] = {}
+
+    def factors(p: Path) -> frozenset[Path]:
+        return frozenset().union(*(_windows(p, k) for k in range(1, m + 1)))
+
+    def advance(s: frozenset[Path]) -> frozenset[Path]:
+        for u in s - step.keys():
+            step[u] = factors(_image(f, u))
+        return frozenset().union(*(step[u] for u in s))
+
+    # history[t - 1] is the tuple (S_t(e))_e
+    history: list[tuple[frozenset[Path], ...]] = []
+    state = tuple(factors(_image(f, (2 * e,))) for e in range(f.graph.num_edges))
+    while state not in history:
+        history.append(state)
+        state = tuple(advance(s) for s in state)
+    lang = _flip_closed(w for states in history for s in states for w in s if len(w) == m)
+    bad = [
+        t for t, states in enumerate(history, 1)
+        if not all(w in s or reverse_path(w) in s for s in states for w in lang)
+    ]
+    witness = bad[-1] + 1 if bad else 1
+    if witness > history.index(state) + 1:  # a failing state recurs forever
+        witness = -1
+    return RecurrenceReport(m=m, witness=witness, conclusive=witness > 0, factors=len(lang))
 
 
 # -- eigenray equivalence and branch points ----------------------------------------
@@ -309,25 +313,18 @@ def leaf_window(f: GraphSelfMap, item, n: int) -> Path:
 
 # -- dual language ---------------------------------------------------------------------
 
-def dual_language(
-    f_minus: GraphSelfMap,
-    n: int,
-    inps: InpReport | None = None,
-    max_total: int = 2_000_000,
-) -> frozenset[Path]:
+def singular_language(f: GraphSelfMap, n: int, inps: InpReport | None = None) -> frozenset[Path]:
+    """Length-n factors of the singular leaves' windows, flip closed."""
+    sing = singular_leaves(f, inps)
+    items = list(sing.turn_pairs) + list(sing.inp_triples)
+    return _flip_closed(w for item in items for w in _windows(leaf_window(f, item, n), n))
+
+
+def dual_language(f_minus: GraphSelfMap, n: int, inps: InpReport | None = None) -> frozenset[Path]:
     """Length-n factor language of the full dual lamination, computed on the
     inverse-direction map: the leaf language plus every factor of the
     singular leaves (flip closed)."""
-    words = set(leaf_language(f_minus, n, max_total=max_total))
-    sing = singular_leaves(f_minus, inps)
-    items = list(sing.turn_pairs) + list(sing.inp_triples)
-    for item in items:
-        w = leaf_window(f_minus, item, n)
-        for i in range(len(w) - n + 1):
-            fac = w[i : i + n]
-            words.add(fac)
-            words.add(reverse_path(fac))
-    return frozenset(words)
+    return leaf_language(f_minus, n) | singular_language(f_minus, n, inps)
 
 
 # -- illegality profile -------------------------------------------------------------------

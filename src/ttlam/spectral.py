@@ -37,22 +37,22 @@ def is_primitive(m: np.ndarray) -> bool:
     """Some power of m is entrywise positive.
 
     Wielandt's bound: for an n x n nonnegative matrix, primitivity shows up
-    by exponent (n - 1)^2 + 1 or never.  Powers are computed over booleans
-    (reachability), so no overflow.
+    by exponent (n - 1)^2 + 1 or never, and every later power stays
+    positive.  Repeated squaring of the boolean reachability matrix reaches
+    an exponent past the bound in O(log n) products and stops at the first
+    positive power; boolean products cannot overflow.
     """
     n = m.shape[0]
     if n == 0:
         return False
-    reach = m > 0
-    if n == 1:
-        return bool(reach[0, 0])
-    power = reach.copy()
-    bound = (n - 1) ** 2 + 1
-    for _ in range(bound):
-        if power.all():
-            return True
-        power = (power.astype(np.int8) @ reach.astype(np.int8)) > 0
-    return bool(power.all())
+    power = m > 0
+    exponent = 1
+    while not power.all():
+        if exponent >= (n - 1) ** 2 + 1:
+            return False
+        power = power @ power
+        exponent *= 2
+    return True
 
 
 def charpoly_coefficients(m: np.ndarray) -> list[int]:

@@ -6,6 +6,8 @@ dumber on purpose: repeated-scan reduction, dictionary orbit walks, exhaustive
 path enumeration, numpy eigensolvers.
 """
 
+from itertools import islice
+
 import numpy as np
 
 
@@ -157,16 +159,18 @@ def random_reduced_word(g, length, rng, nexts=None):
     return tuple(w)
 
 
-def harvest_factors(f, n, rounds):
-    """Length-n factors of f^t(e) for t <= rounds, flip closed; no stability
-    heuristic, just a fixed horizon."""
-    words = set()
+def harvest_factors(f, lengths, rounds):
+    """{n: length-n factors of f^t(e) for t <= rounds, flip closed} for each
+    n in lengths; no stability heuristic, just a fixed horizon.  Each edge
+    is iterated once for all the lengths."""
+    found = {n: set() for n in lengths}
     for e in range(f.graph.num_edges):
         p = (2 * e,)
         for _ in range(rounds):
             p = apply_map(f, p)
-            for i in range(len(p) - n + 1):
-                w = p[i : i + n]
-                words.add(w)
-                words.add(tuple(x ^ 1 for x in reversed(w)))
-    return words
+            for n, words in found.items():
+                words.update(zip(*(islice(p, i, None) for i in range(n))))
+    return {
+        n: words | {tuple(x ^ 1 for x in reversed(w)) for w in words}
+        for n, words in found.items()
+    }

@@ -214,6 +214,16 @@ def test_bfh_window(fixture_dir):
     assert "a a" in data["words"]
 
 
+def test_bfh_not_train_track_is_violation(tmp_path):
+    collapsing = tmp_path / "collapse.tt"
+    collapsing.write_text(
+        "graph collapse\nvertex v\nedge a v v\nedge b v v\nmap\na -> a b\nb -> b~ a~\n"
+    )
+    code, text = run_command(["bfh", str(collapsing), "--window", "8", "--json"])
+    assert code == 1
+    assert json.loads(text)["kind"] == "property"
+
+
 def test_singular_windows_listed(fixture_dir):
     code, text = run_command(
         ["singular", str(fixture_dir / "tribonacci.tt"), "--window", "6", "--json"]

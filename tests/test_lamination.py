@@ -1,8 +1,12 @@
 """Leaf languages, recurrence, equivalence classes, singular leaves, duality."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ttlam import (
+    Graph,
+    GraphSelfMap,
+    NotTrainTrackError,
     branch_point_classes,
     contraction_block,
     detect_inps,
@@ -17,7 +21,7 @@ from ttlam import (
     uniform_recurrence_check,
 )
 
-from oracles import harvest_factors
+from oracles import apply_map, derivative_orbit_gates, harvest_factors, illegal_turn_count
 
 
 def test_leaf_language_fib_n2(fib, rose2):
@@ -34,8 +38,74 @@ def test_leaf_language_n1_full_alphabet(all_maps):
 
 def test_leaf_language_matches_fixed_horizon(trib, trib_inv):
     for f in (trib, trib_inv):
+        horizon = harvest_factors(f, (2, 3, 5), rounds=40)
         for n in (2, 3, 5):
-            assert leaf_language(f, n) == harvest_factors(f, n, rounds=40)
+            assert leaf_language(f, n) == horizon[n]
+
+
+def _rose_map(images):
+    names = [chr(ord("a") + i) for i in range(len(images))]
+    g = Graph.build(["v"], [(x, "v", "v") for x in names])
+    return GraphSelfMap.build(g, dict(zip(names, images)))
+
+
+@st.composite
+def positive_rose_maps(draw):
+    """Primitive positive automorphisms of the rank 2-4 rose: drawn positive
+    Nielsen moves x -> x y / x -> y x, then x_i -> x_i x_(i+1) around the
+    rose, which makes the transition matrix irreducible with a positive
+    diagonal."""
+    rank = draw(st.integers(2, 4))
+    moves = draw(st.lists(
+        st.tuples(st.integers(0, rank - 1), st.integers(1, rank - 1), st.booleans()),
+        max_size=2 * rank,
+    ))
+    words = [[i] for i in range(rank)]
+    for i, k, right in moves + [(i, 1, True) for i in range(rank)]:
+        j = (i + k) % rank
+        words[i] = words[i] + words[j] if right else words[j] + words[i]
+    return _rose_map([" ".join(chr(ord("a") + x) for x in w) for w in words])
+
+
+@given(positive_rose_maps())
+def test_leaf_language_matches_deep_horizon_random(f):
+    # the first round at which every edge image has at least 10^4 darts
+    lengths, rounds = [1] * f.graph.num_edges, 0
+    while min(lengths) < 10**4:
+        lengths = [sum(lengths[d >> 1] for d in img) for img in f.edge_image]
+        rounds += 1
+    horizon = harvest_factors(f, (1, 2, 3, 4), rounds)
+    for n in (1, 2, 3, 4):
+        assert leaf_language(f, n) == horizon[n]
+
+
+def test_leaf_language_rank5_regression():
+    # rank-5 benchmark map with lambda ~ 14.6: its five-fold edge images
+    # already hold 2.9 million darts
+    f = _rose_map([
+        "a b c d e d",
+        "b c d e d",
+        "b c d e d e d c d e d c d e d d e d e d c d e d",
+        "d e d e d c d e d a",
+        "b c d e d e d c d e d d e d e d c d e d",
+    ])
+    lang = leaf_language(f, 6)
+    _, gate_of = derivative_orbit_gates(f)
+    assert all(illegal_turn_count(f, w, gate_of) == 0 for w in lang)
+    assert all(tuple(x ^ 1 for x in reversed(w)) in lang for w in lang)
+    for e in range(f.graph.num_edges):
+        p = apply_map(f, apply_map(f, (2 * e,)))
+        assert {p[i : i + 6] for i in range(len(p) - 5)} <= lang
+
+
+def test_collapsing_map_is_not_train_track(rose2):
+    # f^2(b) = a b b~ a~ reduces to the empty path: no train track, and the
+    # lengthening loop must not wait for the image to grow
+    f = GraphSelfMap.build(rose2, {"a": "a b", "b": "b~ a~"})
+    with pytest.raises(NotTrainTrackError):
+        leaf_language(f, 8)
+    with pytest.raises(NotTrainTrackError):
+        uniform_recurrence_check(f, 2)
 
 
 def test_leaf_language_trib_inv_n3_regression(trib_inv):
@@ -54,6 +124,14 @@ def test_recurrence_all_iwip(fib, trib, trib_inv):
             rep = uniform_recurrence_check(f, m)
             assert rep.conclusive
             assert 0 < rep.witness <= 25
+
+
+def test_recurrence_exact_witnesses(fib, trib, trib_inv, reducible):
+    for f, witnesses in ((fib, (2, 4, 5, 5)), (trib, (5, 11, 12, 13)), (trib_inv, (4, 8, 9, 10))):
+        assert tuple(uniform_recurrence_check(f, m).witness for m in (1, 2, 3, 4)) == witnesses
+    # edge c never occurs in the images of a and b
+    rep = uniform_recurrence_check(reducible, 2)
+    assert (rep.witness, rep.conclusive) == (-1, False)
 
 
 def test_recurrence_m1_matches_matrix_positivity(fib):

@@ -43,6 +43,40 @@ def test_primitive_vs_positive_power(all_maps):
         assert is_primitive(m) == bool((p > 0).all())
 
 
+def _cycle(n):
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        m[i, (i + 1) % n] = 1
+    return m
+
+
+def _bool_power(m, k):
+    """(m > 0)^k over booleans, by binary exponentiation."""
+    base, out = m > 0, np.eye(m.shape[0], dtype=bool)
+    while k:
+        if k & 1:
+            out = out @ base
+        base, k = base @ base, k >> 1
+    return out
+
+
+def test_primitivity_n129():
+    # past n = 128 walk counts no longer fit in int8
+    n = 129
+    assert is_primitive(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
+    assert not is_primitive(_cycle(n))
+
+
+def test_primitivity_wielandt_n129():
+    # cycles of lengths n and n - 1: the largest primitive exponent, (n-1)^2 + 1
+    n = 129
+    m = _cycle(n)
+    m[n - 1, 1] = 1
+    assert not _bool_power(m, (n - 1) ** 2).all()
+    assert _bool_power(m, (n - 1) ** 2 + 1).all()
+    assert is_primitive(m)
+
+
 def test_charpoly_known(fib, trib, trib_inv):
     assert charpoly_coefficients(transition_matrix(fib)) == [1, -1, -1]
     assert charpoly_coefficients(transition_matrix(trib)) == [1, 0, -1, -1]

@@ -39,7 +39,7 @@ from .lamination import (
     singular_leaves,
 )
 from .mapfile import MapFile, parse_map_path
-from .nielsen import detect_inps, eigenray_prefix, periodic_structures, stability_check
+from .nielsen import detect_inps, eigenray_prefix, periodic_structures, stability_verdict
 from .spectral import charpoly_coefficients, is_primitive, pf_data, transition_matrix
 from .train_track import gates, is_train_track, turn_table, two_gates_everywhere, used_turns
 
@@ -264,7 +264,7 @@ def _cmd_inps(mf: MapFile, args) -> tuple[int, dict]:
     else:
         data["subdivision"] = None
         data["subdivided_inps"] = []
-    stab = stability_check(f, max_period=args.max_period, max_pf_len=args.max_pf_len)
+    stab = stability_verdict(f, rep)
     data["stability"] = {"status": stab.status, "reason": stab.reason}
     return (OK if rep.conclusive else INCONCLUSIVE), data
 

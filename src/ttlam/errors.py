@@ -33,10 +33,6 @@ class BudgetExceededError(TtError):
     """A search exhausted its budget; the result is inconclusive, not negative."""
 
 
-class StabilityError(TtError):
-    """Operation requires a stable map (conclusive Nielsen path analysis)."""
-
-
 class SubdivisionError(TtError):
     """Subdivision produced an inconsistent map."""
 

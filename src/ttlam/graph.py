@@ -29,9 +29,6 @@ def edge_index(d: Dart) -> int:
     """Index of the unoriented edge underlying a dart."""
     return d >> 1
 
-def is_forward(d: Dart) -> bool:
-    return (d & 1) == 0
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -183,24 +180,11 @@ def turn(d1: Dart, d2: Dart) -> Turn:
     return (d1, d2) if d1 <= d2 else (d2, d1)
 
 
-def is_degenerate_turn(t: Turn) -> bool:
-    return t[0] == t[1]
-
-
 def turns_of_path(path: Sequence[int]) -> Iterator[Turn]:
     """Turns crossed while traversing the path: at each interior vertex the
     pair (incoming reversed, outgoing)."""
     for a, b in zip(path, path[1:]):
         yield turn(a ^ 1, b)
-
-
-def turns_crossed(path: Sequence[int]) -> set[Turn]:
-    return set(turns_of_path(path))
-
-
-def crosses_turn(path: Sequence[int], t: Turn) -> bool:
-    """Whether the path crosses the turn (in either direction of travel)."""
-    return t in turns_crossed(path)
 
 
 def all_turns(graph: Graph, include_degenerate: bool = False) -> list[Turn]:

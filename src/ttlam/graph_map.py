@@ -118,6 +118,11 @@ class GraphSelfMap:
     def derivative_table(self) -> tuple[int, ...]:
         return tuple(self.derivative(d) for d in self.graph.darts())
 
+    @cached_property
+    def edge_iterates(self) -> "EdgeIterates":
+        """This map's store of f^t(e) and |f^t(e)|, filled on demand."""
+        return EdgeIterates(self)
+
     # -- basic properties -----------------------------------------------------
 
     @cached_property
@@ -177,15 +182,41 @@ class GraphSelfMap:
                 best = max(best, k)
         return 2 * best
 
-    def image_lengths(self) -> tuple[int, ...]:
-        return tuple(len(img) for img in self.edge_image)
-
     def describe(self) -> str:
         g = self.graph
         lines = []
         for i, name in enumerate(g.edge_names):
             lines.append(f"{name} -> {g.path_str(self.edge_image[i])}")
         return "\n".join(lines)
+
+
+class EdgeIterates:
+    """f^t(e) for the forward dart of each edge and the column sums of M^t,
+    each computed once per map.
+
+    ``image(e, t)`` extends the chain f(e), f^2(e), ... of edge e as far as
+    asked.  ``lengths(t)[e]`` is the column sum of M^t, advanced exactly by
+    |f^t(e)| = sum of |f^(t-1)(d)| over the darts d of f(e); for a train
+    track map it is the length of f^t(e).
+    """
+
+    def __init__(self, f: GraphSelfMap):
+        self._f = f
+        self._images = [[(2 * e,)] for e in range(f.graph.num_edges)]
+        self._lengths = [(1,) * f.graph.num_edges]
+
+    def image(self, e: int, t: int) -> Path:
+        chain = self._images[e]
+        while len(chain) <= t:
+            chain.append(self._f.apply(chain[-1]))
+        return chain[t]
+
+    def lengths(self, t: int) -> tuple[int, ...]:
+        table = self._lengths
+        while len(table) <= t:
+            prev = table[-1]
+            table.append(tuple(sum(prev[d >> 1] for d in img) for img in self._f.edge_image))
+        return table[t]
 
 
 def compose(outer: GraphSelfMap, inner: GraphSelfMap) -> GraphSelfMap:

@@ -13,6 +13,8 @@ fixed by f^T on edge e "at index i" is the unique fixed point of the inverse
 branch of f^T through the i-th dart of f^T(e).  All comparisons, orbit steps
 and refinements stay in exact integer arithmetic (occurrence indices plus
 bigint matrix-power lengths), so no floating point enters the subdivision.
+The iterated edge images f^t(e) and the lengths |f^t(e)| are read from the
+map's own store (`GraphSelfMap.edge_iterates`), so each is built once per map.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .graph import Graph, Path, edge_index, reverse_path, turn
 from .graph_map import GraphSelfMap
-from .spectral import matrix_power_lengths, pf_data
+from .spectral import PFData, pf_data
 from .train_track import gates, is_legal_turn, require_train_track
 
 
@@ -131,7 +133,7 @@ def occurrences(f: GraphSelfMap, t: int) -> list[Occurrence]:
     """
     out = []
     for e in range(f.graph.num_edges):
-        p = f.iterate((2 * e,), t)
+        p = f.edge_iterates.image(e, t)
         last = len(p) - 1
         for i, d in enumerate(p):
             if d == 2 * e:
@@ -172,13 +174,14 @@ def reversed_to_preserving(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int
     With P = f^t(e) and P[i] = reverse of e, the point lands at index
     |f^t(P[:i])| + (|P| - 1 - i) inside f^{2t}(e).
     """
-    p = f.iterate((2 * e,), t)
+    store = f.edge_iterates
+    p = store.image(e, t)
     if p[i] != 2 * e + 1:
         raise MapError("not a reversed occurrence")
-    lens_t = matrix_power_lengths(f, t)
+    lens_t = store.lengths(t)
     offset = sum(lens_t[edge_index(d)] for d in p[:i])
     j = offset + (len(p) - 1 - i)
-    lens_2t = matrix_power_lengths(f, 2 * t)
+    lens_2t = store.lengths(2 * t)
     if not (0 < j < lens_2t[e] - 1):
         raise MapError("reversed occurrence did not convert to an interior one")
     return (e, 2 * t, j)
@@ -188,27 +191,19 @@ def refine_index(f: GraphSelfMap, e: int, t: int, i: int, factor: int) -> int:
     """Occurrence index of the same point at exponent t*factor.
 
     i_{(k+1)t} = |f^{kt}(P[:i])| + i_{kt} with P = f^t(e); the prefix stays
-    at the base exponent, so only exact iterated lengths are needed.  Lengths
-    at kt advance by one multiplication with M^t per step.
+    at the base exponent, so only the exact lengths |f^{kt}(edge)| are needed.
     """
     if factor < 1:
         raise MapError("refinement factor must be >= 1")
     if factor == 1:
         return i
-    p = f.iterate((2 * e,), t)
+    store = f.edge_iterates
     counts = [0] * f.graph.num_edges
-    for d in p[:i]:
+    for d in store.image(e, t)[:i]:
         counts[edge_index(d)] += 1
-    n = f.graph.num_edges
-    from .spectral import transition_power
-
-    mt = transition_power(f, t)
-    # lens[j] = |f^{kt}(edge j)|, starting at k = 1
-    lens = [sum(mt[r][j] for r in range(n)) for j in range(n)]
     idx = i
-    for _ in range(factor - 1):
-        idx += sum(counts[j] * lens[j] for j in range(n))
-        lens = [sum(lens[r] * mt[r][j] for r in range(n)) for j in range(n)]
+    for k in range(1, factor):
+        idx += sum(c * length for c, length in zip(counts, store.lengths(k * t)))
     return idx
 
 
@@ -223,12 +218,13 @@ def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]
     on the unique dart Q[k] whose f^t-block [C_k, C_k + L_k) inside f^t(Q)
     contains position ell + k; reversed darts mirror the in-block index.
     """
-    p = f.iterate((2 * e,), t)
+    store = f.edge_iterates
+    p = store.image(e, t)
     if p[i] != 2 * e:
         raise MapError("descriptor is not an orientation-preserving occurrence")
     ell = sum(len(f.edge_image[edge_index(d)]) for d in p[:i])
     q = f.edge_image[e]
-    lens = matrix_power_lengths(f, t)
+    lens = store.lengths(t)
     cum = 0
     for k, g in enumerate(q):
         ge = edge_index(g)
@@ -239,8 +235,7 @@ def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]
             new_index = (lk - 1 - rel) if (g & 1) else rel
             if not (0 < new_index < lk - 1):
                 raise MapError("image of an interior fixed point landed on a vertex")
-            check = f.iterate((2 * ge,), t)
-            if check[new_index] != 2 * ge:
+            if store.image(ge, t)[new_index] != 2 * ge:
                 raise MapError("point image descriptor failed verification")
             return ge, new_index, k
         cum += lk
@@ -262,6 +257,26 @@ def point_orbit(f: GraphSelfMap, e: int, t: int, i: int, cap: int = 10_000) -> t
     raise ConvergenceError("point orbit did not close")
 
 
+def _interior_descriptors(f: GraphSelfMap, t: int) -> list[tuple[int, int, int]]:
+    """Descriptors (edge, exponent, index) of the interior points fixed by
+    f^t, in occurrence order: forward occurrences at exponent t, reversed
+    ones converted to exponent 2t."""
+    out = []
+    for occ in occurrences(f, t):
+        if occ.kind != "interior":
+            continue
+        if occ.reversed_:
+            out.append(reversed_to_preserving(f, occ.edge, t, occ.index))
+        else:
+            out.append((occ.edge, t, occ.index))
+    return out
+
+
+def _check_max_period(max_period: int) -> None:
+    if max_period < 1:
+        raise MapError("max_period must be >= 1")
+
+
 def interior_periodic_points(f: GraphSelfMap, max_period: int = 6) -> tuple[PeriodicPoint, ...]:
     """All interior points of period <= max_period, deduplicated exactly.
 
@@ -269,18 +284,11 @@ def interior_periodic_points(f: GraphSelfMap, max_period: int = 6) -> tuple[Peri
     ones at twice it.  Every discovered descriptor is refined to the common
     exponent 2*lcm(1..max_period) for duplicate elimination.
     """
-    if max_period < 1:
-        raise MapError("max_period must be >= 1")
+    _check_max_period(max_period)
     t_canon = 2 * lcm(*range(1, max_period + 1))
     found: dict[tuple[int, int], PeriodicPoint] = {}
     for t in range(1, max_period + 1):
-        for occ in occurrences(f, t):
-            if occ.kind != "interior":
-                continue
-            if occ.reversed_:
-                e, texp, i = reversed_to_preserving(f, occ.edge, t, occ.index)
-            else:
-                e, texp, i = occ.edge, t, occ.index
+        for e, texp, i in _interior_descriptors(f, t):
             key = (e, refine_index(f, e, texp, i, t_canon // texp))
             if key in found:
                 continue
@@ -288,6 +296,19 @@ def interior_periodic_points(f: GraphSelfMap, max_period: int = 6) -> tuple[Peri
             found[key] = orbit[0]
     pts = sorted(found.items(), key=lambda kv: (kv[1].period, kv[0]))
     return tuple(p for _, p in pts)
+
+
+def _first_interior_point(f: GraphSelfMap, max_period: int) -> PeriodicPoint | None:
+    """interior_periodic_points(f, max_period)[0], or None when there is
+    none, without enumerating the rest (see `detect_inps` for why it is the
+    same point with the same descriptor)."""
+    _check_max_period(max_period)
+    for t in range(1, max_period + 1):
+        found = _interior_descriptors(f, t)
+        if found:
+            e, texp, i = min(found, key=lambda d: (d[0], refine_index(f, *d, 2 * t // d[1])))
+            return PeriodicPoint(e, texp, i, t)
+    return None
 
 
 # -- subdivision at a periodic orbit -------------------------------------------
@@ -436,10 +457,15 @@ def _canonical_inp(path: Path, tip: int) -> tuple[Path, int]:
     return path, tip
 
 
-def _default_window(f: GraphSelfMap, max_pf_len: float | None) -> int:
+def _pf_or_none(f: GraphSelfMap) -> PFData | None:
     try:
-        pf = pf_data(f)
+        return pf_data(f)
     except NotPrimitiveError:
+        return None
+
+
+def _default_window(pf: PFData | None, max_pf_len: float | None) -> int:
+    if pf is None:
         return 64
     if max_pf_len is None:
         max_pf_len = 4.0 * pf.vol_pf / (pf.lam - 1.0)
@@ -526,13 +552,10 @@ def _detect_on(
     f: GraphSelfMap,
     window: int,
     max_period: int,
+    pf: PFData | None,
     retries: int = 2,
 ) -> tuple[tuple[NielsenPath, ...], bool, list[str]]:
     """Scan with growing windows until no unverified candidates remain."""
-    try:
-        pf = pf_data(f)
-    except NotPrimitiveError:
-        pf = None
     notes: list[str] = []
     w = window
     for attempt in range(retries + 1):
@@ -593,22 +616,38 @@ def detect_inps(
 
     Vertex-based INPs come from matching eigenray tails at periodic
     vertices.  INPs anchored at interior periodic points are caught by
-    subdividing at the smallest-period interior orbit and re-running the
-    vertex scan on the refined map.  Every reported path is verified exactly;
-    `conclusive` is False only when a full-window tail coincidence resisted
-    both verification and window growth.
+    subdividing at one interior orbit, the one `interior_periodic_points`
+    sorts first, and re-running the vertex scan on the refined map.  Every
+    reported path is verified exactly; `conclusive` is False only when a
+    full-window tail coincidence resisted both verification and window
+    growth.
+
+    The orbit is found without enumerating every interior periodic point.
+    Exponents t = 1, 2, ... are scanned in turn, and the scan stops at the
+    first t with an interior occurrence.  Every point found at exponent t
+    is fixed by f^t, so its period divides t; a point of period p < t would
+    have shown up at exponent p already.  So the points found at the first
+    such t are exactly the points of smallest period, the ones the full
+    enumeration sorts first.  It orders them by (edge, index at a common
+    exponent); f^s is monotone on each edge, so the index order at any
+    common exponent, here 2t, is the order along the edge and picks the
+    same leftmost point.  Its descriptor is the one the full enumeration
+    stores too, the occurrence at exponent t (2t when it is reversed), since
+    a point of period t first occurs at exponent t.
     """
     require_train_track(f)
-    w = window if window is not None else _default_window(f, max_pf_len)
-    inps, conclusive, notes = _detect_on(f, w, max_period)
+    pf = _pf_or_none(f)
+    w = window if window is not None else _default_window(pf, max_pf_len)
+    inps, conclusive, notes = _detect_on(f, w, max_period, pf)
     sub: SubdivisionResult | None = None
     sub_inps: tuple[NielsenPath, ...] = ()
     if subdivide:
-        pts = interior_periodic_points(f, max_period)
-        if pts:
-            sub = subdivide_at(f, pts[0])
-            w2 = window if window is not None else _default_window(sub.map, max_pf_len)
-            sub_inps, c2, n2 = _detect_on(sub.map, w2, max_period)
+        point = _first_interior_point(f, max_period)
+        if point is not None:
+            sub = subdivide_at(f, point)
+            sub_pf = _pf_or_none(sub.map)
+            w2 = window if window is not None else _default_window(sub_pf, max_pf_len)
+            sub_inps, c2, n2 = _detect_on(sub.map, w2, max_period, sub_pf)
             conclusive = conclusive and c2
             notes = notes + n2
     return InpReport(
@@ -631,7 +670,11 @@ class StabilityReport:
 
 
 def stability_check(f: GraphSelfMap, **kwargs) -> StabilityReport:
-    rep = detect_inps(f, **kwargs)
+    return stability_verdict(f, detect_inps(f, **kwargs))
+
+
+def stability_verdict(f: GraphSelfMap, rep: InpReport) -> StabilityReport:
+    """The atoroidality verdict that an existing INP report of f supports."""
     closed = rep.closed_inps()
     if closed:
         shown = f.graph.path_str(closed[0].path)

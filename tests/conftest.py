@@ -1,7 +1,7 @@
 import pathlib
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from ttlam import Graph, GraphSelfMap, parse_map_path
 
@@ -64,3 +64,27 @@ def map_files(fixture_dir):
         name: parse_map_path(fixture_dir / f"{name}.tt")
         for name in ("tribonacci", "tribonacci-inv", "fibonacci", "reducible")
     }
+
+
+def rose_map(images):
+    names = [chr(ord("a") + i) for i in range(len(images))]
+    g = Graph.build(["v"], [(x, "v", "v") for x in names])
+    return GraphSelfMap.build(g, dict(zip(names, images)))
+
+
+@st.composite
+def positive_rose_maps(draw, moves_per_rank=2):
+    """Primitive positive automorphisms of the rank 2-4 rose: up to
+    moves_per_rank * rank drawn positive Nielsen moves x -> x y / x -> y x,
+    then x_i -> x_i x_(i+1) around the rose, which makes the transition
+    matrix irreducible with a positive diagonal."""
+    rank = draw(st.integers(2, 4))
+    moves = draw(st.lists(
+        st.tuples(st.integers(0, rank - 1), st.integers(1, rank - 1), st.booleans()),
+        max_size=moves_per_rank * rank,
+    ))
+    words = [[i] for i in range(rank)]
+    for i, k, right in moves + [(i, 1, True) for i in range(rank)]:
+        j = (i + k) % rank
+        words[i] = words[i] + words[j] if right else words[j] + words[i]
+    return rose_map([" ".join(chr(ord("a") + x) for x in w) for w in words])

@@ -1,10 +1,9 @@
 """Leaf languages, recurrence, equivalence classes, singular leaves, duality."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from ttlam import (
-    Graph,
     GraphSelfMap,
     NotTrainTrackError,
     branch_point_classes,
@@ -21,6 +20,7 @@ from ttlam import (
     uniform_recurrence_check,
 )
 
+from conftest import positive_rose_maps, rose_map
 from oracles import apply_map, derivative_orbit_gates, harvest_factors, illegal_turn_count
 
 
@@ -43,30 +43,6 @@ def test_leaf_language_matches_fixed_horizon(trib, trib_inv):
             assert leaf_language(f, n) == horizon[n]
 
 
-def _rose_map(images):
-    names = [chr(ord("a") + i) for i in range(len(images))]
-    g = Graph.build(["v"], [(x, "v", "v") for x in names])
-    return GraphSelfMap.build(g, dict(zip(names, images)))
-
-
-@st.composite
-def positive_rose_maps(draw):
-    """Primitive positive automorphisms of the rank 2-4 rose: drawn positive
-    Nielsen moves x -> x y / x -> y x, then x_i -> x_i x_(i+1) around the
-    rose, which makes the transition matrix irreducible with a positive
-    diagonal."""
-    rank = draw(st.integers(2, 4))
-    moves = draw(st.lists(
-        st.tuples(st.integers(0, rank - 1), st.integers(1, rank - 1), st.booleans()),
-        max_size=2 * rank,
-    ))
-    words = [[i] for i in range(rank)]
-    for i, k, right in moves + [(i, 1, True) for i in range(rank)]:
-        j = (i + k) % rank
-        words[i] = words[i] + words[j] if right else words[j] + words[i]
-    return _rose_map([" ".join(chr(ord("a") + x) for x in w) for w in words])
-
-
 @given(positive_rose_maps())
 def test_leaf_language_matches_deep_horizon_random(f):
     # the first round at which every edge image has at least 10^4 darts
@@ -82,7 +58,7 @@ def test_leaf_language_matches_deep_horizon_random(f):
 def test_leaf_language_rank5_regression():
     # rank-5 benchmark map with lambda ~ 14.6: its five-fold edge images
     # already hold 2.9 million darts
-    f = _rose_map([
+    f = rose_map([
         "a b c d e d",
         "b c d e d",
         "b c d e d e d c d e d c d e d d e d e d c d e d",

@@ -1,7 +1,9 @@
 """Periodic structures, eigenrays, interior points, subdivision, INPs."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+import ttlam.nielsen
 from ttlam import (
     GraphSelfMap,
     detect_inps,
@@ -17,6 +19,7 @@ from ttlam import (
 )
 from ttlam.nielsen import reversed_to_preserving
 
+from conftest import positive_rose_maps, rose_map
 from oracles import apply_map, brute_force_inps
 
 
@@ -235,3 +238,65 @@ def test_stability_fib_flags_closed_inp(fib):
 def test_stability_trib_passes(trib):
     rep = stability_check(trib)
     assert rep.status == "pass"
+
+
+# Oracle path lengths per rank: at most the 8,748 reduced paths of length 8
+# on the rank-2 rose (rank 3 at length 5: 3,750; rank 4 at length 4:
+# 2,744).  brute_force_inps at length 8 visits ~560k paths on a rank-3 rose
+# and takes seconds to minutes per call.
+ORACLE_LEN = {2: 8, 3: 5, 4: 4}
+
+
+def _check_first_orbit(f, p):
+    """detect_inps subdivides at the orbit the full enumeration sorts
+    first, and its vertex INPs agree with the exhaustive oracle."""
+    rep = detect_inps(f, max_period=p)
+    pts = interior_periodic_points(f, p)
+    if pts:
+        assert rep.subdivision.orbit[0] == pts[0]
+    else:
+        assert rep.subdivision is None
+    max_len = ORACLE_LEN[f.graph.num_edges]
+    oracle = brute_force_inps(f, max_len=max_len, max_period=p)
+    ours = {inp.path for inp in rep.inps}
+    assert oracle <= ours
+    assert {w for w in ours if len(w) <= max_len} <= oracle
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_first_orbit_matches_full_enumeration_fixtures(all_maps, p):
+    for f in all_maps.values():
+        _check_first_orbit(f, p)
+
+
+# one move per rank keeps lambda small (at most 7.2 in 40 draws, against 21
+# with two): the oracle and the full enumeration both grow like lambda^p.
+# Positive maps have no reversed occurrences; trib_inv above has one.
+@given(positive_rose_maps(moves_per_rank=1), st.integers(1, 3))
+def test_first_orbit_matches_full_enumeration_random(f, p):
+    _check_first_orbit(f, p)
+
+
+@pytest.mark.parametrize("images", [
+    # the rank-3 and rank-4 benchmark maps (lambda ~ 5) on which default
+    # detection used to enumerate thousands of interior points up to period 6
+    ["b a", "b a c b b a b a", "b a c"],
+    ["a c d b c d d", "a c d b c d d b c d d", "c d b c d d", "c d d"],
+])
+def test_detection_stops_at_first_interior_period(monkeypatch, images):
+    f = rose_map(images)
+    scanned = []  # (exponent, whether it had an interior occurrence)
+
+    def counting(f, t):
+        assert not any(interior for _, interior in scanned), f"exponent {t} scanned past the first interior period"
+        occ = occurrences(f, t)
+        scanned.append((t, any(o.kind == "interior" for o in occ)))
+        return occ
+
+    monkeypatch.setattr(ttlam.nielsen, "occurrences", counting)
+    rep = detect_inps(f)
+    monkeypatch.undo()
+    period = rep.subdivision.orbit[0].period
+    assert [t for t, _ in scanned] == list(range(1, period + 1))
+    assert rep.subdivision.orbit[0] == interior_periodic_points(f, period)[0]
+    assert rep.conclusive

@@ -29,7 +29,7 @@ from .errors import (
 from .graph import Graph, Path, edge_index, reverse_path, turn
 from .graph_map import GraphSelfMap
 from .spectral import PFData, pf_data
-from .train_track import gates, is_legal_turn, require_train_track
+from .train_track import Gates, gates, is_legal_turn, require_train_track
 
 
 # -- periodic vertices and darts ---------------------------------------------
@@ -80,33 +80,62 @@ def periodic_structures(f: GraphSelfMap) -> PeriodicData:
 
 # -- eigenrays ----------------------------------------------------------------
 
-def eigenray_prefix(f: GraphSelfMap, dart: int, n: int, max_rounds: int = 10_000) -> Path:
+def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
     """First n darts of the unique f-invariant ray in the direction `dart`.
 
     The dart must be Df-periodic with some period k; iterating f^k on the
-    one-dart path then yields strictly nested prefixes of the ray.
+    one-dart path then yields nested prefixes p_0 = (dart,),
+    p_(j+1) = [f^k(p_j)] of the ray.
+
+    The iterates are streamed, not recomputed.  Once p_j is known to be a
+    prefix of p_(j+1), write p_(j+1) = p_j s; free reduction is confluent, so
+
+        [f^k(p_(j+1))] = [f^k(p_j) f^k(s)] = [p_(j+1) [f^k(s)]].
+
+    Each round therefore reduces only the f^k-blocks of the new suffix s onto
+    a stack that already holds p_(j+1).  A block [f^k(d)] is read from the
+    map's store `edge_iterates` and reversed for a backward dart.  This holds
+    for any expanding map, train track or not.  A round that loses the
+    prefix property raises ConvergenceError, and so do more than num_darts
+    rounds in a row without growth.  Every other round grows the prefix, so
+    the loop ends.
     """
     pd = periodic_structures(f)
     k = pd.dart_period_of(dart)
     if k is None:
         raise MapError(f"dart {f.graph.dart_name(dart)} is not Df-periodic; no eigenray")
     f.require_expanding()
+    store = f.edge_iterates
+    blocks: dict[int, Path] = {}
+    image: list[int] = []  # [f^k(p[:done])], reduced as a stack
     p: Path = (dart,)
+    done = 0
     stalls = 0
-    for _ in range(max_rounds):
-        if len(p) >= n:
-            return p[:n]
-        q = f.iterate(p, k)
-        if q[: len(p)] != p:
+    while len(p) < n:
+        for d in p[done:]:
+            block = blocks.get(d)
+            if block is None:
+                block = store.image(d >> 1, k)
+                if d & 1:
+                    block = reverse_path(block)
+                blocks[d] = block
+            for x in block:
+                if image and image[-1] == x ^ 1:
+                    image.pop()
+                else:
+                    image.append(x)
+        done = len(p)
+        q = tuple(image)
+        if q[:done] != p:
             raise ConvergenceError("eigenray iteration lost the prefix property")
-        if len(q) == len(p):
+        if len(q) == done:
             stalls += 1
             if stalls > f.graph.num_darts:
                 raise ConvergenceError("eigenray prefix stopped growing")
         else:
             stalls = 0
         p = q
-    raise ConvergenceError(f"eigenray prefix did not reach {n} darts in {max_rounds} rounds")
+    return p[:n]
 
 
 # -- occurrences of an edge inside its own iterated image ----------------------
@@ -473,24 +502,90 @@ def _default_window(pf: PFData | None, max_pf_len: float | None) -> int:
     return max(64, need)
 
 
+def _occurrences_of(pattern: str, text: str) -> list[int]:
+    """Every start of `pattern` in `text`, overlapping ones included."""
+    out = []
+    i = text.find(pattern)
+    while i >= 0:
+        out.append(i)
+        i = text.find(pattern, i + 1)
+    return out
+
+
+def _tail_matches(r1: Path, r2: Path, min_agree: int) -> list[int]:
+    """The shifts delta, in ascending order, at which r1[i] and r2[i - delta]
+    agree on the last min_agree darts where both are defined.
+
+    The aligned overlap is [lo, hi) with hi = min(len(r1), len(r2) + delta).
+    When it ends with r1, those darts are the tail of r1 found in r2 at
+    len(r1) - min_agree - delta; when it ends with r2, they are the tail of
+    r2 found in r1 at len(r2) + delta - min_agree.  Both tails are searched
+    for as substrings, with darts encoded as characters.
+    """
+    n1, n2 = len(r1), len(r2)
+    if min(n1, n2) < min_agree:
+        return []
+    s1 = "".join(map(chr, r1))
+    s2 = "".join(map(chr, r2))
+    shifts = {n1 - min_agree - pos for pos in _occurrences_of(s1[n1 - min_agree :], s2)}
+    shifts.update(pos + min_agree - n2 for pos in _occurrences_of(s2[n2 - min_agree :], s1))
+    return sorted(shifts)
+
+
+def _stems(r1: Path, r2: Path, delta: int, min_agree: int) -> tuple[int, int] | None:
+    """Stem lengths (m1, m2) of the tail candidate at shift delta: r1[m1:]
+    and r2[m2:] agree to the end of the overlap on at least min_agree darts,
+    and r1[m1 - 1] != r2[m2 - 1].  None when the shift gives no candidate."""
+    lo = max(0, delta)
+    hi = min(len(r1), len(r2) + delta)
+    if hi - lo < min_agree + 1:
+        return None
+    mismatch = -1
+    for i in range(hi - 1, lo - 1, -1):
+        if r1[i] != r2[i - delta]:
+            mismatch = i
+            break
+    if mismatch < 0:
+        # windows nested from the very start: not INP-shaped
+        return None
+    m1 = mismatch + 1
+    m2 = m1 - delta
+    if m1 < 1 or m2 < 1 or hi - m1 < min_agree:
+        return None
+    return m1, m2
+
+
 def _scan_ray_pairs(
     f: GraphSelfMap,
     window: int,
     max_period: int,
-    pf=None,
+    pf: PFData | None,
+    gate_table: Gates,
 ) -> tuple[set[tuple[Path, int]], list[tuple[Path, int]], list[str]]:
     """One pass of eigenray tail matching at a fixed window size.
 
     Returns (verified INPs as (canonical path, period), failed full-window
     candidates, notes).  Candidates require: tails agree to the window end,
     the preceding darts differ, both stems are nonempty, and the junction
-    turn is illegal; verification is the exact identity [f^s(eta)] = eta.
+    turn is illegal; verification is the exact identity [f^s(eta)] = eta,
+    checked after each of max_period applications of f.
     A genuine INP expands both halves by the same overflow, forcing equal
     PF-lengths; unequal-stem coincidences are discarded as impossible rather
     than held against conclusiveness.
+
+    A shift delta aligns r1[i] with r2[i - delta] on the overlap [lo, hi),
+    hi = min(n1, n2 + delta).  `_stems` keeps a shift only when the last
+    min_agree darts of the overlap agree.  The overlap ends where r1 ends
+    (hi = n1) or where r2 ends (hi = n2 + delta), so those darts are the
+    last min_agree darts of one ray, found inside the other.  Conversely,
+    every occurrence of one ray's tail in the other ray is a shift in
+    -(n2 - min_agree) .. n1 - min_agree, the range a comparison of every
+    shift would scan.  So `_tail_matches`, a substring search for both
+    tails, visits every shift that `_stems` can keep, in linear time rather
+    than quadratic, and in ascending order, which keeps the order of the
+    candidates and notes of a scan over every shift.
     """
     pd = periodic_structures(f)
-    gate_table = gates(f)
     eigen = pd.eigen_darts()
     rays = {d: eigenray_prefix(f, d, window) for d in eigen}
     min_agree = max(16, window // 2)
@@ -501,24 +596,11 @@ def _scan_ray_pairs(
     for a in range(len(eigen)):
         for b in range(a + 1, len(eigen)):
             r1, r2 = rays[eigen[a]], rays[eigen[b]]
-            n1, n2 = len(r1), len(r2)
-            for delta in range(-(n2 - min_agree), n1 - min_agree + 1):
-                lo = max(0, delta)
-                hi = min(n1, n2 + delta)
-                if hi - lo < min_agree + 1:
+            for delta in _tail_matches(r1, r2, min_agree):
+                stems = _stems(r1, r2, delta, min_agree)
+                if stems is None:
                     continue
-                mismatch = -1
-                for i in range(hi - 1, lo - 1, -1):
-                    if r1[i] != r2[i - delta]:
-                        mismatch = i
-                        break
-                if mismatch < 0:
-                    # windows nested from the very start: not INP-shaped
-                    continue
-                m1 = mismatch + 1
-                m2 = m1 - delta
-                if m1 < 1 or m2 < 1 or hi - m1 < min_agree:
-                    continue
+                m1, m2 = stems
                 eta = r1[:m1] + reverse_path(r2[:m2])
                 canon, tip = _canonical_inp(eta, m1)
                 if canon in seen:
@@ -536,8 +618,10 @@ def _scan_ray_pairs(
                         f"{f.graph.path_str(canon)}"
                     )
                     continue
+                w = canon
                 for s in range(1, max_period + 1):
-                    if f.iterate(canon, s) == canon:
+                    w = f.apply(w)
+                    if w == canon:
                         verified.add((canon, s))
                         break
                 else:
@@ -556,15 +640,16 @@ def _detect_on(
     retries: int = 2,
 ) -> tuple[tuple[NielsenPath, ...], bool, list[str]]:
     """Scan with growing windows until no unverified candidates remain."""
+    gate_table = gates(f)
     notes: list[str] = []
     w = window
     for attempt in range(retries + 1):
-        verified, failed, ns = _scan_ray_pairs(f, w, max_period, pf)
+        verified, failed, ns = _scan_ray_pairs(f, w, max_period, pf, gate_table)
         if attempt == retries or not failed:
             notes.extend(ns)
             inps = []
             for canon, s in sorted(verified):
-                tip = _tip_of(f, canon)
+                tip = _tip_of(canon, gate_table)
                 inps.append(
                     NielsenPath(
                         path=canon,
@@ -578,8 +663,7 @@ def _detect_on(
     raise AssertionError("unreachable")
 
 
-def _tip_of(f: GraphSelfMap, path: Path) -> int:
-    gate_table = gates(f)
+def _tip_of(path: Path, gate_table: Gates) -> int:
     tips = [
         i
         for i in range(1, len(path))
@@ -600,9 +684,6 @@ class InpReport:
     notes: tuple[str, ...]
     subdivision: SubdivisionResult | None
     subdivided_inps: tuple[NielsenPath, ...]
-
-    def closed_inps(self) -> tuple[NielsenPath, ...]:
-        return tuple(p for p in self.inps + self.subdivided_inps if p.closed)
 
 
 def detect_inps(
@@ -674,10 +755,17 @@ def stability_check(f: GraphSelfMap, **kwargs) -> StabilityReport:
 
 
 def stability_verdict(f: GraphSelfMap, rep: InpReport) -> StabilityReport:
-    """The atoroidality verdict that an existing INP report of f supports."""
-    closed = rep.closed_inps()
+    """The atoroidality verdict that an existing INP report of f supports.
+
+    A closed INP found in the subdivided pass is named on the subdivided
+    graph, whose darts its path indexes.
+    """
+    closed = [(f.graph, p) for p in rep.inps if p.closed]
+    if rep.subdivision is not None:
+        closed += [(rep.subdivision.map.graph, p) for p in rep.subdivided_inps if p.closed]
     if closed:
-        shown = f.graph.path_str(closed[0].path)
+        graph, inp = closed[0]
+        shown = graph.path_str(inp.path)
         return StabilityReport(
             status="fail",
             reason=f"closed indivisible fixed path {shown}: invariant conjugacy class (surface-type)",

@@ -88,3 +88,21 @@ def positive_rose_maps(draw, moves_per_rank=2):
         j = (i + k) % rank
         words[i] = words[i] + words[j] if right else words[j] + words[i]
     return rose_map([" ".join(chr(ord("a") + x) for x in w) for w in words])
+
+
+@st.composite
+def reduced_rose_maps(draw):
+    """Rank 2-3 rose maps whose edge images are arbitrary reduced words of
+    1-4 darts: most are not train track maps, many not homotopy
+    equivalences."""
+    rank = draw(st.integers(2, 3))
+    names = [chr(ord("a") + i) for i in range(rank)]
+    darts = [x + s for x in names for s in ("", "~")]
+    images = []
+    for _ in range(rank):
+        word = [draw(st.sampled_from(darts))]
+        for _ in range(draw(st.integers(0, 3))):
+            inverse = word[-1][:-1] if word[-1].endswith("~") else word[-1] + "~"
+            word.append(draw(st.sampled_from([d for d in darts if d != inverse])))
+        images.append(" ".join(word))
+    return rose_map(images)

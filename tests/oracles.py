@@ -1,14 +1,17 @@
 """Independent oracle implementations for cross-checking the library.
 
 Everything here is written from the definitions with no imports from ttlam
-internals beyond the plain data carriers (Graph, GraphSelfMap).  Slower and
-dumber on purpose: repeated-scan reduction, dictionary orbit walks, exhaustive
-path enumeration, numpy eigensolvers.
+internals beyond the plain data carriers (Graph, GraphSelfMap) and the error
+types.  Slower and dumber on purpose: repeated-scan reduction, dictionary
+orbit walks, exhaustive path enumeration, numpy eigensolvers, comparison at
+every shift, whole-path iteration.
 """
 
 from itertools import islice
 
 import numpy as np
+
+from ttlam.errors import ConvergenceError, MapError
 
 
 def reduce_word(darts):
@@ -174,3 +177,65 @@ def harvest_factors(f, lengths, rounds):
         n: words | {tuple(x ^ 1 for x in reversed(w)) for w in words}
         for n, words in found.items()
     }
+
+
+def quadratic_tail_stems(r1, r2, min_agree):
+    """Stem lengths (m1, m2) of the eigenray tail candidates of a ray pair,
+    in ascending shift order.  Every shift delta aligning r1[i] with
+    r2[i - delta] is compared backwards from the end of the overlap; it is a
+    candidate when the first mismatch r1[m1 - 1] != r2[m2 - 1] leaves at
+    least min_agree agreeing darts after it."""
+    n1, n2 = len(r1), len(r2)
+    out = []
+    for delta in range(-(n2 - min_agree), n1 - min_agree + 1):
+        lo = max(0, delta)
+        hi = min(n1, n2 + delta)
+        if hi - lo < min_agree + 1:
+            continue
+        mismatch = -1
+        for i in range(hi - 1, lo - 1, -1):
+            if r1[i] != r2[i - delta]:
+                mismatch = i
+                break
+        if mismatch < 0:
+            continue
+        m1 = mismatch + 1
+        m2 = m1 - delta
+        if m1 < 1 or m2 < 1 or hi - m1 < min_agree:
+            continue
+        out.append((m1, m2))
+    return out
+
+
+def iterated_eigenray_prefix(f, dart, n):
+    """First n darts of the eigenray of a Df-periodic dart, recomputing
+    p <- [f^k(p)] from (dart,) on the whole path each round, k the Df-period.
+    Raises MapError for a dart that is not Df-periodic, and ConvergenceError
+    when an iterate does not extend the last or the path stops growing for
+    more than num_darts rounds."""
+    nd = f.graph.num_darts
+
+    def df(d):
+        img = f.edge_image[d >> 1]
+        return img[0] if not (d & 1) else (img[-1] ^ 1)
+
+    x, k = df(dart), 1
+    while x != dart and k <= nd:
+        x, k = df(x), k + 1
+    if x != dart:
+        raise MapError("dart is not Df-periodic")
+    f.require_expanding()
+    p = (dart,)
+    stalls = 0
+    while len(p) < n:
+        q = f.iterate(p, k)
+        if q[: len(p)] != p:
+            raise ConvergenceError("iterate does not extend the prefix")
+        if len(q) == len(p):
+            stalls += 1
+            if stalls > nd:
+                raise ConvergenceError("prefix stopped growing")
+        else:
+            stalls = 0
+        p = q
+    return p[:n]

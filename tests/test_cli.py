@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, JSON canonicality, error mapping."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -245,3 +246,19 @@ def test_text_mode_runs(fixture_dir):
     assert code == 0
     assert "schema: 1" in text
     assert "pass: True" in text
+
+
+REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference" / "fixtures-cli.json"
+INP_COMMANDS = ("inps", "singular", "dual", "illegality", "eigenrays")
+
+
+def test_inp_commands_match_reference_reports(fixture_dir):
+    # the 20 fixture commands that run eigenray or INP detection, against
+    # the reports recorded for the benchmark: same exit code, same bytes
+    reference = json.loads(REFERENCE.read_text())
+    keys = [key for key in sorted(reference) if key.split()[0] in INP_COMMANDS]
+    assert len(keys) == 20
+    for key in keys:
+        argv = [str(fixture_dir / a) if a.endswith(".tt") else a for a in key.split()]
+        code, text = run_command(argv + ["--json"])
+        assert (code, text) == (reference[key]["exit"], reference[key]["report"]), key

@@ -1,7 +1,9 @@
 """Periodic structures, eigenrays, interior points, subdivision, INPs."""
 
+import dataclasses
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ttlam.nielsen
 from ttlam import (
@@ -17,10 +19,22 @@ from ttlam import (
     stability_check,
     subdivide_at,
 )
-from ttlam.nielsen import reversed_to_preserving
+from ttlam.errors import TtError
+from ttlam.nielsen import (
+    NielsenPath,
+    _stems,
+    _tail_matches,
+    reversed_to_preserving,
+    stability_verdict,
+)
 
-from conftest import positive_rose_maps, rose_map
-from oracles import apply_map, brute_force_inps
+from conftest import positive_rose_maps, reduced_rose_maps, rose_map
+from oracles import (
+    apply_map,
+    brute_force_inps,
+    iterated_eigenray_prefix,
+    quadratic_tail_stems,
+)
 
 
 def test_periodic_structures_trib(trib, rose3):
@@ -79,6 +93,37 @@ def test_eigenray_legal(trib, fib):
         pd = periodic_structures(f)
         for d in pd.eigen_darts():
             assert ilt_count(f, eigenray_prefix(f, d, 128), gt) == 0
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TtError as exc:
+        return type(exc)
+
+
+def _check_eigenrays_against_iteration(f, lengths):
+    for d in f.graph.darts():
+        for n in lengths:
+            want = _outcome(iterated_eigenray_prefix, f, d, n)
+            assert _outcome(eigenray_prefix, f, d, n) == want, (f.describe(), d, n)
+
+
+def test_eigenray_streaming_matches_iteration_fixtures(all_maps):
+    for f in all_maps.values():
+        _check_eigenrays_against_iteration(f, (1, 2, 9, 64, 300))
+
+
+@given(positive_rose_maps())
+def test_eigenray_streaming_matches_iteration_positive(f):
+    _check_eigenrays_against_iteration(f, (1, 5, 40))
+
+
+# not train track: iterates cancel, lose the prefix, stall or never grow
+@settings(max_examples=300)
+@given(reduced_rose_maps())
+def test_eigenray_streaming_matches_iteration_any_rose_map(f):
+    _check_eigenrays_against_iteration(f, (1, 6, 40))
 
 
 def test_occurrences_fib(fib):
@@ -235,6 +280,19 @@ def test_stability_fib_flags_closed_inp(fib):
     assert "conjugacy" in rep.reason
 
 
+def test_stability_names_subdivided_inp_on_subdivided_graph(fib):
+    # no known map has a closed INP only in the subdivided pass, so the
+    # report is built by hand: a closed path a.1 a.2 a.3 of the subdivided
+    # graph, whose darts 0 2 4 do not all exist on fib's rose
+    rep = detect_inps(fib)
+    sub_graph = rep.subdivision.map.graph
+    fake = NielsenPath(path=sub_graph.parse_path("a.1 a.2 a.3"), period=1, tip_index=1, closed=True)
+    rep = dataclasses.replace(rep, inps=(), subdivided_inps=(fake,))
+    stab = stability_verdict(fib, rep)
+    assert stab.status == "fail"
+    assert "path a.1 a.2 a.3:" in stab.reason
+
+
 def test_stability_trib_passes(trib):
     rep = stability_check(trib)
     assert rep.status == "pass"
@@ -300,3 +358,32 @@ def test_detection_stops_at_first_interior_period(monkeypatch, images):
     assert [t for t, _ in scanned] == list(range(1, period + 1))
     assert rep.subdivision.orbit[0] == interior_periodic_points(f, period)[0]
     assert rep.conclusive
+
+
+def _candidate_stems(r1, r2, min_agree):
+    stems = (_stems(r1, r2, d, min_agree) for d in _tail_matches(r1, r2, min_agree))
+    return [s for s in stems if s is not None]
+
+
+# rays over two or three darts repeat a lot, so one tail occurs many times
+# in the other ray, overlapping itself
+@given(
+    st.integers(2, 3).flatmap(lambda k: st.lists(st.lists(st.integers(0, k - 1), max_size=60), min_size=2, max_size=2)),
+    st.integers(1, 12),
+)
+def test_tail_matches_agree_with_every_shift_scan_random(rays, min_agree):
+    r1, r2 = map(tuple, rays)
+    assert _candidate_stems(r1, r2, min_agree) == quadratic_tail_stems(r1, r2, min_agree)
+
+
+def test_tail_matches_agree_with_every_shift_scan_eigenrays(all_maps):
+    maps = list(all_maps.values())
+    maps += [detect_inps(f).subdivision.map for f in all_maps.values()]
+    for f in maps:
+        eigen = periodic_structures(f).eigen_darts()
+        for window in (64, 155, 310, 620):
+            min_agree = max(16, window // 2)
+            rays = [eigenray_prefix(f, d, window) for d in eigen]
+            for i, r1 in enumerate(rays):
+                for r2 in rays[i + 1 :]:
+                    assert _candidate_stems(r1, r2, min_agree) == quadratic_tail_stems(r1, r2, min_agree)

@@ -11,6 +11,7 @@ Exit codes: 0 = pass / result produced, 1 = property violation,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,9 +30,8 @@ from .errors import (
 )
 from .graph import all_turns, validate_graph
 from .lamination import (
-    dual_language,
     eigenray_equivalence,
-    illegality_profile,
+    illegality_between,
     ilt_contraction,
     leaf_language,
     leaf_window,
@@ -345,17 +345,8 @@ def _cmd_illegality(mf: MapFile, args) -> tuple[int, dict]:
     data = _envelope("illegality", mf)
     data["against"] = against.name
     data["assumptions_against"] = list(against.assertions)
-    f_src = mf.map
-    f_ref = against.map
-    if (
-        f_ref.graph.edge_names != f_src.graph.edge_names
-        or f_ref.graph.vertex_names != f_src.graph.vertex_names
-        or f_ref.graph.dart_origin != f_src.graph.dart_origin
-    ):
-        raise IncompatibleGraphsError("maps live on different graphs")
     use_dual = mf.asserts_inverse_of() is not None
-    words = dual_language(f_src, args.window) if use_dual else leaf_language(f_src, args.window)
-    prof = illegality_profile(f_ref, sorted(words))
+    prof = illegality_between(against.map, mf.map, args.window, dual=use_dual)
     data["language"] = "dual" if use_dual else "leaf"
     data["window"] = args.window
     data["words"] = prof.words
@@ -396,7 +387,9 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> _CliParser:
+@functools.cache
+def _parser() -> _CliParser:
+    """The argument parser, built once per process; parsing keeps no state."""
     p = _CliParser(prog="ttlam", description="Train track map analysis")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -436,7 +429,7 @@ def _build_parser() -> _CliParser:
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Execute one CLI invocation; returns (exit code, report text)."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         mf = parse_map_path(args.mapfile)
         code, data = _HANDLERS[args.command](mf, args)
         return code, _emit(data, args.json)

@@ -199,6 +199,31 @@ def all_turns(graph: Graph, include_degenerate: bool = False) -> list[Turn]:
     return out
 
 
+def equivalence_classes(items: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Classes of the equivalence on items generated by pairs, by union-find.
+
+    Each class is sorted, and classes are ordered by their smallest member.
+    A pair with an end outside items is ignored.
+    """
+    parent = {x: x for x in items}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        if a in parent and b in parent:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    classes: dict[int, list[int]] = {}
+    for x in sorted(parent):
+        classes.setdefault(find(x), []).append(x)
+    return [tuple(c) for c in classes.values()]
+
+
 def validate_graph(graph: Graph) -> list[str]:
     """Structural complaints; empty list means the graph is usable.
 
@@ -215,22 +240,10 @@ def validate_graph(graph: Graph) -> list[str]:
         if not (0 <= graph.dart_origin[d] < graph.num_vertices):
             problems.append(f"dart {d} has out-of-range origin")
             return problems
-    # connectivity by union-find over edge endpoints
-    parent = list(range(graph.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(graph.num_edges):
-        a, b = find(graph.dart_origin[2 * i]), find(graph.dart_origin[2 * i + 1])
-        if a != b:
-            parent[a] = b
-    roots = {find(v) for v in range(graph.num_vertices)}
-    if len(roots) > 1:
-        problems.append(f"graph is disconnected ({len(roots)} components)")
+    endpoints = ((graph.dart_origin[2 * i], graph.dart_origin[2 * i + 1]) for i in range(graph.num_edges))
+    components = len(equivalence_classes(range(graph.num_vertices), endpoints))
+    if components > 1:
+        problems.append(f"graph is disconnected ({components} components)")
     for v in range(graph.num_vertices):
         val = graph.valence(v)
         if val == 0:

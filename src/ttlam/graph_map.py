@@ -127,21 +127,8 @@ class GraphSelfMap:
 
     @cached_property
     def is_expanding(self) -> bool:
-        """Every edge eventually maps over more than one edge.
-
-        Follow Df from each dart while the image stays a single dart; if the
-        walk survives num_darts steps it has cycled among length-1 edges.
-        """
-        nd = self.graph.num_darts
-        for d0 in range(nd):
-            d = d0
-            steps = 0
-            while len(self.dart_image(d)) == 1:
-                d = self.dart_image(d)[0]
-                steps += 1
-                if steps > nd:
-                    return False
-        return True
+        """Every edge eventually maps over more than one edge."""
+        return self.non_expanding_witness() is None
 
     def require_expanding(self) -> None:
         if not self.is_expanding:
@@ -149,7 +136,11 @@ class GraphSelfMap:
             raise NotExpandingError(f"iterated images of edge {witness!r} never grow")
 
     def non_expanding_witness(self) -> str | None:
-        """Name of an edge trapped in a cycle of length-1 images, if any."""
+        """Name of an edge trapped in a cycle of length-1 images, if any.
+
+        Follow Df from each dart while the image stays a single dart; if the
+        walk survives num_darts steps it has cycled among length-1 edges.
+        """
         nd = self.graph.num_darts
         for d0 in range(nd):
             d = d0

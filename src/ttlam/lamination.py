@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, IncompatibleGraphsError, MapError, NotTrainTrackError
-from .graph import Path, Turn, reverse_path, turn
+from .graph import Path, Turn, equivalence_classes, reverse_path, turn
 from .graph_map import GraphSelfMap
 from .nielsen import InpReport, detect_inps, eigenray_prefix, periodic_structures
 from .spectral import matrix_power_lengths, pf_data
@@ -158,24 +158,8 @@ def eigenray_equivalence(f: GraphSelfMap) -> EquivalenceReport:
     pd = periodic_structures(f)
     periodic = set(pd.periodic_vertices())
     nodes = [gid for gid in range(len(gt.members)) if gt.vertex_of_gate[gid] in periodic]
-    parent = {gid: gid for gid in nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for d1, d2 in used_turns(f):
-        g1, g2 = gt.gate_of[d1], gt.gate_of[d2]
-        if g1 in parent and g2 in parent:
-            r1, r2 = find(g1), find(g2)
-            if r1 != r2:
-                parent[r1] = r2
-    buckets: dict[int, list[int]] = {}
-    for gid in nodes:
-        buckets.setdefault(find(gid), []).append(gid)
-    classes = tuple(sorted(tuple(sorted(b)) for b in buckets.values()))
+    gate_pairs = ((gt.gate_of[d1], gt.gate_of[d2]) for d1, d2 in used_turns(f))
+    classes = tuple(equivalence_classes(nodes, gate_pairs))
     dart_classes = tuple(
         tuple(sorted(d for gid in cls for d in gt.members[gid])) for cls in classes
     )

@@ -6,10 +6,11 @@ lengths.  For a primitive M the dominant eigenvalue lam > 1 carries a
 positive left eigenvector of row lengths v (v^T M = lam v^T): assigning
 length v[e] to edge e makes the map expand every legal path by exactly lam.
 
-Exact integer arithmetic backs the floating point results: characteristic
-polynomial coefficients come from the Faddeev-LeVerrier recurrence over
-Fractions, and the dominant root can be isolated by bisection, giving an
-independent cross-check on the power iteration.
+Exact integer arithmetic backs the floating point results.  The growth
+rate from power iteration is certified at every size by the Collatz-Wielandt
+bracket, checked in integers on the dyadic numerators of the iterate, and
+characteristic polynomial coefficients come from the Faddeev-LeVerrier
+recurrence over Fractions.
 """
 
 import math
@@ -83,87 +84,6 @@ def charpoly_coefficients(m: np.ndarray) -> list[int]:
     return out
 
 
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(a)
-    lead = b[0]
-    quot = []
-    while len(rem) >= len(b):
-        q = rem[0] / lead
-        quot.append(q)
-        for i in range(len(b)):
-            rem[i] -= q * b[i]
-        rem.pop(0)
-    while rem and rem[0] == 0:
-        rem.pop(0)
-    return quot, rem
-
-
-def _sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    deriv = [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
-    chain = [coeffs, deriv]
-    while len(chain[-1]) > 1:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _sign_variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = _poly_eval(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def largest_real_root(coeffs: list[int], tol: float = 1e-14) -> float:
-    """Largest real root of a monic integer polynomial, by Sturm bisection.
-
-    A Sturm chain counts distinct real roots in any half-open interval
-    exactly (over Fractions, no rounding), so bisection can home in on the
-    topmost root even when several real roots share a short interval.
-    Repeated roots are removed first via gcd with the derivative.
-    """
-    fc = [Fraction(c) for c in coeffs]
-    while fc and fc[0] == 0:
-        fc.pop(0)
-    if len(fc) < 2:
-        raise ConvergenceError("polynomial has no roots")
-    # square-free part: divide out gcd(p, p')
-    deriv = [c * (len(fc) - 1 - i) for i, c in enumerate(fc[:-1])]
-    a, b = fc, deriv
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if len(a) > 1:
-        fc, _ = _poly_divmod(fc, a)
-    chain = _sturm_chain(fc)
-    bound = Fraction(1) + max(abs(c) for c in fc) / abs(fc[0])
-    lo, hi = -bound, bound
-    v_hi = _sign_variations(chain, hi)
-    if _sign_variations(chain, lo) - v_hi < 1:
-        raise ConvergenceError("no real root located below the Cauchy bound")
-    # invariant: the largest real root lies in (lo, hi]
-    for _ in range(200):
-        if float(hi - lo) < tol:
-            break
-        mid = (lo + hi) / 2
-        if _sign_variations(chain, mid) - v_hi >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return float((lo + hi) / 2)
-
-
 @dataclass(frozen=True)
 class PFData:
     """Dominant eigenvalue and the derived metric constants.
@@ -188,17 +108,49 @@ class PFData:
         return sum(self.pf_lengths[edge_index(d)] for d in path)
 
 
-def pf_data(f: GraphSelfMap, tol: float = 1e-12, max_iter: int = 200_000) -> PFData:
-    """Power iteration on M^T for the left eigenvector, with exact checks.
+# |lam - rho| bound that pf_data certifies
+_LAM_TOL = 1e-8
 
-    Requires a primitive transition matrix; for n <= 6 the eigenvalue is
-    cross-validated against the bisection root of the exact characteristic
-    polynomial.
+
+def _collatz_wielandt_certified(rows: list[list[int]], lam: float, w: np.ndarray) -> bool:
+    """Exactly: w > 0 and (lam - tol) w_i <= (A w)_i <= (lam + tol) w_i for all i.
+
+    For an irreducible nonnegative A and any positive x, min_i (Ax)_i / x_i
+    <= rho(A) <= max_i (Ax)_i / x_i (Collatz-Wielandt), so a pass proves
+    |rho(A) - lam| <= tol.  Every float is a dyadic rational: the entries of
+    w are scaled to integers over one common power of two, and the test
+    (lam -+ tol) x_i vs (A x)_i is cleared of the denominators of lam and
+    tol, leaving Python int products only.
+    """
+    ratios = [x.as_integer_ratio() for x in w.tolist()]
+    if any(num <= 0 for num, _ in ratios):
+        return False
+    den = max(d for _, d in ratios)
+    x = [num * (den // d) for num, d in ratios]
+    p, q = lam.as_integer_ratio()
+    r, s = _LAM_TOL.as_integer_ratio()
+    lo, hi, scale = p * s - r * q, p * s + r * q, q * s
+    for row, xi in zip(rows, x):
+        ax = scale * sum(c * xj for c, xj in zip(row, x) if c)
+        if not lo * xi <= ax <= hi * xi:
+            return False
+    return True
+
+
+def pf_data(f: GraphSelfMap, tol: float = 1e-12, max_iter: int = 200_000) -> PFData:
+    """Power iteration on M^T for the left eigenvector, with a certified lam.
+
+    Requires a primitive transition matrix.  The iteration stops at the
+    first iterate that has settled (every entry moved by less than tol) and
+    whose Collatz-Wielandt bracket pins the dominant eigenvalue to within
+    _LAM_TOL of the estimate, checked in exact integer arithmetic at
+    every size.
     """
     m = transition_matrix(f)
     if not is_primitive(m):
         raise NotPrimitiveError("transition matrix is not primitive")
     n = m.shape[0]
+    rows = m.T.tolist()
     mt = m.T.astype(np.float64)
     v = np.ones(n) / n
     lam = 0.0
@@ -209,17 +161,13 @@ def pf_data(f: GraphSelfMap, tol: float = 1e-12, max_iter: int = 200_000) -> PFD
         if lam <= 0:
             raise ConvergenceError("power iteration collapsed")
         w /= lam
-        if float(np.abs(w - v).max()) < tol:
+        if float(np.abs(w - v).max()) < tol and _collatz_wielandt_certified(rows, lam, w):
             v = w
             break
         v = w
     else:
-        raise ConvergenceError(f"power iteration did not settle in {max_iter} steps")
+        raise ConvergenceError(f"power iteration did not settle and certify in {max_iter} steps")
     residual = float(np.abs(mt @ v - lam * v).max())
-    if n <= 6:
-        exact = largest_real_root(charpoly_coefficients(m))
-        if abs(exact - lam) > 1e-8:
-            raise ConvergenceError(f"power iteration ({lam}) disagrees with charpoly root ({exact})")
     v = v / v.sum()  # vol = 1 normalization
     lengths = tuple(float(x) for x in v)
     vol = 1.0

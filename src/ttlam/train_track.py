@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotTrainTrackError
-from .graph import Turn, turn, turns_of_path
+from .graph import Turn, equivalence_classes, turn, turns_of_path
 from .graph_map import GraphSelfMap
 
 
@@ -60,32 +60,13 @@ class Gates:
 def gates(f: GraphSelfMap) -> Gates:
     g = f.graph
     nd = g.num_darts
-    parent = list(range(nd))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in _df_orbit_merges(f):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    roots: dict[int, int] = {}
+    members = equivalence_classes(range(nd), _df_orbit_merges(f))
     gate_of = [0] * nd
-    buckets: list[list[int]] = []
-    for d in range(nd):
-        r = find(d)
-        if r not in roots:
-            roots[r] = len(buckets)
-            buckets.append([])
-        gid = roots[r]
-        gate_of[d] = gid
-        buckets[gid].append(d)
-    vertex_of_gate = tuple(g.origin(b[0]) for b in buckets)
-    return Gates(tuple(gate_of), tuple(tuple(sorted(b)) for b in buckets), vertex_of_gate)
+    for gid, darts in enumerate(members):
+        for d in darts:
+            gate_of[d] = gid
+    vertex_of_gate = tuple(g.origin(darts[0]) for darts in members)
+    return Gates(tuple(gate_of), tuple(members), vertex_of_gate)
 
 
 def is_legal_turn(f: GraphSelfMap, t: Turn, gate_table: Gates | None = None) -> bool:

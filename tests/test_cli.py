@@ -249,16 +249,17 @@ def test_text_mode_runs(fixture_dir):
 
 
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference" / "fixtures-cli.json"
-INP_COMMANDS = ("inps", "singular", "dual", "illegality", "eigenrays")
 
 
-def test_inp_commands_match_reference_reports(fixture_dir):
-    # the 20 fixture commands that run eigenray or INP detection, against
-    # the reports recorded for the benchmark: same exit code, same bytes
+def test_fixture_commands_match_reference_reports(fixture_dir):
+    # all 44 fixture commands of the benchmark, run one after another through
+    # the one per-process parser, against the reports recorded for the
+    # benchmark: same exit code, same bytes
     reference = json.loads(REFERENCE.read_text())
-    keys = [key for key in sorted(reference) if key.split()[0] in INP_COMMANDS]
-    assert len(keys) == 20
-    for key in keys:
-        argv = [str(fixture_dir / a) if a.endswith(".tt") else a for a in key.split()]
+    assert len(reference) == 44
+    for key in sorted(reference):
+        head, flag, word = key.partition(" --word ")  # the word is one argument
+        argv = [str(fixture_dir / a) if a.endswith(".tt") else a for a in head.split()]
+        argv += [flag.strip(), word] if flag else []
         code, text = run_command(argv + ["--json"])
         assert (code, text) == (reference[key]["exit"], reference[key]["report"]), key

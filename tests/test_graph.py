@@ -17,8 +17,16 @@ from ttlam import (
     turns_of_path,
     validate_graph,
 )
+from ttlam.graph import equivalence_classes
 
 from oracles import reduce_word
+
+
+def test_equivalence_classes_order():
+    # classes sorted, ordered by smallest member; pairs leaving items ignored
+    pairs = [(5, 2), (3, 0), (2, 7), (4, 9)]
+    assert equivalence_classes([7, 0, 5, 2, 3, 4, 6], pairs) == [(0, 3), (2, 5, 7), (4,), (6,)]
+    assert equivalence_classes([], pairs) == []
 
 
 def test_dart_arithmetic():

@@ -11,14 +11,15 @@ from ttlam import (
     charpoly_coefficients,
     expansion_factor,
     is_primitive,
-    largest_real_root,
     matrix_power_lengths,
     pf_data,
     transition_matrix,
     transition_power,
 )
+from ttlam.spectral import _collatz_wielandt_certified
 
-from oracles import bisect_root, numpy_spectral
+from conftest import positive_rose_maps, rose_map
+from oracles import numpy_spectral
 
 
 def test_transition_matrices(fib, trib, trib_inv, reducible):
@@ -91,30 +92,6 @@ def test_charpoly_matches_numpy(all_maps):
         assert np.allclose(ours, theirs, atol=1e-6)
 
 
-def test_largest_real_root_classics():
-    golden = (1 + math.sqrt(5)) / 2
-    assert abs(largest_real_root([1, -1, -1]) - golden) < 1e-12
-    plastic = bisect_root(lambda x: x**3 - x - 1, 1.0, 2.0)
-    assert abs(largest_real_root([1, 0, -1, -1]) - plastic) < 1e-12
-
-
-def test_largest_real_root_crowded_interval():
-    # (x - 1)(x^2 - x - 1): two real roots inside (0.9, 1.7]
-    assert abs(largest_real_root([1, -2, 0, 1]) - (1 + math.sqrt(5)) / 2) < 1e-12
-
-
-def test_largest_real_root_repeated():
-    # (x - 2)^2 (x + 1)
-    assert abs(largest_real_root([1, -3, 0, 4]) - 2.0) < 1e-12
-
-
-def test_largest_real_root_none():
-    from ttlam import ConvergenceError
-
-    with pytest.raises(ConvergenceError):
-        largest_real_root([1, 0, 1])  # x^2 + 1
-
-
 def test_pf_data_against_numpy(fib, trib, trib_inv):
     for f in (fib, trib, trib_inv):
         m = transition_matrix(f)
@@ -125,6 +102,37 @@ def test_pf_data_against_numpy(fib, trib, trib_inv):
         assert abs(sum(pf.pf_lengths) - 1.0) < 1e-12
         assert pf.min_pf_length > 0
         assert pf.c_illegal == math.ceil(4.0 / pf.min_pf_length)
+
+
+def test_collatz_wielandt_bracket():
+    # fibonacci: M^T [phi, 1] = phi [phi, 1]; the bracket is tested both ways
+    phi = (1 + math.sqrt(5)) / 2
+    rows = [[1, 1], [1, 0]]
+    w = np.array([phi, 1.0]) / (phi + 1)
+    assert _collatz_wielandt_certified(rows, phi, w)
+    assert not _collatz_wielandt_certified(rows, phi + 2e-8, w)
+    assert not _collatz_wielandt_certified(rows, phi - 2e-8, w)
+    assert not _collatz_wielandt_certified(rows, phi, np.array([1.0, 0.0]))
+
+
+def test_pf_data_certifies_loose_tol_rank_7_and_8():
+    # a loose tol settles the iteration early; lam must still be certified
+    # to 1e-8 at ranks where no characteristic polynomial is computed
+    maps = (
+        rose_map(["a b c", "b c", "c d e", "d e", "e f", "f g a", "g a"]),
+        rose_map(["a b", "b c", "c d", "d e", "e f", "f g", "g h", "h a b"]),
+    )
+    for f in maps:
+        lam, _ = numpy_spectral(transition_matrix(f))
+        assert abs(pf_data(f, tol=1e-4).lam - lam) < 1e-8
+
+
+@given(positive_rose_maps())
+def test_pf_data_matches_numpy_random(f):
+    lam, vec = numpy_spectral(transition_matrix(f))
+    pf = pf_data(f)
+    assert abs(pf.lam - lam) < 1e-9
+    assert np.allclose(pf.pf_lengths, vec, atol=1e-9)
 
 
 def test_pf_expansion_law(fib, trib, trib_inv):

@@ -13,11 +13,9 @@ from ttlam import (
     charpoly_coefficients,
     expansion_factor,
     is_primitive,
-    matrix_power_lengths,
     parse_map_path,
     pf_data,
     transition_matrix,
-    transition_power,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -38,7 +36,7 @@ print("column sums:", m.sum(axis=0), "=", [len(p) for p in f.edge_image])
 # maps over every other.
 print("primitive:", is_primitive(m))
 print("M^6 =")
-print(np.array(transition_power(f, 6)))
+print(np.linalg.matrix_power(m, 6))
 
 # -- growth rate ------------------------------------------------------------------------
 
@@ -49,17 +47,19 @@ lam = expansion_factor(f)
 print("growth rate:", lam)
 
 # Edge lengths grow like lam^t; the ratio of consecutive total lengths
-# converges to lam.
+# converges to lam.  The map keeps the exact lengths |f^t(e)|, the column
+# sums of M^t, in its store of iterates.
+lengths = f.edge_iterates.lengths
 prev = None
 for t in (5, 10, 15, 20, 25):
-    total = sum(matrix_power_lengths(f, t))
+    total = sum(lengths(t))
     if prev is not None:
         print(f"t={t:2d}  total={total:8d}  ratio^(1/5)={(total / prev) ** 0.2:.9f}")
     prev = total
 
 # The powers are exact integers, so growth can be read far beyond float
 # range without losing a digit.
-big = sum(matrix_power_lengths(f, 300))
+big = sum(lengths(300))
 print("digits of total length at t=300:", len(str(big)))
 
 # -- the eigenvector metric ---------------------------------------------------------

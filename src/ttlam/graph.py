@@ -159,6 +159,29 @@ def path_reduce(path: Iterable[int]) -> Path:
     return tuple(out)
 
 
+def extend_reduced(stack: list[int], blocks: Iterable[Sequence[int]]) -> list[int]:
+    """Append reduced blocks to a reduced stack, one junction at a time, and
+    return the stack, which then holds the free reduction of the stack and
+    all the blocks.
+
+    When the stack and a block are each reduced, free reduction of their
+    concatenation can only cancel where they meet: the stack's last dart
+    against the block's first, then the next pair inwards.  So each block
+    pops the stack while its top is the inverse of the block's next dart,
+    and the rest of the block is appended by one ``list.extend``.  What is
+    left is reduced again, since the two sides were reduced and their new
+    junction no longer cancels.  Dart images, f^k(e) and their reversals
+    are all reduced, so this is exact for every map, train track or not.
+    """
+    for block in blocks:
+        i, n = 0, len(block)
+        while i < n and stack and stack[-1] == block[i] ^ 1:
+            stack.pop()
+            i += 1
+        stack.extend(block[i:] if i else block)
+    return stack
+
+
 def is_reduced(path: Sequence[int]) -> bool:
     return all(b != (a ^ 1) for a, b in zip(path, path[1:]))
 

@@ -1,8 +1,9 @@
 """Graph self-maps: vertices to vertices, edges to reduced edge paths.
 
 A map is stored by its action on forward darts only; the image of a backward
-dart is the reversed image of its partner.  Composition-style questions (what
-does the n-th iterate do to a path?) always pass through free reduction, so
+dart is the reversed image of its partner, and both are read from one table
+of dart images built once per map.  Composition-style questions (what does
+the n-th iterate do to a path?) always pass through free reduction, so
 iterated images are reduced edge paths by construction.
 """
 
@@ -14,6 +15,7 @@ from .errors import MapError, NotExpandingError
 from .graph import (
     Graph,
     Path,
+    extend_reduced,
     is_reduced,
     path_reduce,
     reverse_path,
@@ -26,7 +28,7 @@ class GraphSelfMap:
 
     ``edge_image[i]`` is the reduced edge path crossed by f(edge i), recorded
     on forward darts.  ``vertex_image[v]`` is the image vertex.  Immutability
-    keeps derived tables (derivative, incidence) safely cacheable.
+    keeps derived tables (dart images, derivative, iterates) safely cacheable.
     """
 
     graph: Graph
@@ -85,21 +87,24 @@ class GraphSelfMap:
 
     # -- action on darts and paths -------------------------------------------
 
+    @cached_property
+    def dart_images(self) -> tuple[Path, ...]:
+        """The reduced image of every dart, indexed by dart id: the edge
+        image on a forward dart, its reversal on the backward one."""
+        table = []
+        for img in self.edge_image:
+            table.append(img)
+            table.append(reverse_path(img))
+        return tuple(table)
+
     def dart_image(self, d: int) -> Path:
         """Image of a single dart as a reduced edge path."""
-        img = self.edge_image[d >> 1]
-        return img if (d & 1) == 0 else reverse_path(img)
+        return self.dart_images[d]
 
     def apply(self, path: Sequence[int]) -> Path:
-        """f(path), freely reduced."""
-        out: list[int] = []
-        for d in path:
-            for e in self.dart_image(d):
-                if out and out[-1] == (e ^ 1):
-                    out.pop()
-                else:
-                    out.append(e)
-        return tuple(out)
+        """f(path), freely reduced: the dart images joined by
+        `extend_reduced`, which cancels only where two of them meet."""
+        return tuple(extend_reduced([], map(self.dart_images.__getitem__, path)))
 
     def iterate(self, path: Sequence[int], n: int) -> Path:
         """[f^n(path)], reduced after every application."""
@@ -112,11 +117,11 @@ class GraphSelfMap:
 
     def derivative(self, d: int) -> int:
         """Df: the first dart crossed by the image of d."""
-        return self.dart_image(d)[0]
+        return self.dart_images[d][0]
 
     @cached_property
     def derivative_table(self) -> tuple[int, ...]:
-        return tuple(self.derivative(d) for d in self.graph.darts())
+        return tuple(img[0] for img in self.dart_images)
 
     @cached_property
     def edge_iterates(self) -> "EdgeIterates":
@@ -186,7 +191,8 @@ class EdgeIterates:
     each computed once per map.
 
     ``image(e, t)`` extends the chain f(e), f^2(e), ... of edge e as far as
-    asked.  ``lengths(t)[e]`` is the column sum of M^t, advanced exactly by
+    asked; ``dart_image(d, t)`` reads it for either dart of the edge.
+    ``lengths(t)[e]`` is the column sum of M^t, advanced exactly by
     |f^t(e)| = sum of |f^(t-1)(d)| over the darts d of f(e); for a train
     track map it is the length of f^t(e).
     """
@@ -194,6 +200,7 @@ class EdgeIterates:
     def __init__(self, f: GraphSelfMap):
         self._f = f
         self._images = [[(2 * e,)] for e in range(f.graph.num_edges)]
+        self._reversed: dict[tuple[int, int], Path] = {}
         self._lengths = [(1,) * f.graph.num_edges]
 
     def image(self, e: int, t: int) -> Path:
@@ -201,6 +208,16 @@ class EdgeIterates:
         while len(chain) <= t:
             chain.append(self._f.apply(chain[-1]))
         return chain[t]
+
+    def dart_image(self, d: int, t: int) -> Path:
+        """f^t(d) for a dart: f^t of its edge, reversed once and kept for a
+        backward dart."""
+        if not d & 1:
+            return self.image(d >> 1, t)
+        img = self._reversed.get((d, t))
+        if img is None:
+            img = self._reversed[d, t] = reverse_path(self.image(d >> 1, t))
+        return img
 
     def lengths(self, t: int) -> tuple[int, ...]:
         table = self._lengths

@@ -19,7 +19,7 @@ from .errors import BudgetExceededError, IncompatibleGraphsError, MapError, NotT
 from .graph import Path, Turn, equivalence_classes, reverse_path, turn
 from .graph_map import GraphSelfMap
 from .nielsen import InpReport, detect_inps, eigenray_prefix, periodic_structures
-from .spectral import matrix_power_lengths, pf_data
+from .spectral import pf_data
 from .train_track import Gates, gates, ilt_count, legal_segments
 
 
@@ -380,9 +380,12 @@ class ContractionReport:
 
 
 def contraction_block(f: GraphSelfMap, cap: int = 400) -> int:
-    pf = pf_data(f)
+    """The smallest s <= cap with every |f^s(e)| > c_illegal, the column
+    sums of M^s read from the map's store `edge_iterates`."""
+    c = pf_data(f).c_illegal
+    lengths = f.edge_iterates.lengths
     for s in range(1, cap + 1):
-        if min(matrix_power_lengths(f, s)) > pf.c_illegal:
+        if min(lengths(s)) > c:
             return s
     raise BudgetExceededError("no contraction block below the cap")
 

@@ -12,7 +12,7 @@ Interior periodic points are tracked symbolically as occurrences: the point
 fixed by f^T on edge e "at index i" is the unique fixed point of the inverse
 branch of f^T through the i-th dart of f^T(e).  All comparisons, orbit steps
 and refinements stay in exact integer arithmetic (occurrence indices plus
-bigint matrix-power lengths), so no floating point enters the subdivision.
+the exact lengths |f^t(e)|), so no floating point enters the subdivision.
 The iterated edge images f^t(e) and the lengths |f^t(e)| are read from the
 map's own store (`GraphSelfMap.edge_iterates`), so each is built once per map.
 """
@@ -26,7 +26,7 @@ from .errors import (
     NotPrimitiveError,
     SubdivisionError,
 )
-from .graph import Graph, Path, edge_index, reverse_path, turn
+from .graph import Graph, Path, edge_index, extend_reduced, reverse_path, turn
 from .graph_map import GraphSelfMap
 from .spectral import PFData, pf_data
 from .train_track import Gates, gates, is_legal_turn, require_train_track
@@ -93,12 +93,12 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
         [f^k(p_(j+1))] = [f^k(p_j) f^k(s)] = [p_(j+1) [f^k(s)]].
 
     Each round therefore reduces only the f^k-blocks of the new suffix s onto
-    a stack that already holds p_(j+1).  A block [f^k(d)] is read from the
-    map's store `edge_iterates` and reversed for a backward dart.  This holds
-    for any expanding map, train track or not.  A round that loses the
-    prefix property raises ConvergenceError, and so do more than num_darts
-    rounds in a row without growth.  Every other round grows the prefix, so
-    the loop ends.
+    a stack that already holds p_(j+1), with `extend_reduced`.  A block
+    [f^k(d)] is read from the map's store `edge_iterates`.  This holds for
+    any expanding map, train track or not.
+    A round that loses the prefix property raises ConvergenceError, and so
+    do more than num_darts rounds in a row without growth.  Every other
+    round grows the prefix, so the loop ends.
     """
     pd = periodic_structures(f)
     k = pd.dart_period_of(dart)
@@ -106,24 +106,15 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
         raise MapError(f"dart {f.graph.dart_name(dart)} is not Df-periodic; no eigenray")
     f.require_expanding()
     store = f.edge_iterates
-    blocks: dict[int, Path] = {}
+    blocks: dict[int, Path] = {}  # dart -> [f^k(dart)]
     image: list[int] = []  # [f^k(p[:done])], reduced as a stack
     p: Path = (dart,)
     done = 0
     stalls = 0
     while len(p) < n:
-        for d in p[done:]:
-            block = blocks.get(d)
-            if block is None:
-                block = store.image(d >> 1, k)
-                if d & 1:
-                    block = reverse_path(block)
-                blocks[d] = block
-            for x in block:
-                if image and image[-1] == x ^ 1:
-                    image.pop()
-                else:
-                    image.append(x)
+        for d in set(p[done:]).difference(blocks):
+            blocks[d] = store.dart_image(d, k)
+        extend_reduced(image, map(blocks.__getitem__, p[done:]))
         done = len(p)
         q = tuple(image)
         if q[:done] != p:
@@ -512,21 +503,25 @@ def _occurrences_of(pattern: str, text: str) -> list[int]:
     return out
 
 
-def _tail_matches(r1: Path, r2: Path, min_agree: int) -> list[int]:
-    """The shifts delta, in ascending order, at which r1[i] and r2[i - delta]
-    agree on the last min_agree darts where both are defined.
+def _encode(path: Path) -> str:
+    """A path as a string, one character per dart, for substring search."""
+    return "".join(map(chr, path))
+
+
+def _tail_matches(s1: str, s2: str, min_agree: int) -> list[int]:
+    """The shifts delta, in ascending order, at which rays r1 and r2, given
+    encoded by `_encode`, have r1[i] and r2[i - delta] agree on the last
+    min_agree darts where both are defined.
 
     The aligned overlap is [lo, hi) with hi = min(len(r1), len(r2) + delta).
     When it ends with r1, those darts are the tail of r1 found in r2 at
     len(r1) - min_agree - delta; when it ends with r2, they are the tail of
     r2 found in r1 at len(r2) + delta - min_agree.  Both tails are searched
-    for as substrings, with darts encoded as characters.
+    for as substrings.
     """
-    n1, n2 = len(r1), len(r2)
+    n1, n2 = len(s1), len(s2)
     if min(n1, n2) < min_agree:
         return []
-    s1 = "".join(map(chr, r1))
-    s2 = "".join(map(chr, r2))
     shifts = {n1 - min_agree - pos for pos in _occurrences_of(s1[n1 - min_agree :], s2)}
     shifts.update(pos + min_agree - n2 for pos in _occurrences_of(s2[n2 - min_agree :], s1))
     return sorted(shifts)
@@ -555,6 +550,42 @@ def _stems(r1: Path, r2: Path, delta: int, min_agree: int) -> tuple[int, int] | 
     return m1, m2
 
 
+def _nielsen_period(f: GraphSelfMap, a: Path, b: Path, max_period: int) -> int | None:
+    """The least s <= max_period with [f^s(a b~)] = a b~, or None, for a
+    train track map f and nonempty legal paths a, b whose junction turn
+    (a[-1]~, b[-1]~) is illegal; b~ is b reversed.
+
+    Write fa = f^s(a), fb = f^s(b).  f sends legal paths to legal paths
+    without cancellation, so fa and fb are legal, and [f^s(a b~)] is fa b~
+    with the longest common suffix w of fa = x w and fb = y w cancelled:
+    x y~.  If x y~ = a b~ and |x| > |a|, then x holds the illegal turn
+    of a b~ at |a|, which a legal path cannot; likewise |y| > |b| is
+    impossible, so x = a and y = b: fa = a w and fb = b w.  Conversely
+    these two identities give [f^s(a b~)] = [a w w~ b~] = a b~.  Since
+    nothing cancels, |fa| is the sum of |f^s(d)| over the darts d of a, read
+    from `edge_iterates.lengths(s)`, so every period satisfies
+
+        sum_a |f^s(d)| - |a| = |w| = sum_b |f^s(d)| - |b|.
+
+    Periods are tried in order, and fa, fb are built from the stored
+    f^s-blocks only at periods that pass this integer test.  The check
+    fa[:|a|] = a, fb[:|b|] = b, fa[|a|:] = fb[|b|:] is sufficient for any
+    map, so a reported period is always a true one; the test's proof above
+    uses the train track property, which detection checks first.
+    """
+    store = f.edge_iterates
+    m1, m2 = len(a), len(b)
+    for s in range(1, max_period + 1):
+        lens = store.lengths(s)
+        if sum(lens[d >> 1] for d in a) - m1 != sum(lens[d >> 1] for d in b) - m2:
+            continue
+        fa = tuple(extend_reduced([], (store.dart_image(d, s) for d in a)))
+        fb = tuple(extend_reduced([], (store.dart_image(d, s) for d in b)))
+        if fa[:m1] == a and fb[:m2] == b and fa[m1:] == fb[m2:]:
+            return s
+    return None
+
+
 def _scan_ray_pairs(
     f: GraphSelfMap,
     window: int,
@@ -567,8 +598,10 @@ def _scan_ray_pairs(
     Returns (verified INPs as (canonical path, period), failed full-window
     candidates, notes).  Candidates require: tails agree to the window end,
     the preceding darts differ, both stems are nonempty, and the junction
-    turn is illegal; verification is the exact identity [f^s(eta)] = eta,
-    checked after each of max_period applications of f.
+    turn is illegal; verification is the exact identity [f^s(eta)] = eta
+    at the least s <= max_period where it holds (`_nielsen_period`, which
+    rules most periods out by an integer length test before building
+    anything).
     A genuine INP expands both halves by the same overflow, forcing equal
     PF-lengths; unequal-stem coincidences are discarded as impossible rather
     than held against conclusiveness.
@@ -583,11 +616,13 @@ def _scan_ray_pairs(
     shift would scan.  So `_tail_matches`, a substring search for both
     tails, visits every shift that `_stems` can keep, in linear time rather
     than quadratic, and in ascending order, which keeps the order of the
-    candidates and notes of a scan over every shift.
+    candidates and notes of a scan over every shift.  Each ray is encoded
+    for that search once per scan.
     """
     pd = periodic_structures(f)
     eigen = pd.eigen_darts()
     rays = {d: eigenray_prefix(f, d, window) for d in eigen}
+    codes = {d: _encode(r) for d, r in rays.items()}
     min_agree = max(16, window // 2)
     verified: set[tuple[Path, int]] = set()
     failed: list[tuple[Path, int]] = []
@@ -596,7 +631,7 @@ def _scan_ray_pairs(
     for a in range(len(eigen)):
         for b in range(a + 1, len(eigen)):
             r1, r2 = rays[eigen[a]], rays[eigen[b]]
-            for delta in _tail_matches(r1, r2, min_agree):
+            for delta in _tail_matches(codes[eigen[a]], codes[eigen[b]], min_agree):
                 stems = _stems(r1, r2, delta, min_agree)
                 if stems is None:
                     continue
@@ -618,12 +653,9 @@ def _scan_ray_pairs(
                         f"{f.graph.path_str(canon)}"
                     )
                     continue
-                w = canon
-                for s in range(1, max_period + 1):
-                    w = f.apply(w)
-                    if w == canon:
-                        verified.add((canon, s))
-                        break
+                period = _nielsen_period(f, r1[:m1], r2[:m2], max_period)
+                if period is not None:
+                    verified.add((canon, period))
                 else:
                     failed.append((canon, tip))
                     notes.append(
@@ -664,11 +696,8 @@ def _detect_on(
 
 
 def _tip_of(path: Path, gate_table: Gates) -> int:
-    tips = [
-        i
-        for i in range(1, len(path))
-        if gate_table.same_gate(path[i - 1] ^ 1, path[i])
-    ]
+    gate_of = gate_table.gate_of
+    tips = [i for i in range(1, len(path)) if gate_of[path[i - 1] ^ 1] == gate_of[path[i]]]
     if len(tips) != 1:
         raise MapError("path does not have exactly one illegal turn")
     return tips[0]

@@ -188,30 +188,3 @@ def pf_data(f: GraphSelfMap, tol: float = 1e-12, max_iter: int = 200_000) -> PFD
 
 def expansion_factor(f: GraphSelfMap) -> float:
     return pf_data(f).lam
-
-
-def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def transition_power(f: GraphSelfMap, t: int) -> list[list[int]]:
-    """M^t as exact Python-int matrix (safe at any t, no overflow)."""
-    n = f.graph.num_edges
-    m = [[int(x) for x in row] for row in transition_matrix(f)]
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = m
-    e = t
-    while e:
-        if e & 1:
-            result = _int_mat_mul(result, base)
-        base = _int_mat_mul(base, base)
-        e >>= 1
-    return result
-
-
-def matrix_power_lengths(f: GraphSelfMap, t: int) -> list[int]:
-    """Exact lengths |f^t(e)| for every edge: column sums of M^t."""
-    n = f.graph.num_edges
-    mt = transition_power(f, t)
-    return [sum(mt[i][j] for i in range(n)) for j in range(n)]

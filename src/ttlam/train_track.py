@@ -85,23 +85,19 @@ def turn_image(f: GraphSelfMap, t: Turn) -> Turn:
 
 def ilt_count(f: GraphSelfMap, path: Sequence[int], gate_table: Gates | None = None) -> int:
     """Number of illegal turns crossed by the path, with multiplicity."""
-    gt = gate_table if gate_table is not None else gates(f)
-    n = 0
-    for a, b in zip(path, path[1:]):
-        if gt.same_gate(a ^ 1, b):
-            n += 1
-    return n
+    gate_of = (gate_table if gate_table is not None else gates(f)).gate_of
+    return sum(1 for a, b in zip(path, path[1:]) if gate_of[a ^ 1] == gate_of[b])
 
 
 def legal_segments(f: GraphSelfMap, path: Sequence[int], gate_table: Gates | None = None) -> list[int]:
     """Lengths (in darts) of the maximal legal subpaths, in order."""
-    gt = gate_table if gate_table is not None else gates(f)
+    gate_of = (gate_table if gate_table is not None else gates(f)).gate_of
     if not path:
         return []
     runs = []
     cur = 1
     for a, b in zip(path, path[1:]):
-        if gt.same_gate(a ^ 1, b):
+        if gate_of[a ^ 1] == gate_of[b]:
             runs.append(cur)
             cur = 1
         else:

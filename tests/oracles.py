@@ -29,12 +29,16 @@ def reduce_word(darts):
 
 
 def apply_map(f, path):
-    """Image of a path under f, reduced; darts mapped one at a time."""
+    """Image of a path under f, reduced; the dart images laid end to end,
+    then reduced by repeated scans.  Each dart's image is made once per
+    call, the edge image reversed and flipped by hand on a backward dart."""
+    table = {}
     out = []
     for d in path:
-        img = f.edge_image[d >> 1]
-        if d & 1:
-            img = tuple(x ^ 1 for x in reversed(img))
+        img = table.get(d)
+        if img is None:
+            img = f.edge_image[d >> 1]
+            img = table[d] = tuple(x ^ 1 for x in reversed(img)) if d & 1 else img
         out.extend(img)
     return reduce_word(out)
 
@@ -177,6 +181,77 @@ def harvest_factors(f, lengths, rounds):
         n: words | {tuple(x ^ 1 for x in reversed(w)) for w in words}
         for n, words in found.items()
     }
+
+
+def scan_ray_pairs_by_iteration(f, window, max_period, pf_lengths):
+    """(verified, failed, notes) of one eigenray tail scan at a window, as
+    ``nielsen._scan_ray_pairs`` defines them, from the definitions: eigenrays
+    by whole-path iteration of apply_map, candidates from a comparison at
+    every shift, legality from Df orbits, and each candidate verified by
+    applying f at every period up to max_period.  pf_lengths (or None)
+    drives the same PF-length filter."""
+    g = f.graph
+    nd = g.num_darts
+    _, assigned = derivative_orbit_gates(f)
+
+    def df(d):
+        img = f.edge_image[d >> 1]
+        return img[0] if not (d & 1) else (img[-1] ^ 1)
+
+    def df_period(d):
+        x = df(d)
+        for k in range(1, nd + 1):
+            if x == d:
+                return k
+            x = df(x)
+        return None
+
+    def flip(path):
+        return tuple(x ^ 1 for x in reversed(path))
+
+    def ray(d, k):
+        p = (d,)
+        while len(p) < window:
+            q = p
+            for _ in range(k):
+                q = apply_map(f, q)
+            assert q[: len(p)] == p and len(q) > len(p), "eigenray iteration stalled"
+            p = q
+        return p[:window]
+
+    eigen = [d for d in range(nd) if df_period(d) is not None]
+    rays = {d: ray(d, df_period(d)) for d in eigen}
+    min_agree = max(16, window // 2)
+    verified, failed, notes, seen = set(), [], [], set()
+    for i, d1 in enumerate(eigen):
+        for d2 in eigen[i + 1 :]:
+            r1, r2 = rays[d1], rays[d2]
+            for m1, m2 in quadratic_tail_stems(r1, r2, min_agree):
+                eta = r1[:m1] + flip(r2[:m2])
+                canon, tip = (flip(eta), len(eta) - m1) if flip(eta) < eta else (eta, m1)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                if pf_lengths is not None:
+                    l1 = sum(pf_lengths[d >> 1] for d in r1[:m1])
+                    l2 = sum(pf_lengths[d >> 1] for d in r2[:m2])
+                    if abs(l1 - l2) > 1e-6 * max(l1, l2):
+                        continue
+                x, y = r1[m1 - 1] ^ 1, r2[m2 - 1] ^ 1
+                if x != y and assigned[x] != assigned[y]:
+                    failed.append((canon, tip))
+                    notes.append(f"tail coincidence with legal junction at window {window}: {g.path_str(canon)}")
+                    continue
+                w = canon
+                for s in range(1, max_period + 1):
+                    w = apply_map(f, w)
+                    if w == canon:
+                        verified.add((canon, s))
+                        break
+                else:
+                    failed.append((canon, tip))
+                    notes.append(f"unverified tail candidate at window {window}: {g.path_str(canon)}")
+    return verified, failed, notes
 
 
 def quadratic_tail_stems(r1, r2, min_agree):

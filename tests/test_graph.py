@@ -9,6 +9,7 @@ from ttlam import (
     all_turns,
     cyclic_reduce,
     edge_index,
+    extend_reduced,
     is_reduced,
     path_reduce,
     reverse_dart,
@@ -138,3 +139,20 @@ def test_reduce_commutes_with_reverse(w):
 def test_reduce_concat_associative(u, v):
     # reducing in stages agrees with reducing the concatenation at once
     assert path_reduce(path_reduce(u) + path_reduce(v)) == path_reduce(tuple(u) + tuple(v))
+
+
+# blocks over two edges cancel against each other often, and deeply
+reduced_blocks = st.lists(st.integers(min_value=0, max_value=3), max_size=12).map(path_reduce)
+
+
+@given(reduced_blocks, st.lists(reduced_blocks, max_size=8))
+def test_extend_reduced_matches_reduction_of_concatenation(stack, blocks):
+    joined = tuple(stack) + tuple(d for block in blocks for d in block)
+    out = extend_reduced(list(stack), blocks)
+    assert tuple(out) == path_reduce(joined) == reduce_word(joined)
+
+
+def test_extend_reduced_cancels_across_blocks(rose2):
+    p = rose2.parse_path
+    out = extend_reduced(list(p("a b a")), [p("a~ b~"), p("a~"), p("a b")])
+    assert tuple(out) == p("a b")

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from ttlam import Graph, GraphSelfMap, MapError, NotExpandingError, compose
 
+from conftest import positive_rose_maps, reduced_rose_maps
 from oracles import apply_map, random_reduced_word
 
 import random
@@ -102,6 +103,55 @@ def test_apply_matches_oracle(all_maps):
         for _ in range(150):
             w = random_reduced_word(f.graph, rng.randrange(1, 60), rng)
             assert f.apply(w) == apply_map(f, w)
+
+
+def _cancelling_word(f, rng):
+    """A reduced word p~ q on a rose whose image cancels deeply: p and q start
+    with two distinct darts whose images share the longest prefix, and q
+    continues as p does wherever that stays reduced."""
+    g = f.graph
+    nd = g.num_darts
+
+    def shared(x, y):
+        a, b = f.dart_image(x), f.dart_image(y)
+        k = 0
+        while k < min(len(a), len(b)) and a[k] == b[k]:
+            k += 1
+        return k
+
+    pairs = [(x, y) for x in range(nd) for y in range(nd) if x != y and g.origin(x) == g.origin(y)]
+    best = max(shared(x, y) for x, y in pairs)
+    x, y = rng.choice([(x, y) for x, y in pairs if shared(x, y) == best])
+    tail = random_reduced_word(g, rng.randrange(2, 30), rng)
+    p = (x,) + tail if tail[0] != x ^ 1 else (x,)
+    q = (y,) + p[1:] if len(p) > 1 and p[1] != y ^ 1 else (y,)
+    return tuple(d ^ 1 for d in reversed(p)) + q
+
+
+def _check_apply(f, rng, count):
+    """apply against the oracle on random and on deeply cancelling words;
+    returns the largest number of darts cancelled in one image."""
+    deepest = 0
+    for i in range(count):
+        if i % 2:
+            w = _cancelling_word(f, rng)
+        else:
+            w = random_reduced_word(f.graph, rng.randrange(1, 40), rng)
+        image = f.apply(w)
+        assert image == apply_map(f, w)
+        deepest = max(deepest, (sum(len(f.dart_image(d)) for d in w) - len(image)) // 2)
+    return deepest
+
+
+def test_apply_matches_oracle_cancelling_words(all_maps):
+    rng = random.Random(11)
+    deepest = [_check_apply(f, rng, 200) for f in all_maps.values()]
+    assert max(deepest) >= 4
+
+
+@given(st.one_of(reduced_rose_maps(), positive_rose_maps()), st.randoms(use_true_random=False))
+def test_apply_matches_oracle_random_maps(f, rng):
+    _check_apply(f, rng, 20)
 
 
 def test_compose_inverse_pair(trib, trib_inv, rose3):

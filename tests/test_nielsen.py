@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from ttlam import (
     GraphSelfMap,
     detect_inps,
     eigenray_prefix,
+    gates,
     interior_periodic_points,
     occurrences,
     periodic_structures,
@@ -22,6 +24,9 @@ from ttlam import (
 from ttlam.errors import TtError
 from ttlam.nielsen import (
     NielsenPath,
+    _encode,
+    _pf_or_none,
+    _scan_ray_pairs,
     _stems,
     _tail_matches,
     reversed_to_preserving,
@@ -34,6 +39,7 @@ from oracles import (
     brute_force_inps,
     iterated_eigenray_prefix,
     quadratic_tail_stems,
+    scan_ray_pairs_by_iteration,
 )
 
 
@@ -361,7 +367,7 @@ def test_detection_stops_at_first_interior_period(monkeypatch, images):
 
 
 def _candidate_stems(r1, r2, min_agree):
-    stems = (_stems(r1, r2, d, min_agree) for d in _tail_matches(r1, r2, min_agree))
+    stems = (_stems(r1, r2, d, min_agree) for d in _tail_matches(_encode(r1), _encode(r2), min_agree))
     return [s for s in stems if s is not None]
 
 
@@ -387,3 +393,68 @@ def test_tail_matches_agree_with_every_shift_scan_eigenrays(all_maps):
             for i, r1 in enumerate(rays):
                 for r2 in rays[i + 1 :]:
                     assert _candidate_stems(r1, r2, min_agree) == quadratic_tail_stems(r1, r2, min_agree)
+
+
+# -- INP verification: the length test never changes a scan --------------------
+
+def _scan_against_oracle(f, window, max_period):
+    pf = _pf_or_none(f)
+    got = _scan_ray_pairs(f, window, max_period, pf, gates(f))
+    oracle = scan_ray_pairs_by_iteration(f, window, max_period, pf.pf_lengths if pf else None)
+    assert got == oracle
+    return got
+
+
+def test_scan_matches_iteration_oracle_fixtures(all_maps):
+    maps = list(all_maps.values())
+    maps += [detect_inps(f).subdivision.map for f in all_maps.values()]
+    kinds = set()
+    for f in maps:
+        for window in (64, 155):
+            for max_period in (1, 2, 6):
+                verified, failed, notes = _scan_against_oracle(f, window, max_period)
+                kinds.update(note.split(" at window")[0] for note in notes)
+                kinds.update("verified" for _ in verified)
+    # every outcome of a candidate occurs: verified, unverified, legal junction
+    assert kinds == {"verified", "unverified tail candidate", "tail coincidence with legal junction"}
+
+
+@given(positive_rose_maps(moves_per_rank=1), st.integers(1, 3))
+def test_scan_matches_iteration_oracle_random(f, max_period):
+    rep = detect_inps(f, max_period=max_period)
+    _scan_against_oracle(f, rep.window, max_period)
+    if rep.subdivision is not None:
+        _scan_against_oracle(rep.subdivision.map, rep.window, max_period)
+
+
+def _iterate_lengths(f, s):
+    """|f^s(e)| for every edge: column sums of M^s in exact integers."""
+    m = np.zeros((f.graph.num_edges,) * 2, dtype=object)
+    for j, img in enumerate(f.edge_image):
+        for d in img:
+            m[d >> 1, j] += 1
+    return np.linalg.matrix_power(m, s).sum(axis=0).tolist()
+
+
+def _check_length_identity(f, rep):
+    """Every verified INP a b~ of period s has sum_a |f^s(d)| - |a| equal to
+    sum_b |f^s(d)| - |b|; returns how many INPs were checked."""
+    found = [(f, p) for p in rep.inps]
+    if rep.subdivision is not None:
+        found += [(rep.subdivision.map, p) for p in rep.subdivided_inps]
+    for g, inp in found:
+        lens = _iterate_lengths(g, inp.period)
+        a, b_bar = inp.halves()
+        b = tuple(x ^ 1 for x in reversed(b_bar))
+        assert sum(lens[d >> 1] for d in a) - len(a) == sum(lens[d >> 1] for d in b) - len(b)
+    return len(found)
+
+
+def test_verified_inps_satisfy_length_identity_fixtures(all_maps):
+    checked = sum(_check_length_identity(f, detect_inps(f)) for f in all_maps.values())
+    assert checked >= 3
+
+
+@given(positive_rose_maps(), st.integers(1, 6))
+def test_verified_inps_satisfy_length_identity_random(f, max_period):
+    _check_length_identity(f, detect_inps(f, max_period=max_period))

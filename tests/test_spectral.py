@@ -11,10 +11,8 @@ from ttlam import (
     charpoly_coefficients,
     expansion_factor,
     is_primitive,
-    matrix_power_lengths,
     pf_data,
     transition_matrix,
-    transition_power,
 )
 from ttlam.spectral import _collatz_wielandt_certified
 
@@ -158,26 +156,25 @@ def test_expansion_factor(trib):
     assert abs(expansion_factor(trib) - 1.3247179572447460) < 1e-9
 
 
-def test_transition_power_exact(trib):
+def test_edge_iterate_lengths_are_column_sums(trib):
     m = transition_matrix(trib)
     for t in (0, 1, 2, 5, 9):
-        expect = np.linalg.matrix_power(m.astype(object), t).tolist()
-        assert transition_power(trib, t) == expect
+        expect = np.linalg.matrix_power(m.astype(object), t).sum(axis=0).tolist()
+        assert list(trib.edge_iterates.lengths(t)) == expect
 
 
-def test_matrix_power_lengths(fib):
+def test_edge_iterate_lengths(fib):
     # column sums of M^t are the iterated image lengths
     for t in (1, 2, 3, 4, 8):
-        lens = matrix_power_lengths(fib, t)
-        assert lens == [len(fib.iterate((2 * e,), t)) for e in range(2)]
+        lens = fib.edge_iterates.lengths(t)
+        assert list(lens) == [len(fib.iterate((2 * e,), t)) for e in range(2)]
 
 
-def test_matrix_power_lengths_large_exact(fib):
+def test_edge_iterate_lengths_large_exact(fib):
     # bigint path: t = 90 overflows int64 but not Python ints
-    lens = matrix_power_lengths(fib, 90)
-    assert lens[0] > 2**62
-    holds = lens[0] == matrix_power_lengths(fib, 89)[0] + matrix_power_lengths(fib, 88)[0]
-    assert holds
+    lengths = fib.edge_iterates.lengths
+    assert lengths(90)[0] > 2**62
+    assert lengths(90)[0] == lengths(89)[0] + lengths(88)[0]
 
 
 @given(st.data())

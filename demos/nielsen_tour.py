@@ -11,7 +11,6 @@ from ttlam import (
     detect_inps,
     eigenray_prefix,
     ilt_count,
-    interior_periodic_points,
     parse_map_path,
     periodic_structures,
     pf_data,
@@ -64,13 +63,14 @@ print(f"pf lengths: {pf.pf_length(alpha):.12f} vs {pf.pf_length(beta):.12f}")
 
 # Points fixed by a power of f in the interior of an edge give finer
 # vertices to cut at.  Cutting along one full orbit keeps the map
-# simplicial and keeps the train track property.
-pts = interior_periodic_points(f, max_period=3)
-print("\ninterior periodic points (period <= 3):")
-for p in pts:
+# simplicial and keeps the train track property.  The INP search above
+# already cut at the interior orbit of smallest period; here is that orbit.
+orbit = rep.subdivision.orbit
+print("\ninterior periodic orbit the search subdivided at:")
+for p in orbit:
     print(f"  edge {g.edge_names[p.edge]}, iterate {p.exponent}, index {p.index}, period {p.period}")
 
-sub = subdivide_at(f, pts[0])
+sub = subdivide_at(f, orbit[0])
 h = sub.map
 print("subdivision:", dict(sub.edge_split))
 print("new vertices:", sub.new_vertices)

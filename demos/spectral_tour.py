@@ -11,7 +11,6 @@ import numpy as np
 
 from ttlam import (
     charpoly_coefficients,
-    expansion_factor,
     is_primitive,
     parse_map_path,
     pf_data,
@@ -43,7 +42,7 @@ print(np.linalg.matrix_power(m, 6))
 # The characteristic polynomial here is x^3 - x - 1 and the growth rate is
 # its real root, about 1.3247 (the smallest possible for rank 3).
 print("\ncharpoly coefficients:", charpoly_coefficients(m))
-lam = expansion_factor(f)
+lam = pf_data(f).lam
 print("growth rate:", lam)
 
 # Edge lengths grow like lam^t; the ratio of consecutive total lengths

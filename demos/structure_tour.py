@@ -12,9 +12,9 @@ from ttlam import (
     GraphSelfMap,
     all_turns,
     gates,
+    is_legal_turn,
     is_train_track,
     parse_map_path,
-    turn_table,
     two_gates_everywhere,
     used_turns,
 )
@@ -56,17 +56,20 @@ assert two_gates_everywhere(f)
 
 # -- turns: legal, used, and the train track condition --------------------------
 
-tab = turn_table(f)
-n_legal = sum(1 for t in tab.turns if tab.legal[t])
-print(f"\n{len(tab.turns)} turns, {n_legal} legal, {len(tab.used)} used")
+# Each map builds its gates and used turns once and keeps them, so these
+# lookups can be asked again and again at no extra cost.
+turns = all_turns(g)
+used = used_turns(f)
+n_legal = sum(1 for t in turns if is_legal_turn(f, t))
+print(f"\n{len(turns)} turns, {n_legal} legal, {len(used)} used")
 print("used turns:", sorted(
-    "(" + g.dart_name(t[0]) + "," + g.dart_name(t[1]) + ")" for t in used_turns(f)
+    "(" + g.dart_name(t[0]) + "," + g.dart_name(t[1]) + ")" for t in used
 ))
 
 # A map is a train track map when every used turn is legal: iteration then
 # never creates cancellation inside an edge image.
 print("train track:", is_train_track(f))
-assert tab.used_illegal() == []
+assert all(is_legal_turn(f, t) for t in used)
 
 # -- the same questions, answered from a map file --------------------------------
 

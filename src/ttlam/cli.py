@@ -41,7 +41,7 @@ from .lamination import (
 from .mapfile import MapFile, parse_map_path
 from .nielsen import detect_inps, eigenray_prefix, periodic_structures, stability_verdict
 from .spectral import charpoly_coefficients, is_primitive, pf_data, transition_matrix
-from .train_track import gates, is_train_track, turn_table, two_gates_everywhere, used_turns
+from .train_track import gates, is_legal_turn, is_train_track, two_gates_everywhere, used_turns
 
 OK, VIOLATION, INCONCLUSIVE, INPUT_ERROR = 0, 1, 2, 3
 
@@ -126,10 +126,9 @@ def _cmd_check(mf: MapFile, args) -> tuple[int, dict]:
     data["non_expanding_witness"] = f.non_expanding_witness()
     tt = is_train_track(f)
     data["train_track"] = tt
-    gt = gates(f)
-    data["num_gates"] = len(gt.members)
+    data["num_gates"] = len(gates(f).members)
     data["used_illegal"] = sorted(
-        _turn_names(g, t) for t in used_turns(f) if gt.same_gate(t[0], t[1])
+        _turn_names(g, t) for t in used_turns(f) if not is_legal_turn(f, t)
     )
     data["two_gates"] = two_gates_everywhere(f)
     prim = is_primitive(transition_matrix(f))
@@ -185,23 +184,18 @@ def _cmd_turns(mf: MapFile, args) -> tuple[int, dict]:
     f = mf.map
     g = f.graph
     data = _envelope("turns", mf)
-    tt = turn_table(f)
-    rows = []
-    for t in tt.turns:
-        rows.append(
-            {
-                "turn": _turn_names(g, t),
-                "legal": tt.legal[t],
-                "used": t in tt.used,
-            }
-        )
-    data["turns"] = rows
+    turns = all_turns(g)
+    legal = [is_legal_turn(f, t) for t in turns]
+    used = used_turns(f)
+    data["turns"] = [
+        {"turn": _turn_names(g, t), "legal": ok, "used": t in used} for t, ok in zip(turns, legal)
+    ]
     data["counts"] = {
-        "total": len(tt.turns),
-        "legal": sum(1 for t in tt.turns if tt.legal[t]),
-        "illegal": sum(1 for t in tt.turns if not tt.legal[t]),
-        "used": len(tt.used),
-        "used_illegal": len(tt.used_illegal()),
+        "total": len(turns),
+        "legal": sum(legal),
+        "illegal": len(turns) - sum(legal),
+        "used": len(used),
+        "used_illegal": sum(1 for t in used if not is_legal_turn(f, t)),
     }
     return OK, data
 
@@ -303,8 +297,7 @@ def _cmd_singular(mf: MapFile, args) -> tuple[int, dict]:
     f = mf.map
     g = f.graph
     data = _envelope("singular", mf)
-    rep = detect_inps(f)
-    sing = singular_leaves(f, rep)
+    sing = singular_leaves(f)
     data["turn_pairs"] = [_turn_names(g, t) for t in sing.turn_pairs]
     data["inp_triples"] = [
         {"entry": g.dart_name(a), "path": g.path_str(p), "exit": g.dart_name(b)}

@@ -8,8 +8,8 @@ iterated images are reduced edge paths by construction.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, wraps
+from typing import Callable, Sequence, TypeVar
 
 from .errors import MapError, NotExpandingError
 from .graph import (
@@ -159,11 +159,15 @@ class GraphSelfMap:
 
     @cached_property
     def cancellation_bound(self) -> int:
-        """C(f): max cancellation when f is applied across one vertex.
+        """C(f): twice the longest common prefix of the images f(d1), f(d2)
+        of two distinct darts at one vertex.
 
-        For a reduced path crossing the turn (d1~, d2), the cancellation in
-        f(..d1) * f(d2..) is the common prefix of f(d1~) and f(d2), so the
-        bound is twice the longest such prefix over non-degenerate turns.
+        This is the cancellation of f(d1~) * f(d2) alone, not a proved bound
+        on the cancellation of f(..d1~) * f(d2..): the blocks that follow
+        can cancel further.  For the train track map a -> a b a a b a a,
+        b -> c a b a, c -> c c a b a, C(f) = 8, yet f(a~ b) * f(c~ b a)
+        cancels 11 darts on each side.  ROADMAP item 1 replaces it with a
+        proved constant.
         """
         g = self.graph
         best = 0
@@ -184,6 +188,29 @@ class GraphSelfMap:
         for i, name in enumerate(g.edge_names):
             lines.append(f"{name} -> {g.path_str(self.edge_image[i])}")
         return "\n".join(lines)
+
+
+T = TypeVar("T")
+
+
+def per_map(compute: Callable[[GraphSelfMap], T]) -> Callable[[GraphSelfMap], T]:
+    """Decorator: compute(f) at most once per map instance.
+
+    The value is kept in the map's ``__dict__``, as `cached_property` keeps
+    `dart_images`, so it lives exactly as long as the map; a module-level
+    cache would keep every map alive.  Every caller shares the one value,
+    so `compute` must return an immutable one.
+    """
+    key = f"{compute.__module__}.{compute.__qualname__}"
+
+    @wraps(compute)
+    def cached(f: GraphSelfMap) -> T:
+        memo = f.__dict__
+        if key not in memo:
+            memo[key] = compute(f)
+        return memo[key]
+
+    return cached
 
 
 class EdgeIterates:

@@ -20,7 +20,7 @@ from .graph import Path, Turn, equivalence_classes, reverse_path, turn
 from .graph_map import GraphSelfMap
 from .nielsen import InpReport, detect_inps, eigenray_prefix, periodic_structures
 from .spectral import pf_data
-from .train_track import Gates, gates, ilt_count, legal_segments
+from .train_track import gates, ilt_count, legal_segments, used_turns
 
 
 # -- exact factor closure -----------------------------------------------------------
@@ -148,12 +148,9 @@ class EquivalenceReport:
     classes: tuple[tuple[int, ...], ...]
     dart_classes: tuple[tuple[int, ...], ...]
     num_classes: int
-    gate_table: Gates
 
 
 def eigenray_equivalence(f: GraphSelfMap) -> EquivalenceReport:
-    from .train_track import used_turns
-
     gt = gates(f)
     pd = periodic_structures(f)
     periodic = set(pd.periodic_vertices())
@@ -167,7 +164,6 @@ def eigenray_equivalence(f: GraphSelfMap) -> EquivalenceReport:
         classes=classes,
         dart_classes=dart_classes,
         num_classes=len(classes),
-        gate_table=gt,
     )
 
 
@@ -191,7 +187,7 @@ def branch_point_classes(f: GraphSelfMap, inps: InpReport | None = None) -> Bran
     degrees = tuple(sorted((len(cls) for cls in eq.classes), reverse=True))
     merges = []
     if inps is not None:
-        gt = eq.gate_table
+        gate_of = gates(f).gate_of
         class_of_gate = {}
         for idx, cls in enumerate(eq.classes):
             for gid in cls:
@@ -201,8 +197,8 @@ def branch_point_classes(f: GraphSelfMap, inps: InpReport | None = None) -> Bran
             q = f.graph.terminus(inp.path[-1])
             if p == q:
                 continue
-            g1 = gt.gate_of[inp.path[0]]
-            g2 = gt.gate_of[inp.path[-1] ^ 1]
+            g1 = gate_of[inp.path[0]]
+            g2 = gate_of[inp.path[-1] ^ 1]
             c1 = class_of_gate.get(g1)
             c2 = class_of_gate.get(g2)
             if c1 is None or c2 is None or c1 == c2:
@@ -233,9 +229,7 @@ class SingularReport:
     conclusive: bool
 
 
-def singular_leaves(f: GraphSelfMap, inps: InpReport | None = None) -> SingularReport:
-    from .train_track import used_turns
-
+def singular_leaves(f: GraphSelfMap) -> SingularReport:
     gt = gates(f)
     pd = periodic_structures(f)
     used = used_turns(f)
@@ -252,8 +246,7 @@ def singular_leaves(f: GraphSelfMap, inps: InpReport | None = None) -> SingularR
             if not gt.same_gate(d1, d2):
                 pairs.append(t)
     triples = []
-    if inps is None:
-        inps = detect_inps(f)
+    inps = detect_inps(f)
     conclusive = inps.conclusive
     for inp in inps.inps:
         p_first = inp.path[0]
@@ -297,18 +290,18 @@ def leaf_window(f: GraphSelfMap, item, n: int) -> Path:
 
 # -- dual language ---------------------------------------------------------------------
 
-def singular_language(f: GraphSelfMap, n: int, inps: InpReport | None = None) -> frozenset[Path]:
+def singular_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
     """Length-n factors of the singular leaves' windows, flip closed."""
-    sing = singular_leaves(f, inps)
+    sing = singular_leaves(f)
     items = list(sing.turn_pairs) + list(sing.inp_triples)
     return _flip_closed(w for item in items for w in _windows(leaf_window(f, item, n), n))
 
 
-def dual_language(f_minus: GraphSelfMap, n: int, inps: InpReport | None = None) -> frozenset[Path]:
+def dual_language(f_minus: GraphSelfMap, n: int) -> frozenset[Path]:
     """Length-n factor language of the full dual lamination, computed on the
     inverse-direction map: the leaf language plus every factor of the
     singular leaves (flip closed)."""
-    return leaf_language(f_minus, n) | singular_language(f_minus, n, inps)
+    return leaf_language(f_minus, n) | singular_language(f_minus, n)
 
 
 # -- illegality profile -------------------------------------------------------------------
@@ -326,7 +319,6 @@ class IllegalityProfile:
 
 
 def illegality_profile(f_ref: GraphSelfMap, words: Iterable[Path]) -> IllegalityProfile:
-    gt = gates(f_ref)
     pf = pf_data(f_ref)
     hist: dict[int, int] = {}
     max_run = 0
@@ -335,7 +327,7 @@ def illegality_profile(f_ref: GraphSelfMap, words: Iterable[Path]) -> Illegality
         count += 1
         if not f_ref.graph.is_edge_path(w):
             raise IncompatibleGraphsError("word is not an edge path on the reference graph")
-        for run in legal_segments(f_ref, w, gt):
+        for run in legal_segments(f_ref, w):
             hist[run] = hist.get(run, 0) + 1
             max_run = max(max_run, run)
     return IllegalityProfile(
@@ -369,7 +361,8 @@ class ContractionReport:
     Each step applies f, freely reduces, chops `chop` darts from both ends
     (emptying short words), and records the remaining illegal-turn count.
     `block` is the smallest s with every |f^s(e)| > c_illegal: the scale on
-    which the count is guaranteed to drop until it reaches <= 1.
+    which the count would drop until it reaches <= 1 if c_illegal rested on
+    a proved cancellation constant, which it does not yet (ROADMAP item 1).
     """
 
     series: tuple[int, ...]
@@ -400,25 +393,27 @@ def ilt_contraction(
     count illegal turns.
 
     The series is non-increasing: applying f never raises the count and
-    chopping only removes turns.  With the default boundary trim C(f), the
-    count provably reaches <= 1 and the empty word records 0.
+    chopping only removes turns; the empty word records 0.  The default
+    boundary trim is C(f) (`GraphSelfMap.cancellation_bound`), which is not
+    a proved bounded-cancellation constant, so that the count reaches <= 1
+    within `steps` is what `reached_le_one` reports, not a guarantee; see
+    ROADMAP item 1.
     """
     from .graph import path_reduce
 
-    gt = gates(f)
     if chop is None:
         chop = f.cancellation_bound
     w = path_reduce(word)
     if len(w) <= 2 * chop and chop > 0:
         raise MapError(f"word of length {len(w)} is consumed by a boundary trim of {chop}")
     block = contraction_block(f)
-    series = [ilt_count(f, w, gt)]
+    series = [ilt_count(f, w)]
     if steps is None:
         steps = block * (series[0] + 2)
     for _ in range(steps):
         w = f.apply(w)
         w = w[chop : len(w) - chop] if chop else w
-        series.append(ilt_count(f, w, gt))
+        series.append(ilt_count(f, w))
     reached = next((i for i, v in enumerate(series) if v <= 1), -1)
     return ContractionReport(
         series=tuple(series),

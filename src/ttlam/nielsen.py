@@ -14,11 +14,13 @@ branch of f^T through the i-th dart of f^T(e).  All comparisons, orbit steps
 and refinements stay in exact integer arithmetic (occurrence indices plus
 the exact lengths |f^t(e)|), so no floating point enters the subdivision.
 The iterated edge images f^t(e) and the lengths |f^t(e)| are read from the
-map's own store (`GraphSelfMap.edge_iterates`), so each is built once per map.
+map's own store (`GraphSelfMap.edge_iterates`), so each is built once per map,
+as are the periodic data and the default INP report (`graph_map.per_map`).
 """
 
 from dataclasses import dataclass
-from math import lcm
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import (
     ConvergenceError,
@@ -27,9 +29,9 @@ from .errors import (
     SubdivisionError,
 )
 from .graph import Graph, Path, edge_index, extend_reduced, reverse_path, turn
-from .graph_map import GraphSelfMap
+from .graph_map import GraphSelfMap, per_map
 from .spectral import PFData, pf_data
-from .train_track import Gates, gates, is_legal_turn, require_train_track
+from .train_track import gates, is_legal_turn, require_train_track
 
 
 # -- periodic vertices and darts ---------------------------------------------
@@ -69,6 +71,7 @@ class PeriodicData:
         return dict(self.dart_period).get(d)
 
 
+@per_map
 def periodic_structures(f: GraphSelfMap) -> PeriodicData:
     vp = _cycle_periods(f.vertex_image)
     dp = _cycle_periods(f.derivative_table)
@@ -297,31 +300,10 @@ def _check_max_period(max_period: int) -> None:
         raise MapError("max_period must be >= 1")
 
 
-def interior_periodic_points(f: GraphSelfMap, max_period: int = 6) -> tuple[PeriodicPoint, ...]:
-    """All interior points of period <= max_period, deduplicated exactly.
-
-    Orientation-preserving occurrences are found at their period; reversed
-    ones at twice it.  Every discovered descriptor is refined to the common
-    exponent 2*lcm(1..max_period) for duplicate elimination.
-    """
-    _check_max_period(max_period)
-    t_canon = 2 * lcm(*range(1, max_period + 1))
-    found: dict[tuple[int, int], PeriodicPoint] = {}
-    for t in range(1, max_period + 1):
-        for e, texp, i in _interior_descriptors(f, t):
-            key = (e, refine_index(f, e, texp, i, t_canon // texp))
-            if key in found:
-                continue
-            orbit = point_orbit(f, e, texp, i)
-            found[key] = orbit[0]
-    pts = sorted(found.items(), key=lambda kv: (kv[1].period, kv[0]))
-    return tuple(p for _, p in pts)
-
-
 def _first_interior_point(f: GraphSelfMap, max_period: int) -> PeriodicPoint | None:
-    """interior_periodic_points(f, max_period)[0], or None when there is
-    none, without enumerating the rest (see `detect_inps` for why it is the
-    same point with the same descriptor)."""
+    """The interior point of period <= max_period that comes first in the
+    order (period, edge, index at a common exponent), or None when there is
+    none, without enumerating the rest (see `detect_inps` for why)."""
     _check_max_period(max_period)
     for t in range(1, max_period + 1):
         found = _interior_descriptors(f, t)
@@ -340,7 +322,7 @@ class SubdivisionResult:
     map: GraphSelfMap
     orbit: tuple[PeriodicPoint, ...]
     new_vertices: tuple[str, ...]
-    edge_split: dict[str, tuple[str, ...]]
+    edge_split: Mapping[str, tuple[str, ...]]  # read-only
 
 
 def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
@@ -445,7 +427,7 @@ def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
         map=new_map,
         orbit=orbit,
         new_vertices=tuple(vertex_name_of[(p.edge, p.index)] for p in orbit),
-        edge_split=edge_split,
+        edge_split=MappingProxyType(edge_split),
     )
 
 
@@ -591,7 +573,6 @@ def _scan_ray_pairs(
     window: int,
     max_period: int,
     pf: PFData | None,
-    gate_table: Gates,
 ) -> tuple[set[tuple[Path, int]], list[tuple[Path, int]], list[str]]:
     """One pass of eigenray tail matching at a fixed window size.
 
@@ -646,7 +627,7 @@ def _scan_ray_pairs(
                     l2 = sum(pf.pf_lengths[edge_index(d)] for d in r2[:m2])
                     if abs(l1 - l2) > 1e-6 * max(l1, l2):
                         continue
-                if is_legal_turn(f, turn(r1[m1 - 1] ^ 1, r2[m2 - 1] ^ 1), gate_table):
+                if is_legal_turn(f, turn(r1[m1 - 1] ^ 1, r2[m2 - 1] ^ 1)):
                     failed.append((canon, tip))
                     notes.append(
                         f"tail coincidence with legal junction at window {window}: "
@@ -672,16 +653,15 @@ def _detect_on(
     retries: int = 2,
 ) -> tuple[tuple[NielsenPath, ...], bool, list[str]]:
     """Scan with growing windows until no unverified candidates remain."""
-    gate_table = gates(f)
     notes: list[str] = []
     w = window
     for attempt in range(retries + 1):
-        verified, failed, ns = _scan_ray_pairs(f, w, max_period, pf, gate_table)
+        verified, failed, ns = _scan_ray_pairs(f, w, max_period, pf)
         if attempt == retries or not failed:
             notes.extend(ns)
             inps = []
             for canon, s in sorted(verified):
-                tip = _tip_of(canon, gate_table)
+                tip = _tip_of(f, canon)
                 inps.append(
                     NielsenPath(
                         path=canon,
@@ -695,8 +675,8 @@ def _detect_on(
     raise AssertionError("unreachable")
 
 
-def _tip_of(path: Path, gate_table: Gates) -> int:
-    gate_of = gate_table.gate_of
+def _tip_of(f: GraphSelfMap, path: Path) -> int:
+    gate_of = gates(f).gate_of
     tips = [i for i in range(1, len(path)) if gate_of[path[i - 1] ^ 1] == gate_of[path[i]]]
     if len(tips) != 1:
         raise MapError("path does not have exactly one illegal turn")
@@ -726,11 +706,11 @@ def detect_inps(
 
     Vertex-based INPs come from matching eigenray tails at periodic
     vertices.  INPs anchored at interior periodic points are caught by
-    subdividing at one interior orbit, the one `interior_periodic_points`
-    sorts first, and re-running the vertex scan on the refined map.  Every
-    reported path is verified exactly; `conclusive` is False only when a
-    full-window tail coincidence resisted both verification and window
-    growth.
+    subdividing at one interior orbit, the first one in the order (period,
+    edge, index at a common exponent) of all interior periodic points, and
+    re-running the vertex scan on the refined map.  Every reported path is
+    verified exactly; `conclusive` is False only when a full-window tail
+    coincidence resisted both verification and window growth.
 
     The orbit is found without enumerating every interior periodic point.
     Exponents t = 1, 2, ... are scanned in turn, and the scan stops at the
@@ -744,7 +724,29 @@ def detect_inps(
     same leftmost point.  Its descriptor is the one the full enumeration
     stores too, the occurrence at exponent t (2t when it is reversed), since
     a point of period t first occurs at exponent t.
+
+    The report for the default arguments is built once per map and shared.
     """
+    if (max_period, max_pf_len, window, subdivide) == _DEFAULT_SEARCH:
+        return _default_inps(f)
+    return _search_inps(f, max_period, max_pf_len, window, subdivide)
+
+
+_DEFAULT_SEARCH = (6, None, None, True)  # detect_inps's defaults
+
+
+@per_map
+def _default_inps(f: GraphSelfMap) -> InpReport:
+    return _search_inps(f, *_DEFAULT_SEARCH)
+
+
+def _search_inps(
+    f: GraphSelfMap,
+    max_period: int,
+    max_pf_len: float | None,
+    window: int | None,
+    subdivide: bool,
+) -> InpReport:
     require_train_track(f)
     pf = _pf_or_none(f)
     w = window if window is not None else _default_window(pf, max_pf_len)

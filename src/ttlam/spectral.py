@@ -89,10 +89,12 @@ class PFData:
     """Dominant eigenvalue and the derived metric constants.
 
     pf_lengths assigns each edge its left-eigenvector length, normalized so
-    the total graph volume is 1.  With that normalization the bounded
-    cancellation constant in the pf metric is at most the volume itself, and
-    c_illegal = ceil(4 * bbt / min pf length) bounds how many darts a legal
+    the total graph volume is 1.  bbt_bound is set to that volume, and
+    c_illegal = ceil(4 * bbt_bound / min pf length).  Neither is a proved
+    bound: the bounded cancellation constant in the pf metric can exceed
+    the volume, so c_illegal is not a proved count of the darts a legal
     segment must cross before cancellation can no longer swallow it.
+    ROADMAP item 1 replaces both with a proved constant.
     """
 
     lam: float
@@ -185,6 +187,3 @@ def pf_data(f: GraphSelfMap, tol: float = 1e-12, max_iter: int = 200_000) -> PFD
         iterations=it,
     )
 
-
-def expansion_factor(f: GraphSelfMap) -> float:
-    return pf_data(f).lam

@@ -6,6 +6,8 @@ darts lie in distinct gates, equivalently no Df-iterate degenerates it.  A
 map is a train track map when every edge image stays reduced under all
 iterates; operationally, every turn crossed by some edge image (a *used*
 turn) must be legal, and that set must be closed under the induced turn map.
+Gates and used turns are built once per map (`graph_map.per_map`), and
+every lookup below reads them from the map.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from typing import Sequence
 
 from .errors import NotTrainTrackError
 from .graph import Turn, equivalence_classes, turn, turns_of_path
-from .graph_map import GraphSelfMap
+from .graph_map import GraphSelfMap, per_map
 
 
 def _df_orbit_merges(f: GraphSelfMap) -> list[tuple[int, int]]:
@@ -57,6 +59,7 @@ class Gates:
         return len(self.gates_at(v))
 
 
+@per_map
 def gates(f: GraphSelfMap) -> Gates:
     g = f.graph
     nd = g.num_darts
@@ -69,12 +72,9 @@ def gates(f: GraphSelfMap) -> Gates:
     return Gates(tuple(gate_of), tuple(members), vertex_of_gate)
 
 
-def is_legal_turn(f: GraphSelfMap, t: Turn, gate_table: Gates | None = None) -> bool:
+def is_legal_turn(f: GraphSelfMap, t: Turn) -> bool:
     """Legal iff non-degenerate and the two darts sit in distinct gates."""
-    if t[0] == t[1]:
-        return False
-    gt = gate_table if gate_table is not None else gates(f)
-    return not gt.same_gate(t[0], t[1])
+    return t[0] != t[1] and not gates(f).same_gate(t[0], t[1])
 
 
 def turn_image(f: GraphSelfMap, t: Turn) -> Turn:
@@ -83,15 +83,15 @@ def turn_image(f: GraphSelfMap, t: Turn) -> Turn:
     return turn(df[t[0]], df[t[1]])
 
 
-def ilt_count(f: GraphSelfMap, path: Sequence[int], gate_table: Gates | None = None) -> int:
+def ilt_count(f: GraphSelfMap, path: Sequence[int]) -> int:
     """Number of illegal turns crossed by the path, with multiplicity."""
-    gate_of = (gate_table if gate_table is not None else gates(f)).gate_of
+    gate_of = gates(f).gate_of
     return sum(1 for a, b in zip(path, path[1:]) if gate_of[a ^ 1] == gate_of[b])
 
 
-def legal_segments(f: GraphSelfMap, path: Sequence[int], gate_table: Gates | None = None) -> list[int]:
+def legal_segments(f: GraphSelfMap, path: Sequence[int]) -> list[int]:
     """Lengths (in darts) of the maximal legal subpaths, in order."""
-    gate_of = (gate_table if gate_table is not None else gates(f)).gate_of
+    gate_of = gates(f).gate_of
     if not path:
         return []
     runs = []
@@ -106,19 +106,7 @@ def legal_segments(f: GraphSelfMap, path: Sequence[int], gate_table: Gates | Non
     return runs
 
 
-@dataclass(frozen=True)
-class TurnTable:
-    """Per-turn book-keeping for one map: legality, usage, turn image."""
-
-    turns: tuple[Turn, ...]
-    legal: dict[Turn, bool]
-    used: frozenset[Turn]
-    image: dict[Turn, Turn]
-
-    def used_illegal(self) -> list[Turn]:
-        return [t for t in self.used if not self.legal[t]]
-
-
+@per_map
 def used_turns(f: GraphSelfMap) -> frozenset[Turn]:
     """Turns crossed by some iterated edge image.
 
@@ -140,21 +128,9 @@ def used_turns(f: GraphSelfMap) -> frozenset[Turn]:
     return frozenset(closed)
 
 
-def turn_table(f: GraphSelfMap) -> TurnTable:
-    from .graph import all_turns
-
-    gt = gates(f)
-    ts = tuple(all_turns(f.graph))
-    legal = {t: is_legal_turn(f, t, gt) for t in ts}
-    used = used_turns(f)
-    image = {t: turn_image(f, t) for t in ts}
-    return TurnTable(ts, legal, used, image)
-
-
 def is_train_track(f: GraphSelfMap) -> bool:
     """Every used turn is legal (equivalently, all [f^n(e)] stay reduced)."""
-    gt = gates(f)
-    return all(is_legal_turn(f, t, gt) for t in used_turns(f))
+    return all(is_legal_turn(f, t) for t in used_turns(f))
 
 
 def require_train_track(f: GraphSelfMap) -> None:

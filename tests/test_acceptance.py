@@ -20,6 +20,7 @@ from ttlam import (
     illegality_profile,
     ilt_contraction,
     ilt_count,
+    is_legal_turn,
     is_reduced,
     is_train_track,
     leaf_language,
@@ -28,7 +29,6 @@ from ttlam import (
     periodic_structures,
     singular_leaves,
     transition_matrix,
-    turn_table,
     turns_of_path,
     two_gates_everywhere,
     uniform_recurrence_check,
@@ -37,6 +37,7 @@ from ttlam import (
 from ttlam.cli import run_command
 from ttlam.graph_map import compose
 from ttlam.spectral import is_primitive
+from ttlam.train_track import turn_image
 
 from oracles import bisect_root, brute_force_inps, random_reduced_word
 
@@ -131,14 +132,13 @@ def test_criterion_03_ilt_monotone(all_maps):
     violations = 0
     for f in all_maps.values():
         g = f.graph
-        gt = gates(f)
         nexts = [
             [x for x in g.darts_at(g.terminus(d)) if x != (d ^ 1)]
             for d in range(g.num_darts)
         ]
         for _ in range(10_000):
             w = random_reduced_word(g, rng.randrange(2, 201), rng, nexts)
-            if ilt_count(f, f.apply(w), gt) > ilt_count(f, w, gt):
+            if ilt_count(f, f.apply(w)) > ilt_count(f, w):
                 violations += 1
     if violations:
         bad.append(f"{violations} monotonicity violations")
@@ -151,13 +151,13 @@ def test_criterion_03_ilt_monotone(all_maps):
 def test_criterion_04_used_turn_laws(all_maps, trib, rose3):
     bad = []
     for name, f in all_maps.items():
-        tab = turn_table(f)
-        for t in tab.used:
-            if not tab.legal[t]:
+        used = used_turns(f)
+        for t in used:
+            if not is_legal_turn(f, t):
                 bad.append(f"{name}: used turn {t} illegal")
-            if tab.image[t] not in tab.used:
+            if turn_image(f, t) not in used:
                 bad.append(f"{name}: used set not closed at {t}")
-        if set(tab.used) - set(all_turns(f.graph)):
+        if used - set(all_turns(f.graph)):
             bad.append(f"{name}: used turns outside the turn set")
     dname = rose3.dart_name
     used = {tuple(dname(d) for d in t) for t in used_turns(trib)}
@@ -257,14 +257,13 @@ def test_criterion_08_singular_suite(trib):
     want = {("a", "b"), ("a", "c"), ("b", "c"), ("b~", "c~")}
     if got != want:
         bad.append(f"turn pairs {sorted(got)}")
-    gt = gates(trib)
     used = used_turns(trib)
     for n in (8, 16, 32):
         for pair in rep.turn_pairs:
             w = leaf_window(trib, pair, n)
             if not is_reduced(w):
                 bad.append(f"window n={n} for {pair} not reduced")
-            if ilt_count(trib, w, gt) > 1:
+            if ilt_count(trib, w) > 1:
                 bad.append(f"window n={n} for {pair} has ILT > 1")
             unused = [t for t in turns_of_path(w) if t not in used]
             if len(unused) != 1:

@@ -263,3 +263,65 @@ def test_fixture_commands_match_reference_reports(fixture_dir):
         argv += [flag.strip(), word] if flag else []
         code, text = run_command(argv + ["--json"])
         assert (code, text) == (reference[key]["exit"], reference[key]["report"]), key
+
+
+def test_derived_data_built_once_per_map(monkeypatch, fixture_dir):
+    # each undecorated computation, counted by the map instance (or per-map
+    # table) it ran for: gates, used turns (one turn image per turn they
+    # close over), periodic data (one call per table) and the INP search
+    import ttlam.nielsen as nielsen
+    import ttlam.train_track as train_track
+
+    keys = {}
+    alive = []  # every argument stays alive, so no id is reused in a command
+
+    def count(module, name, key):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            alive.append(args)
+            keys[name].append(key(*args))
+            return inner(*args)
+
+        keys[name] = []
+        monkeypatch.setattr(module, name, counted)
+
+    count(train_track, "_df_orbit_merges", lambda f: id(f))
+    count(train_track, "turn_image", lambda f, t: (id(f), t))
+    count(nielsen, "_cycle_periods", lambda step: id(step))
+    count(nielsen, "_detect_on", lambda f, *_: id(f))
+    for command, computed in (("check", 3), ("singular", 4)):
+        for seen in keys.values():
+            seen.clear()
+        code, _ = run_command([command, str(fixture_dir / "tribonacci.tt"), "--json"])
+        assert code == 0
+        assert sum(1 for seen in keys.values() if seen) == computed, command
+        for name, seen in keys.items():
+            assert len(seen) == len(set(seen)), (command, name)
+
+
+def test_derived_data_lives_on_the_map(fixture_dir):
+    import gc
+    import weakref
+
+    from ttlam import detect_inps, gates, parse_map_path, periodic_structures, used_turns
+
+    f = parse_map_path(str(fixture_dir / "tribonacci.tt")).map
+    for compute in (gates, used_turns, periodic_structures, detect_inps):
+        assert compute(f) is compute(f)
+    # no cache outside the map keeps it alive
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_turns_of_a_non_train_track_map(tmp_path):
+    # the closure of the used turns under Df reaches a degenerate turn,
+    # which the legality lookup answers (illegal) instead of raising
+    mf = tmp_path / "nontt.tt"
+    mf.write_text("graph nt\nvertex v\nedge a v v\nedge b v v\nmap\na -> a b\nb -> b~ a\n")
+    code, text = run_command(["turns", str(mf), "--json"])
+    assert code == 0
+    counts = json.loads(text)["counts"]
+    assert (counts["total"], counts["legal"], counts["used"], counts["used_illegal"]) == (6, 5, 6, 3)

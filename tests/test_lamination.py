@@ -174,17 +174,16 @@ def test_singular_fib_inp_lines(fib):
 
 
 def test_singular_windows_almost_legal(trib):
-    from ttlam import gates, ilt_count, is_reduced, turns_of_path
+    from ttlam import ilt_count, is_reduced, turns_of_path
     from ttlam.train_track import used_turns
 
-    gt = gates(trib)
     used = used_turns(trib)
     rep = singular_leaves(trib)
     for n in (8, 16, 32):
         for pair in rep.turn_pairs:
             w = leaf_window(trib, pair, n)
             assert is_reduced(w)
-            assert ilt_count(trib, w, gt) == 0
+            assert ilt_count(trib, w) == 0
             unused = [t for t in turns_of_path(w) if t not in used]
             assert len(unused) == 1
             assert unused[0] == pair

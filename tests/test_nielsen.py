@@ -1,6 +1,7 @@
 """Periodic structures, eigenrays, interior points, subdivision, INPs."""
 
 import dataclasses
+from math import lcm
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from ttlam import (
     GraphSelfMap,
     detect_inps,
     eigenray_prefix,
-    gates,
-    interior_periodic_points,
     occurrences,
     periodic_structures,
     point_image,
@@ -25,6 +24,7 @@ from ttlam.errors import TtError
 from ttlam.nielsen import (
     NielsenPath,
     _encode,
+    _interior_descriptors,
     _pf_or_none,
     _scan_ray_pairs,
     _stems,
@@ -92,13 +92,12 @@ def test_eigenray_rejects_non_eigen(trib):
 
 
 def test_eigenray_legal(trib, fib):
-    from ttlam import gates, ilt_count
+    from ttlam import ilt_count
 
     for f in (trib, fib):
-        gt = gates(f)
         pd = periodic_structures(f)
         for d in pd.eigen_darts():
-            assert ilt_count(f, eigenray_prefix(f, d, 128), gt) == 0
+            assert ilt_count(f, eigenray_prefix(f, d, 128)) == 0
 
 
 def _outcome(fn, *args):
@@ -139,6 +138,26 @@ def test_occurrences_fib(fib):
     assert (2, "interior") in by_index
     assert (3, "interior") in by_index
     assert (0, "initial-vertex") in by_index
+
+
+def interior_periodic_points(f, max_period=6):
+    """All interior points of period <= max_period, deduplicated exactly:
+    the full enumeration that `detect_inps` picks the first orbit of.
+
+    Orientation-preserving occurrences are found at their period; reversed
+    ones at twice it.  Every discovered descriptor is refined to the common
+    exponent 2*lcm(1..max_period) for duplicate elimination.  It costs
+    O(points x |f^t(e)|), so it stays a test reference.
+    """
+    t_canon = 2 * lcm(*range(1, max_period + 1))
+    found = {}
+    for t in range(1, max_period + 1):
+        for e, texp, i in _interior_descriptors(f, t):
+            key = (e, refine_index(f, e, texp, i, t_canon // texp))
+            if key not in found:
+                found[key] = point_orbit(f, e, texp, i)[0]
+    pts = sorted(found.items(), key=lambda kv: (kv[1].period, kv[0]))
+    return tuple(p for _, p in pts)
 
 
 def test_interior_points_fib_minimal_orbit(fib, rose2):
@@ -399,7 +418,7 @@ def test_tail_matches_agree_with_every_shift_scan_eigenrays(all_maps):
 
 def _scan_against_oracle(f, window, max_period):
     pf = _pf_or_none(f)
-    got = _scan_ray_pairs(f, window, max_period, pf, gates(f))
+    got = _scan_ray_pairs(f, window, max_period, pf)
     oracle = scan_ray_pairs_by_iteration(f, window, max_period, pf.pf_lengths if pf else None)
     assert got == oracle
     return got

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from ttlam import (
     NotPrimitiveError,
     charpoly_coefficients,
-    expansion_factor,
     is_primitive,
     pf_data,
     transition_matrix,
@@ -153,7 +152,7 @@ def test_pf_rejects_nonprimitive(reducible):
 
 
 def test_expansion_factor(trib):
-    assert abs(expansion_factor(trib) - 1.3247179572447460) < 1e-9
+    assert abs(pf_data(trib).lam - 1.3247179572447460) < 1e-9
 
 
 def test_edge_iterate_lengths_are_column_sums(trib):

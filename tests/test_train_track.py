@@ -16,7 +16,6 @@ from ttlam import (
     is_train_track,
     legal_segments,
     require_train_track,
-    turn_table,
     two_gates_everywhere,
     used_turns,
 )
@@ -113,11 +112,10 @@ def test_used_turns_trib_inv_count(trib_inv):
 
 def test_used_subset_legal_and_closed(all_maps):
     for f in all_maps.values():
-        tab = turn_table(f)
-        for t in tab.used:
-            assert tab.legal[t]
-            assert tab.image[t] in tab.used
-        assert tab.used_illegal() == []
+        used = used_turns(f)
+        for t in used:
+            assert is_legal_turn(f, t)
+            assert turn_image(f, t) in used
 
 
 def test_turn_image_is_derivative_pair(trib):
@@ -130,43 +128,38 @@ def test_turn_image_is_derivative_pair(trib):
 def test_legality_matches_oracle(all_maps):
     for f in all_maps.values():
         _, assigned = derivative_orbit_gates(f)
-        gt = gates(f)
         for t in all_turns(f.graph):
-            assert is_legal_turn(f, t, gt) == (assigned[t[0]] != assigned[t[1]])
+            assert is_legal_turn(f, t) == (assigned[t[0]] != assigned[t[1]])
 
 
 def test_ilt_count_matches_oracle(all_maps):
     rng = random.Random(3)
     for f in all_maps.values():
         _, assigned = derivative_orbit_gates(f)
-        gt = gates(f)
         for _ in range(100):
             w = random_reduced_word(f.graph, rng.randrange(1, 50), rng)
-            assert ilt_count(f, w, gt) == illegal_turn_count(f, w, assigned)
+            assert ilt_count(f, w) == illegal_turn_count(f, w, assigned)
 
 
 def test_ilt_monotone_under_map(all_maps):
     rng = random.Random(17)
     for f in all_maps.values():
-        gt = gates(f)
         for _ in range(300):
             w = random_reduced_word(f.graph, rng.randrange(2, 80), rng)
-            assert ilt_count(f, f.apply(w), gt) <= ilt_count(f, w, gt)
+            assert ilt_count(f, f.apply(w)) <= ilt_count(f, w)
 
 
 def test_legal_segments_partition(fib, rose2):
-    gt = gates(fib)
     w = rose2.parse_path("a~ b~ a b")
-    runs = legal_segments(fib, w, gt)
+    runs = legal_segments(fib, w)
     # one illegal turn in the middle: two legal halves of two darts each
     assert runs == [2, 2]
     assert sum(runs) == len(w)
 
 
 def test_legal_segments_all_legal(fib, rose2):
-    gt = gates(fib)
     w = fib.iterate((0,), 6)
-    assert legal_segments(fib, w, gt) == [len(w)]
+    assert legal_segments(fib, w) == [len(w)]
 
 
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))

@@ -186,16 +186,17 @@ def _cmd_turns(mf: MapFile, args) -> tuple[int, dict]:
     data = _envelope("turns", mf)
     turns = all_turns(g)
     legal = [is_legal_turn(f, t) for t in turns]
-    used = used_turns(f)
+    used_set = used_turns(f)
+    used = [t in used_set for t in turns]
     data["turns"] = [
-        {"turn": _turn_names(g, t), "legal": ok, "used": t in used} for t, ok in zip(turns, legal)
+        {"turn": _turn_names(g, t), "legal": ok, "used": u} for t, ok, u in zip(turns, legal, used)
     ]
     data["counts"] = {
         "total": len(turns),
         "legal": sum(legal),
         "illegal": len(turns) - sum(legal),
-        "used": len(used),
-        "used_illegal": sum(1 for t in used if not is_legal_turn(f, t)),
+        "used": sum(used),
+        "used_illegal": sum(u and not ok for ok, u in zip(legal, used)),
     }
     return OK, data
 

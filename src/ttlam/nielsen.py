@@ -15,12 +15,10 @@ and refinements stay in exact integer arithmetic (occurrence indices plus
 the exact lengths |f^t(e)|), so no floating point enters the subdivision.
 The iterated edge images f^t(e) and the lengths |f^t(e)| are read from the
 map's own store (`GraphSelfMap.edge_iterates`), so each is built once per map,
-as are the periodic data and the default INP report (`graph_map.per_map`).
+as are the periodic data (`graph_map.per_map`).
 """
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 from .errors import (
     ConvergenceError,
@@ -322,7 +320,7 @@ class SubdivisionResult:
     map: GraphSelfMap
     orbit: tuple[PeriodicPoint, ...]
     new_vertices: tuple[str, ...]
-    edge_split: Mapping[str, tuple[str, ...]]  # read-only
+    edge_split: dict[str, tuple[str, ...]]
 
 
 def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
@@ -427,7 +425,7 @@ def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
         map=new_map,
         orbit=orbit,
         new_vertices=tuple(vertex_name_of[(p.edge, p.index)] for p in orbit),
-        edge_split=MappingProxyType(edge_split),
+        edge_split=edge_split,
     )
 
 
@@ -724,29 +722,7 @@ def detect_inps(
     same leftmost point.  Its descriptor is the one the full enumeration
     stores too, the occurrence at exponent t (2t when it is reversed), since
     a point of period t first occurs at exponent t.
-
-    The report for the default arguments is built once per map and shared.
     """
-    if (max_period, max_pf_len, window, subdivide) == _DEFAULT_SEARCH:
-        return _default_inps(f)
-    return _search_inps(f, max_period, max_pf_len, window, subdivide)
-
-
-_DEFAULT_SEARCH = (6, None, None, True)  # detect_inps's defaults
-
-
-@per_map
-def _default_inps(f: GraphSelfMap) -> InpReport:
-    return _search_inps(f, *_DEFAULT_SEARCH)
-
-
-def _search_inps(
-    f: GraphSelfMap,
-    max_period: int,
-    max_pf_len: float | None,
-    window: int | None,
-    subdivide: bool,
-) -> InpReport:
     require_train_track(f)
     pf = _pf_or_none(f)
     w = window if window is not None else _default_window(pf, max_pf_len)

@@ -304,10 +304,10 @@ def test_derived_data_lives_on_the_map(fixture_dir):
     import gc
     import weakref
 
-    from ttlam import detect_inps, gates, parse_map_path, periodic_structures, used_turns
+    from ttlam import gates, parse_map_path, periodic_structures, used_turns
 
     f = parse_map_path(str(fixture_dir / "tribonacci.tt")).map
-    for compute in (gates, used_turns, periodic_structures, detect_inps):
+    for compute in (gates, used_turns, periodic_structures):
         assert compute(f) is compute(f)
     # no cache outside the map keeps it alive
     ref = weakref.ref(f)
@@ -317,11 +317,17 @@ def test_derived_data_lives_on_the_map(fixture_dir):
 
 
 def test_turns_of_a_non_train_track_map(tmp_path):
-    # the closure of the used turns under Df reaches a degenerate turn,
-    # which the legality lookup answers (illegal) instead of raising
+    # the closure of the used turns under Df reaches the degenerate turns
+    # (a~, a~) and (b~, b~); the command neither raises nor counts them,
+    # so its counts agree with the rows it lists
     mf = tmp_path / "nontt.tt"
     mf.write_text("graph nt\nvertex v\nedge a v v\nedge b v v\nmap\na -> a b\nb -> b~ a\n")
     code, text = run_command(["turns", str(mf), "--json"])
     assert code == 0
-    counts = json.loads(text)["counts"]
-    assert (counts["total"], counts["legal"], counts["used"], counts["used_illegal"]) == (6, 5, 6, 3)
+    data = json.loads(text)
+    rows, counts = data["turns"], data["counts"]
+    assert counts["total"] == len(rows)
+    assert counts["legal"] == sum(r["legal"] for r in rows)
+    assert counts["used"] == sum(r["used"] for r in rows)
+    assert counts["used_illegal"] == sum(r["used"] and not r["legal"] for r in rows)
+    assert (counts["total"], counts["legal"], counts["used"], counts["used_illegal"]) == (6, 5, 4, 1)

@@ -10,12 +10,11 @@ Exact integer arithmetic backs the floating point results.  The growth
 rate from power iteration is certified at every size by the Collatz-Wielandt
 bracket, checked in integers on the dyadic numerators of the iterate, and
 characteristic polynomial coefficients come from the Faddeev-LeVerrier
-recurrence over Fractions.
+recurrence in Python integers.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,29 +58,23 @@ def is_primitive(m: np.ndarray) -> bool:
 def charpoly_coefficients(m: np.ndarray) -> list[int]:
     """Coefficients [1, c1, ..., cn] of det(xI - M), exact integers.
 
-    Faddeev-LeVerrier over Fractions; the divisions are exact for integer
-    input, which the final assertion re-checks.
+    Faddeev-LeVerrier in Python ints: for an integer matrix A every
+    M_k = A (M_(k-1) + c_(k-1) I) and every c_k = -tr(M_k) / k is an
+    integer, so each division is exact, which the assertion re-checks.
     """
-    n = m.shape[0]
-    frac = [[Fraction(int(m[i, j])) for j in range(n)] for i in range(n)]
-
-    def matmul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-    def add_diag(a, c):
-        return [[a[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(0)] * n for _ in range(n)]
+    a = [[int(x) for x in row] for row in m.tolist()]
+    n = len(a)
+    coeffs = [1]
+    mk = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        mk = matmul(frac, add_diag(mk, coeffs[-1]))
-        trace = sum(mk[i][i] for i in range(n))
-        coeffs.append(-trace / k)
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1, "characteristic polynomial of an integer matrix must be integral"
-        out.append(int(c))
-    return out
+        for i in range(n):
+            mk[i][i] += coeffs[-1]
+        cols = list(zip(*mk))
+        mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        c, r = divmod(-sum(mk[i][i] for i in range(n)), k)
+        assert r == 0, "characteristic polynomial of an integer matrix must be integral"
+        coeffs.append(c)
+    return coeffs
 
 
 @dataclass(frozen=True)

@@ -14,31 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotTrainTrackError
-from .graph import Turn, equivalence_classes, turn, turns_of_path
+from .graph import Turn, turn, turns_of_path
 from .graph_map import GraphSelfMap, per_map
-
-
-def _df_orbit_merges(f: GraphSelfMap) -> list[tuple[int, int]]:
-    """Pairs of darts (same origin) identified by some power of Df.
-
-    Df^t for t up to 2 * num_darts suffices: past that, dart orbits have
-    entered their cycles, so no new coincidences appear.
-    """
-    g = f.graph
-    nd = g.num_darts
-    df = f.derivative_table
-    merges = []
-    current = list(range(nd))
-    for _ in range(2 * nd):
-        current = [df[d] for d in current]
-        seen: dict[tuple[int, int], int] = {}
-        for d in range(nd):
-            key = (g.origin(d), current[d])
-            if key in seen:
-                merges.append((seen[key], d))
-            else:
-                seen[key] = d
-    return merges
 
 
 @dataclass(frozen=True)
@@ -61,15 +38,32 @@ class Gates:
 
 @per_map
 def gates(f: GraphSelfMap) -> Gates:
+    """Gates: the darts at one vertex with one image under Df^N, N = num_darts.
+
+    Two darts share a gate iff Df^t(d1) == Df^t(d2) for some t, and then for
+    every later t.  If they first meet at t >= 1, the distinct darts
+    Df^(t-1)(d1) and Df^(t-1)(d2) have one image.  Df permutes the darts on
+    its cycles, so one of the two is off every cycle: the pre-period of d1
+    or d2 is at least t.  A pre-period is below num_darts, so t < N and
+    grouping the darts by (origin, Df^N(d)) is exact.  Darts are visited in
+    ascending order, so each gate is sorted and gates are ordered by their
+    smallest dart.
+    """
     g = f.graph
-    nd = g.num_darts
-    members = equivalence_classes(range(nd), _df_orbit_merges(f))
-    gate_of = [0] * nd
+    df = f.derivative_table
+    tip = list(range(g.num_darts))
+    for _ in range(g.num_darts):
+        tip = [df[d] for d in tip]
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for d, t in enumerate(tip):
+        buckets.setdefault((g.dart_origin[d], t), []).append(d)
+    members = tuple(tuple(darts) for darts in buckets.values())
+    gate_of = [0] * g.num_darts
     for gid, darts in enumerate(members):
         for d in darts:
             gate_of[d] = gid
-    vertex_of_gate = tuple(g.origin(darts[0]) for darts in members)
-    return Gates(tuple(gate_of), tuple(members), vertex_of_gate)
+    vertex_of_gate = tuple(v for v, _ in buckets)
+    return Gates(tuple(gate_of), members, vertex_of_gate)
 
 
 def is_legal_turn(f: GraphSelfMap, t: Turn) -> bool:
@@ -112,7 +106,10 @@ def used_turns(f: GraphSelfMap) -> frozenset[Turn]:
 
     Seed with the turns crossed by the (forward) edge images, then close
     under the induced turn map.  Reversed images cross the same unordered
-    turns, so forward darts suffice for the seed.
+    turns, so forward darts suffice for the seed.  A reduced path never
+    crosses a degenerate turn (d, d), so such images are left out; a turn
+    whose image is degenerate is itself illegal, so `is_train_track` reads
+    the same either way.
     """
     seed: set[Turn] = set()
     for img in f.edge_image:
@@ -122,7 +119,7 @@ def used_turns(f: GraphSelfMap) -> frozenset[Turn]:
     while frontier:
         t = frontier.pop()
         ti = turn_image(f, t)
-        if ti not in closed:
+        if ti[0] != ti[1] and ti not in closed:
             closed.add(ti)
             frontier.append(ti)
     return frozenset(closed)

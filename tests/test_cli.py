@@ -267,8 +267,11 @@ def test_fixture_commands_match_reference_reports(fixture_dir):
 
 def test_derived_data_built_once_per_map(monkeypatch, fixture_dir):
     # each undecorated computation, counted by the map instance (or per-map
-    # table) it ran for: gates, used turns (one turn image per turn they
-    # close over), periodic data (one call per table) and the INP search
+    # table) it ran for: gates (one Gates built by `gates`, keyed by the map
+    # in its frame), used turns (one turn image per turn they close over),
+    # periodic data (one call per table) and the INP search
+    import sys
+
     import ttlam.nielsen as nielsen
     import ttlam.train_track as train_track
 
@@ -286,7 +289,7 @@ def test_derived_data_built_once_per_map(monkeypatch, fixture_dir):
         keys[name] = []
         monkeypatch.setattr(module, name, counted)
 
-    count(train_track, "_df_orbit_merges", lambda f: id(f))
+    count(train_track, "Gates", lambda *_: id(sys._getframe(2).f_locals["f"]))
     count(train_track, "turn_image", lambda f, t: (id(f), t))
     count(nielsen, "_cycle_periods", lambda step: id(step))
     count(nielsen, "_detect_on", lambda f, *_: id(f))
@@ -316,12 +319,17 @@ def test_derived_data_lives_on_the_map(fixture_dir):
     assert ref() is None
 
 
+def _non_train_track_map(tmp_path):
+    mf = tmp_path / "nontt.tt"
+    mf.write_text("graph nt\nvertex v\nedge a v v\nedge b v v\nmap\na -> a b\nb -> b~ a\n")
+    return mf
+
+
 def test_turns_of_a_non_train_track_map(tmp_path):
     # the closure of the used turns under Df reaches the degenerate turns
     # (a~, a~) and (b~, b~); the command neither raises nor counts them,
     # so its counts agree with the rows it lists
-    mf = tmp_path / "nontt.tt"
-    mf.write_text("graph nt\nvertex v\nedge a v v\nedge b v v\nmap\na -> a b\nb -> b~ a\n")
+    mf = _non_train_track_map(tmp_path)
     code, text = run_command(["turns", str(mf), "--json"])
     assert code == 0
     data = json.loads(text)
@@ -331,3 +339,16 @@ def test_turns_of_a_non_train_track_map(tmp_path):
     assert counts["used"] == sum(r["used"] for r in rows)
     assert counts["used_illegal"] == sum(r["used"] and not r["legal"] for r in rows)
     assert (counts["total"], counts["legal"], counts["used"], counts["used_illegal"]) == (6, 5, 4, 1)
+
+
+def test_check_of_a_non_train_track_map_lists_used_illegal_rows(tmp_path):
+    # `check` lists exactly the used and illegal rows of `turns`: the
+    # degenerate turns (a~, a~) and (b~, b~) that Df reaches are no used turns
+    mf = _non_train_track_map(tmp_path)
+    _, text = run_command(["turns", str(mf), "--json"])
+    rows = json.loads(text)["turns"]
+    _, text = run_command(["check", str(mf), "--json"])
+    data = json.loads(text)
+    assert data["train_track"] is False
+    assert data["used_illegal"] == [r["turn"] for r in rows if r["used"] and not r["legal"]]
+    assert data["used_illegal"] == [["a~", "b"]]

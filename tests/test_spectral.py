@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from ttlam import (
@@ -184,3 +185,23 @@ def test_charpoly_matches_numpy_random(data):
     )
     m = np.array(entries, dtype=np.int64).reshape(n, n)
     assert np.allclose(charpoly_coefficients(m), np.poly(m.astype(np.float64)), atol=1e-5)
+
+
+def _sympy_charpoly(m):
+    return [int(c) for c in sympy.Matrix(m.tolist()).charpoly().all_coeffs()]
+
+
+@given(st.data())
+def test_charpoly_exact_random(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    entries = data.draw(
+        st.lists(st.integers(min_value=0, max_value=60), min_size=n * n, max_size=n * n)
+    )
+    m = np.array(entries, dtype=np.int64).reshape(n, n)
+    assert charpoly_coefficients(m) == _sympy_charpoly(m)
+
+
+@given(positive_rose_maps())
+def test_charpoly_exact_rose_maps(f):
+    m = transition_matrix(f)
+    assert charpoly_coefficients(m) == _sympy_charpoly(m)

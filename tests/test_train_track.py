@@ -19,8 +19,10 @@ from ttlam import (
     two_gates_everywhere,
     used_turns,
 )
+from ttlam.nielsen import detect_inps
 from ttlam.train_track import turn_image
 
+from conftest import positive_rose_maps, reduced_rose_maps, rose_map
 from oracles import derivative_orbit_gates, illegal_turn_count, random_reduced_word
 
 
@@ -65,10 +67,43 @@ def test_gates_reducible(reducible):
     }
 
 
+def _assert_gates_match_oracle(f):
+    classes, _ = derivative_orbit_gates(f)
+    assert set(classes) == {frozenset(m) for m in gates(f).members}
+
+
 def test_gates_match_oracle(all_maps):
-    for f in all_maps.values():
-        classes, _ = derivative_orbit_gates(f)
-        assert set(classes) == {frozenset(m) for m in gates(f).members}
+    # the subdivided maps have two or more vertices
+    maps = list(all_maps.values())
+    maps += [detect_inps(f).subdivision.map for f in all_maps.values()]
+    for f in maps:
+        _assert_gates_match_oracle(f)
+
+
+@given(st.one_of(reduced_rose_maps(), positive_rose_maps()))
+def test_gates_match_oracle_random(f):
+    _assert_gates_match_oracle(f)
+
+
+@given(positive_rose_maps(moves_per_rank=1))
+def test_gates_match_oracle_subdivided(f):
+    rep = detect_inps(f, max_period=2)
+    if rep.subdivision is not None:
+        _assert_gates_match_oracle(rep.subdivision.map)
+
+
+def test_gates_after_longest_pre_period():
+    # Df runs a -> b -> c -> a~ -> b~ -> c~ -> c~: the darts a and b first
+    # meet under Df^5, num_darts - 1, the latest a pre-period allows
+    f = rose_map(["b", "c", "a~ c"])
+    df = f.derivative_table
+    assert df == (2, 3, 4, 5, 1, 5)
+    tip_a, tip_b = 0, 2
+    for _ in range(4):
+        tip_a, tip_b = df[tip_a], df[tip_b]
+    assert (tip_a, tip_b) == (3, 5)
+    assert gates(f).members == ((0, 1, 2, 3, 4, 5),)
+    _assert_gates_match_oracle(f)
 
 
 def test_two_gates(all_maps):

@@ -14,7 +14,7 @@ from ttlam import (
     parse_map_path,
     periodic_structures,
     pf_data,
-    stability_check,
+    stability_verdict,
     subdivide_at,
 )
 
@@ -86,11 +86,13 @@ for inp in rep.subdivided_inps:
 
 # A closed INP is an honest conjugacy invariant: this map is stable in
 # every other sense, but the check reports the loop so callers know the
-# automorphism has a periodic conjugacy class (here, the commutator).
-st = stability_check(f)
+# automorphism has a periodic conjugacy class (here, the commutator).  The
+# verdict is read from the INP report found above.
+st = stability_verdict(f, rep)
 print(f"\nstability: {st.status}")
 print("reason:", st.reason)
 
 # Maps without INPs pass clean.
 t = parse_map_path(str(FIXTURES / "tribonacci.tt")).map
-print("tribonacci:", stability_check(t).status, "-", stability_check(t).reason)
+st = stability_verdict(t, detect_inps(t))
+print("tribonacci:", st.status, "-", st.reason)

@@ -1,4 +1,8 @@
-"""Train track maps on graphs: gates, eigenvalues, Nielsen paths, laminations."""
+"""Train track maps on graphs: gates, eigenvalues, Nielsen paths, laminations.
+
+The package namespace exports the names the README and the demos use, plus
+the error classes; everything else is imported from its module.
+"""
 
 from .errors import (
     BudgetExceededError,
@@ -13,76 +17,32 @@ from .errors import (
     SubdivisionError,
     TtError,
 )
-from .graph import (
-    Graph,
-    all_turns,
-    cyclic_reduce,
-    edge_index,
-    extend_reduced,
-    is_reduced,
-    path_reduce,
-    reverse_dart,
-    reverse_path,
-    turn,
-    turns_of_path,
-    validate_graph,
-)
-from .graph_map import GraphSelfMap, compose
+from .graph import Graph, all_turns
+from .graph_map import GraphSelfMap
 from .lamination import (
-    BranchReport,
-    ContractionReport,
-    EquivalenceReport,
-    IllegalityProfile,
-    RecurrenceReport,
-    SingularReport,
-    branch_point_classes,
-    contraction_block,
     dual_language,
     eigenray_equivalence,
     illegality_between,
-    illegality_profile,
     ilt_contraction,
     leaf_language,
     leaf_window,
-    singular_language,
     singular_leaves,
     uniform_recurrence_check,
 )
-from .mapfile import MapFile, parse_map_file, parse_map_path, serialize_map_file
+from .mapfile import parse_map_path
 from .nielsen import (
-    InpReport,
-    NielsenPath,
-    Occurrence,
-    PeriodicData,
-    PeriodicPoint,
-    StabilityReport,
-    SubdivisionResult,
     detect_inps,
     eigenray_prefix,
-    occurrences,
     periodic_structures,
-    point_image,
-    point_orbit,
-    refine_index,
-    stability_check,
     stability_verdict,
     subdivide_at,
 )
-from .spectral import (
-    PFData,
-    charpoly_coefficients,
-    is_primitive,
-    pf_data,
-    transition_matrix,
-)
+from .spectral import charpoly_coefficients, is_primitive, pf_data, transition_matrix
 from .train_track import (
-    Gates,
     gates,
     ilt_count,
     is_legal_turn,
     is_train_track,
-    legal_segments,
-    require_train_track,
     two_gates_everywhere,
     used_turns,
 )
@@ -90,82 +50,42 @@ from .train_track import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchReport",
     "BudgetExceededError",
-    "ContractionReport",
     "ConvergenceError",
-    "EquivalenceReport",
-    "Gates",
     "Graph",
     "GraphError",
     "GraphSelfMap",
-    "IllegalityProfile",
     "IncompatibleGraphsError",
-    "InpReport",
     "MapError",
-    "MapFile",
-    "NielsenPath",
     "NotExpandingError",
     "NotPrimitiveError",
     "NotTrainTrackError",
-    "Occurrence",
-    "PFData",
     "ParseError",
-    "PeriodicData",
-    "PeriodicPoint",
-    "RecurrenceReport",
-    "SingularReport",
-    "StabilityReport",
     "SubdivisionError",
-    "SubdivisionResult",
     "TtError",
     "all_turns",
-    "branch_point_classes",
     "charpoly_coefficients",
-    "compose",
-    "contraction_block",
-    "cyclic_reduce",
     "detect_inps",
     "dual_language",
-    "edge_index",
     "eigenray_equivalence",
     "eigenray_prefix",
-    "extend_reduced",
     "gates",
     "illegality_between",
-    "illegality_profile",
     "ilt_contraction",
     "ilt_count",
     "is_legal_turn",
     "is_primitive",
-    "is_reduced",
     "is_train_track",
     "leaf_language",
     "leaf_window",
-    "legal_segments",
-    "occurrences",
-    "parse_map_file",
     "parse_map_path",
-    "path_reduce",
     "periodic_structures",
     "pf_data",
-    "point_image",
-    "point_orbit",
-    "refine_index",
-    "require_train_track",
-    "reverse_dart",
-    "reverse_path",
-    "serialize_map_file",
-    "singular_language",
     "singular_leaves",
-    "stability_check",
     "stability_verdict",
     "subdivide_at",
     "transition_matrix",
-    "turn",
-    "turns_of_path",
     "two_gates_everywhere",
     "uniform_recurrence_check",
     "used_turns",
-    "validate_graph",
 ]

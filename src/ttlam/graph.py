@@ -210,13 +210,13 @@ def turns_of_path(path: Sequence[int]) -> Iterator[Turn]:
         yield turn(a ^ 1, b)
 
 
-def all_turns(graph: Graph, include_degenerate: bool = False) -> list[Turn]:
-    """Every turn of the graph, grouped implicitly by origin vertex."""
+def all_turns(graph: Graph) -> list[Turn]:
+    """Every non-degenerate turn of the graph, grouped implicitly by origin
+    vertex."""
     out = []
     nd = graph.num_darts
     for d1 in range(nd):
-        start = d1 if include_degenerate else d1 + 1
-        for d2 in range(start, nd):
+        for d2 in range(d1 + 1, nd):
             if graph.dart_origin[d1] == graph.dart_origin[d2]:
                 out.append((d1, d2))
     return out

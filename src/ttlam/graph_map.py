@@ -115,12 +115,9 @@ class GraphSelfMap:
             p = self.apply(p)
         return p
 
-    def derivative(self, d: int) -> int:
-        """Df: the first dart crossed by the image of d."""
-        return self.dart_images[d][0]
-
     @cached_property
     def derivative_table(self) -> tuple[int, ...]:
+        """Df: the first dart crossed by the image of each dart."""
         return tuple(img[0] for img in self.dart_images)
 
     @cached_property

@@ -15,7 +15,7 @@ tuples, and every reported structure can be re-checked by direct iteration.
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, IncompatibleGraphsError, MapError, NotTrainTrackError
+from .errors import IncompatibleGraphsError, MapError, NotTrainTrackError
 from .graph import Path, Turn, equivalence_classes, reverse_path, turn
 from .graph_map import GraphSelfMap
 from .nielsen import InpReport, detect_inps, eigenray_prefix, periodic_structures
@@ -342,11 +342,7 @@ def illegality_profile(f_ref: GraphSelfMap, words: Iterable[Path]) -> Illegality
 def illegality_between(f_ref: GraphSelfMap, f_src: GraphSelfMap, n: int, dual: bool = True) -> IllegalityProfile:
     """Profile the (dual or plain leaf) language of f_src against the gates
     of f_ref; both maps must live on the same marked graph."""
-    if (
-        f_ref.graph.edge_names != f_src.graph.edge_names
-        or f_ref.graph.vertex_names != f_src.graph.vertex_names
-        or f_ref.graph.dart_origin != f_src.graph.dart_origin
-    ):
+    if f_ref.graph != f_src.graph:
         raise IncompatibleGraphsError("maps live on different graphs")
     words = dual_language(f_src, n) if dual else leaf_language(f_src, n)
     return illegality_profile(f_ref, sorted(words))
@@ -372,15 +368,27 @@ class ContractionReport:
     step_reached: int  # first index with series value <= 1, or -1
 
 
-def contraction_block(f: GraphSelfMap, cap: int = 400) -> int:
-    """The smallest s <= cap with every |f^s(e)| > c_illegal, the column
-    sums of M^s read from the map's store `edge_iterates`."""
+def contraction_block(f: GraphSelfMap) -> int:
+    """The smallest s with every |f^s(e)| > c = c_illegal, the column sums
+    of M^s read from the map's store `edge_iterates`.
+
+    The search ends by s = k + c, k the primitivity exponent of M (M^k > 0;
+    `pf_data` requires a primitive M).  Write L_s = 1^T M^s for the column
+    sums of M^s and R_s = M^s 1 for its row sums, so sum L_s = sum R_s.
+    M^k > 0 leaves M no zero row, so every R_s[i] >= 1; an expanding map has
+    some L_1[e] = |f(e)| >= 2, since were every image one dart no edge would
+    grow.  So sum L_(s+1) = L_1 . R_s >= sum R_s + 1 = sum L_s + 1, and
+    sum L_s >= n + s for n edges.  Column e of M^(k+s) is M^s times column e
+    of M^k, whose entries are >= 1, so L_(k+s)[e] >= sum L_s >= n + s > c
+    once s >= c.
+    """
     c = pf_data(f).c_illegal
+    f.require_expanding()
     lengths = f.edge_iterates.lengths
-    for s in range(1, cap + 1):
-        if min(lengths(s)) > c:
-            return s
-    raise BudgetExceededError("no contraction block below the cap")
+    s = 1
+    while min(lengths(s)) <= c:
+        s += 1
+    return s
 
 
 def ilt_contraction(
@@ -403,6 +411,10 @@ def ilt_contraction(
 
     if chop is None:
         chop = f.cancellation_bound
+    if chop < 0:
+        raise MapError("boundary trim must be >= 0")
+    if steps is not None and steps < 0:
+        raise MapError("step count must be >= 0")
     w = path_reduce(word)
     if len(w) <= 2 * chop and chop > 0:
         raise MapError(f"word of length {len(w)} is consumed by a boundary trim of {chop}")

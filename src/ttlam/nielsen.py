@@ -18,6 +18,7 @@ map's own store (`GraphSelfMap.edge_iterates`), so each is built once per map,
 as are the periodic data (`graph_map.per_map`).
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -101,6 +102,8 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
     do more than num_darts rounds in a row without growth.  Every other
     round grows the prefix, so the loop ends.
     """
+    if n < 1:
+        raise MapError("prefix length must be >= 1")
     pd = periodic_structures(f)
     k = pd.dart_period_of(dart)
     if k is None:
@@ -184,9 +187,6 @@ class PeriodicPoint:
     index: int
     period: int
 
-    def descriptor(self) -> tuple[int, int, int]:
-        return (self.edge, self.exponent, self.index)
-
 
 def reversed_to_preserving(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]:
     """Convert a reversed occurrence at exponent t to the orientation-
@@ -263,19 +263,19 @@ def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]
     raise MapError("fixed point image not located inside f(e)")
 
 
-def point_orbit(f: GraphSelfMap, e: int, t: int, i: int, cap: int = 10_000) -> tuple[PeriodicPoint, ...]:
+def point_orbit(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[PeriodicPoint, ...]:
     """Forward orbit of an interior fixed point of f^t, as descriptors at the
     shared exponent t; closes exactly because descriptors at one exponent are
-    unique per point."""
+    unique per point, and within t steps because f^t fixes the point."""
     seq = [(e, i)]
     ce, ci = e, i
-    for _ in range(cap):
+    for _ in range(t):
         ce, ci, _ = point_image(f, ce, t, ci)
         if (ce, ci) == (e, i):
             period = len(seq)
             return tuple(PeriodicPoint(a, t, b, period) for a, b in seq)
         seq.append((ce, ci))
-    raise ConvergenceError("point orbit did not close")
+    raise ConvergenceError(f"point orbit did not close within {t} steps")
 
 
 def _interior_descriptors(f: GraphSelfMap, t: int) -> list[tuple[int, int, int]]:
@@ -293,16 +293,10 @@ def _interior_descriptors(f: GraphSelfMap, t: int) -> list[tuple[int, int, int]]
     return out
 
 
-def _check_max_period(max_period: int) -> None:
-    if max_period < 1:
-        raise MapError("max_period must be >= 1")
-
-
 def _first_interior_point(f: GraphSelfMap, max_period: int) -> PeriodicPoint | None:
     """The interior point of period <= max_period that comes first in the
     order (period, edge, index at a common exponent), or None when there is
     none, without enumerating the rest (see `detect_inps` for why)."""
-    _check_max_period(max_period)
     for t in range(1, max_period + 1):
         found = _interior_descriptors(f, t)
         if found:
@@ -621,8 +615,8 @@ def _scan_ray_pairs(
                     continue
                 seen.add(canon)
                 if pf is not None:
-                    l1 = sum(pf.pf_lengths[edge_index(d)] for d in r1[:m1])
-                    l2 = sum(pf.pf_lengths[edge_index(d)] for d in r2[:m2])
+                    l1 = pf.pf_length(r1[:m1])
+                    l2 = pf.pf_length(r2[:m2])
                     if abs(l1 - l2) > 1e-6 * max(l1, l2):
                         continue
                 if is_legal_turn(f, turn(r1[m1 - 1] ^ 1, r2[m2 - 1] ^ 1)):
@@ -648,29 +642,23 @@ def _detect_on(
     window: int,
     max_period: int,
     pf: PFData | None,
-    retries: int = 2,
 ) -> tuple[tuple[NielsenPath, ...], bool, list[str]]:
-    """Scan with growing windows until no unverified candidates remain."""
-    notes: list[str] = []
-    w = window
-    for attempt in range(retries + 1):
-        verified, failed, ns = _scan_ray_pairs(f, w, max_period, pf)
-        if attempt == retries or not failed:
-            notes.extend(ns)
-            inps = []
-            for canon, s in sorted(verified):
-                tip = _tip_of(f, canon)
-                inps.append(
-                    NielsenPath(
-                        path=canon,
-                        period=s,
-                        tip_index=tip,
-                        closed=f.graph.is_closed(canon),
-                    )
-                )
-            return tuple(inps), not failed, notes
-        w *= 2
-    raise AssertionError("unreachable")
+    """Scan at the window, then at twice and four times it, until no
+    unverified candidates remain; the notes are those of the last scan."""
+    for w in (window, 2 * window, 4 * window):
+        verified, failed, notes = _scan_ray_pairs(f, w, max_period, pf)
+        if not failed:
+            break
+    inps = tuple(
+        NielsenPath(
+            path=canon,
+            period=s,
+            tip_index=_tip_of(f, canon),
+            closed=f.graph.is_closed(canon),
+        )
+        for canon, s in sorted(verified)
+    )
+    return inps, not failed, notes
 
 
 def _tip_of(f: GraphSelfMap, path: Path) -> int:
@@ -697,8 +685,6 @@ def detect_inps(
     f: GraphSelfMap,
     max_period: int = 6,
     max_pf_len: float | None = None,
-    window: int | None = None,
-    subdivide: bool = True,
 ) -> InpReport:
     """Find periodic indivisible Nielsen paths of period <= max_period.
 
@@ -708,7 +694,9 @@ def detect_inps(
     edge, index at a common exponent) of all interior periodic points, and
     re-running the vertex scan on the refined map.  Every reported path is
     verified exactly; `conclusive` is False only when a full-window tail
-    coincidence resisted both verification and window growth.
+    coincidence resisted both verification and window growth.  A map that
+    is not an expanding train track map raises NotTrainTrackError or
+    NotExpandingError.
 
     The orbit is found without enumerating every interior periodic point.
     Exponents t = 1, 2, ... are scanned in turn, and the scan stops at the
@@ -724,20 +712,23 @@ def detect_inps(
     a point of period t first occurs at exponent t.
     """
     require_train_track(f)
+    f.require_expanding()
+    if max_period < 1:
+        raise MapError("max_period must be >= 1")
+    if max_pf_len is not None and not 0 < max_pf_len < math.inf:
+        raise MapError("max_pf_len must be > 0 and finite")
     pf = _pf_or_none(f)
-    w = window if window is not None else _default_window(pf, max_pf_len)
+    w = _default_window(pf, max_pf_len)
     inps, conclusive, notes = _detect_on(f, w, max_period, pf)
     sub: SubdivisionResult | None = None
     sub_inps: tuple[NielsenPath, ...] = ()
-    if subdivide:
-        point = _first_interior_point(f, max_period)
-        if point is not None:
-            sub = subdivide_at(f, point)
-            sub_pf = _pf_or_none(sub.map)
-            w2 = window if window is not None else _default_window(sub_pf, max_pf_len)
-            sub_inps, c2, n2 = _detect_on(sub.map, w2, max_period, sub_pf)
-            conclusive = conclusive and c2
-            notes = notes + n2
+    point = _first_interior_point(f, max_period)
+    if point is not None:
+        sub = subdivide_at(f, point)
+        sub_pf = _pf_or_none(sub.map)
+        sub_inps, c2, n2 = _detect_on(sub.map, _default_window(sub_pf, max_pf_len), max_period, sub_pf)
+        conclusive = conclusive and c2
+        notes = notes + n2
     return InpReport(
         inps=inps,
         conclusive=conclusive,
@@ -755,10 +746,6 @@ class StabilityReport:
     status: str  # "pass" | "fail" | "inconclusive"
     reason: str
     inps: InpReport
-
-
-def stability_check(f: GraphSelfMap, **kwargs) -> StabilityReport:
-    return stability_verdict(f, detect_inps(f, **kwargs))
 
 
 def stability_verdict(f: GraphSelfMap, rep: InpReport) -> StabilityReport:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NotPrimitiveError
+from .errors import ConvergenceError, MapError, NotPrimitiveError
 from .graph import Path, edge_index
 from .graph_map import GraphSelfMap
 
@@ -106,6 +106,9 @@ class PFData:
 # |lam - rho| bound that pf_data certifies
 _LAM_TOL = 1e-8
 
+# power iteration steps pf_data takes before it gives up
+_MAX_ITER = 200_000
+
 
 def _collatz_wielandt_certified(rows: list[list[int]], lam: float, w: np.ndarray) -> bool:
     """Exactly: w > 0 and (lam - tol) w_i <= (A w)_i <= (lam + tol) w_i for all i.
@@ -132,15 +135,17 @@ def _collatz_wielandt_certified(rows: list[list[int]], lam: float, w: np.ndarray
     return True
 
 
-def pf_data(f: GraphSelfMap, tol: float = 1e-12, max_iter: int = 200_000) -> PFData:
+def pf_data(f: GraphSelfMap, tol: float = 1e-12) -> PFData:
     """Power iteration on M^T for the left eigenvector, with a certified lam.
 
     Requires a primitive transition matrix.  The iteration stops at the
     first iterate that has settled (every entry moved by less than tol) and
     whose Collatz-Wielandt bracket pins the dominant eigenvalue to within
     _LAM_TOL of the estimate, checked in exact integer arithmetic at
-    every size.
+    every size.  The settling tolerance tol must be > 0.
     """
+    if not tol > 0:
+        raise MapError("tolerance must be > 0")
     m = transition_matrix(f)
     if not is_primitive(m):
         raise NotPrimitiveError("transition matrix is not primitive")
@@ -150,7 +155,7 @@ def pf_data(f: GraphSelfMap, tol: float = 1e-12, max_iter: int = 200_000) -> PFD
     v = np.ones(n) / n
     lam = 0.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         w = mt @ v
         lam = float(w.sum())
         if lam <= 0:
@@ -161,7 +166,7 @@ def pf_data(f: GraphSelfMap, tol: float = 1e-12, max_iter: int = 200_000) -> PFD
             break
         v = w
     else:
-        raise ConvergenceError(f"power iteration did not settle and certify in {max_iter} steps")
+        raise ConvergenceError(f"power iteration did not settle and certify in {_MAX_ITER} steps")
     residual = float(np.abs(mt @ v - lam * v).max())
     v = v / v.sum()  # vol = 1 normalization
     lengths = tuple(float(x) for x in v)

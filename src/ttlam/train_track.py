@@ -32,9 +32,6 @@ class Gates:
     def gates_at(self, v: int) -> list[int]:
         return [gid for gid, w in enumerate(self.vertex_of_gate) if w == v]
 
-    def num_gates_at(self, v: int) -> int:
-        return len(self.gates_at(v))
-
 
 @per_map
 def gates(f: GraphSelfMap) -> Gates:
@@ -140,4 +137,4 @@ def require_train_track(f: GraphSelfMap) -> None:
 def two_gates_everywhere(f: GraphSelfMap) -> bool:
     """At least two gates at every vertex (needed for local injectivity on rays)."""
     gt = gates(f)
-    return all(gt.num_gates_at(v) >= 2 for v in range(f.graph.num_vertices))
+    return all(len(gt.gates_at(v)) >= 2 for v in range(f.graph.num_vertices))

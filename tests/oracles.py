@@ -154,6 +154,31 @@ def numpy_spectral(m):
     return lam, v / v.sum()
 
 
+def first_power_over(m, c):
+    """The smallest s >= 1 with every column sum of M^s above c, from plain
+    matrix powers in numpy's object dtype (Python ints, no overflow)."""
+    a = np.asarray(m, dtype=object)
+    power = a.copy()
+    s = 1
+    while min(power.sum(axis=0)) <= c:
+        power = power.dot(a)
+        s += 1
+    return s
+
+
+def primitivity_exponent(m):
+    """The smallest k with M^k > 0, from boolean powers; None when no power
+    up to Wielandt's bound (n - 1)^2 + 1 is positive."""
+    a = np.asarray(m) > 0
+    n = a.shape[0]
+    power = a.copy()
+    for k in range(1, (n - 1) ** 2 + 2):
+        if power.all():
+            return k
+        power = (power.astype(np.int64) @ a.astype(np.int64)) > 0
+    return None
+
+
 def random_reduced_word(g, length, rng, nexts=None):
     if nexts is None:
         nexts = [

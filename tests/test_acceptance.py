@@ -17,11 +17,9 @@ from ttlam import (
     eigenray_equivalence,
     eigenray_prefix,
     gates,
-    illegality_profile,
     ilt_contraction,
     ilt_count,
     is_legal_turn,
-    is_reduced,
     is_train_track,
     leaf_language,
     leaf_window,
@@ -29,13 +27,14 @@ from ttlam import (
     periodic_structures,
     singular_leaves,
     transition_matrix,
-    turns_of_path,
     two_gates_everywhere,
     uniform_recurrence_check,
     used_turns,
 )
 from ttlam.cli import run_command
+from ttlam.graph import is_reduced, turns_of_path
 from ttlam.graph_map import compose
+from ttlam.lamination import illegality_profile
 from ttlam.spectral import is_primitive
 from ttlam.train_track import turn_image
 

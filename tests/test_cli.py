@@ -352,3 +352,66 @@ def test_check_of_a_non_train_track_map_lists_used_illegal_rows(tmp_path):
     assert data["train_track"] is False
     assert data["used_illegal"] == [r["turn"] for r in rows if r["used"] and not r["legal"]]
     assert data["used_illegal"] == [["a~", "b"]]
+
+
+@pytest.mark.parametrize("image", ["a", "a~"])
+def test_non_expanding_primitive_map_is_violation(tmp_path, image):
+    # M = (1) is primitive but the map never expands: every command that
+    # needs expansion exits 1 with a property error, none crashes or runs
+    # into a search cap
+    mf = tmp_path / "rank1.tt"
+    mf.write_text(f"graph rank1\nvertex v\nedge a v v\nmap\na -> {image}\n")
+    commands = (["inps"], ["singular"], ["contract", "--word", "a"], ["eigenrays"], ["bfh", "--window", "2"])
+    for argv in commands:
+        code, text = run_command([argv[0], str(mf)] + argv[1:] + ["--json"])
+        data = json.loads(text)
+        assert (code, data["kind"]) == (1, "property"), argv
+        assert "never grow" in data["error"]
+
+
+def _input_error(fixture_dir, *args):
+    code, text = _run(fixture_dir, *args, "--json")
+    assert code == 3
+    data = json.loads(text)
+    assert data["kind"] == "input"
+    return data["error"]
+
+
+def test_contract_rejects_negative_chop(fixture_dir):
+    # a slice w[-1:len(w)+1] would keep only the last dart of every image
+    error = _input_error(
+        fixture_dir, "contract", "FIX/tribonacci.tt", "--word", "a b c", "--chop", "-1", "--steps", "3"
+    )
+    assert error == "boundary trim must be >= 0"
+
+
+def test_contract_rejects_negative_steps(fixture_dir):
+    error = _input_error(fixture_dir, "contract", "FIX/tribonacci.tt", "--word", "a b c a b", "--steps", "-1")
+    assert error == "step count must be >= 0"
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_eigenrays_rejects_empty_length(fixture_dir, length):
+    error = _input_error(fixture_dir, "eigenrays", "FIX/tribonacci.tt", "--length", length)
+    assert error == "prefix length must be >= 1"
+
+
+@pytest.mark.parametrize("window", ["0", "-2"])
+def test_singular_rejects_empty_window(fixture_dir, window):
+    error = _input_error(fixture_dir, "singular", "FIX/tribonacci.tt", "--window", window)
+    assert error == "prefix length must be >= 1"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_pf_rejects_nonpositive_tol(fixture_dir, tol):
+    # pf --tol -1 used to run 200,000 power iteration steps and exit 2
+    error = _input_error(fixture_dir, "pf", "FIX/tribonacci.tt", "--tol", tol)
+    assert error == "tolerance must be > 0"
+
+
+@pytest.mark.parametrize("bound", ["0", "-1", "nan", "inf"])
+def test_inps_rejects_unusable_max_pf_len(fixture_dir, bound):
+    # nan and inf used to crash while sizing the window; 0 and -1 were
+    # silently replaced by the smallest window
+    error = _input_error(fixture_dir, "inps", "FIX/fibonacci.tt", "--max-pf-len", bound)
+    assert error == "max_pf_len must be > 0 and finite"

@@ -3,10 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ttlam import (
-    Graph,
-    GraphError,
-    all_turns,
+from ttlam import Graph, GraphError, all_turns
+from ttlam.graph import (
     cyclic_reduce,
     edge_index,
     extend_reduced,

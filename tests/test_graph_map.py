@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ttlam import Graph, GraphSelfMap, MapError, NotExpandingError, compose
+from ttlam import Graph, GraphSelfMap, MapError, NotExpandingError
+from ttlam.graph_map import compose
 
 from conftest import positive_rose_maps, reduced_rose_maps
 from oracles import apply_map, random_reduced_word

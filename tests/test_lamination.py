@@ -6,22 +6,29 @@ from hypothesis import given
 from ttlam import (
     GraphSelfMap,
     NotTrainTrackError,
-    branch_point_classes,
-    contraction_block,
     detect_inps,
     dual_language,
     eigenray_equivalence,
     illegality_between,
-    illegality_profile,
     ilt_contraction,
     leaf_language,
     leaf_window,
+    pf_data,
     singular_leaves,
+    transition_matrix,
     uniform_recurrence_check,
 )
+from ttlam.lamination import branch_point_classes, contraction_block, illegality_profile
 
 from conftest import positive_rose_maps, rose_map
-from oracles import apply_map, derivative_orbit_gates, harvest_factors, illegal_turn_count
+from oracles import (
+    apply_map,
+    derivative_orbit_gates,
+    first_power_over,
+    harvest_factors,
+    illegal_turn_count,
+    primitivity_exponent,
+)
 
 
 def test_leaf_language_fib_n2(fib, rose2):
@@ -174,7 +181,8 @@ def test_singular_fib_inp_lines(fib):
 
 
 def test_singular_windows_almost_legal(trib):
-    from ttlam import ilt_count, is_reduced, turns_of_path
+    from ttlam import ilt_count
+    from ttlam.graph import is_reduced, turns_of_path
     from ttlam.train_track import used_turns
 
     used = used_turns(trib)
@@ -232,6 +240,26 @@ def test_contraction_block_trib(trib):
     shorter = [len(trib.iterate((2 * e,), b - 1)) for e in range(3)]
     assert min(lengths) > c
     assert min(shorter) <= c
+
+
+def _check_contraction_block(f):
+    # the block agrees with plain matrix powers and stays within the proved
+    # bound k + c_illegal, k the primitivity exponent of M
+    m = transition_matrix(f)
+    c = pf_data(f).c_illegal
+    s = contraction_block(f)
+    assert s == first_power_over(m, c)
+    assert s <= primitivity_exponent(m) + c
+    return s
+
+
+def test_contraction_block_matches_matrix_powers_fixtures(fib, trib, trib_inv):
+    assert [_check_contraction_block(f) for f in (fib, trib, trib_inv)] == [6, 12, 10]
+
+
+@given(positive_rose_maps())
+def test_contraction_block_matches_matrix_powers(f):
+    _check_contraction_block(f)
 
 
 def test_contraction_series_drops(trib, trib_inv):

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ttlam import ParseError, parse_map_file, serialize_map_file
+from ttlam import ParseError
+from ttlam.mapfile import parse_map_file, serialize_map_file
 
 GOOD = """\
 # comment line

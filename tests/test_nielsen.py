@@ -8,18 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ttlam.nielsen
-from ttlam import (
-    GraphSelfMap,
-    detect_inps,
-    eigenray_prefix,
-    occurrences,
-    periodic_structures,
-    point_image,
-    point_orbit,
-    refine_index,
-    stability_check,
-    subdivide_at,
-)
+from ttlam import GraphSelfMap, detect_inps, eigenray_prefix, periodic_structures, subdivide_at
 from ttlam.errors import TtError
 from ttlam.nielsen import (
     NielsenPath,
@@ -29,6 +18,10 @@ from ttlam.nielsen import (
     _scan_ray_pairs,
     _stems,
     _tail_matches,
+    occurrences,
+    point_image,
+    point_orbit,
+    refine_index,
     reversed_to_preserving,
     stability_verdict,
 )
@@ -300,7 +293,7 @@ def test_reducible_carries_inps(reducible, rose3):
 
 
 def test_stability_fib_flags_closed_inp(fib):
-    rep = stability_check(fib)
+    rep = stability_verdict(fib, detect_inps(fib))
     assert rep.status == "fail"
     assert "conjugacy" in rep.reason
 
@@ -319,7 +312,7 @@ def test_stability_names_subdivided_inp_on_subdivided_graph(fib):
 
 
 def test_stability_trib_passes(trib):
-    rep = stability_check(trib)
+    rep = stability_verdict(trib, detect_inps(trib))
     assert rep.status == "pass"
 
 

@@ -14,11 +14,10 @@ from ttlam import (
     ilt_count,
     is_legal_turn,
     is_train_track,
-    legal_segments,
-    require_train_track,
     two_gates_everywhere,
     used_turns,
 )
+from ttlam.train_track import legal_segments, require_train_track
 from ttlam.nielsen import detect_inps
 from ttlam.train_track import turn_image
 

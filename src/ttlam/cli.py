@@ -295,6 +295,8 @@ def _cmd_bfh(mf: MapFile, args) -> tuple[int, dict]:
 
 
 def _cmd_singular(mf: MapFile, args) -> tuple[int, dict]:
+    if args.window < 1:  # checked here: a map with no singular leaf takes no window
+        raise MapError("prefix length must be >= 1")
     f = mf.map
     g = f.graph
     data = _envelope("singular", mf)

@@ -20,7 +20,7 @@ from .graph import Path, Turn, equivalence_classes, reverse_path, turn
 from .graph_map import GraphSelfMap
 from .nielsen import InpReport, detect_inps, eigenray_prefix, periodic_structures
 from .spectral import pf_data
-from .train_track import gates, ilt_count, legal_segments, used_turns
+from .train_track import gates, ilt_count, legal_segments, require_train_track, used_turns
 
 
 # -- exact factor closure -----------------------------------------------------------
@@ -400,8 +400,11 @@ def ilt_contraction(
     """Drive a word toward the lamination: iterate, trim boundary effects,
     count illegal turns.
 
-    The series is non-increasing: applying f never raises the count and
-    chopping only removes turns; the empty word records 0.  The default
+    f must be a train track map (NotTrainTrackError otherwise), so that the
+    series is non-increasing: applying f never raises the count and
+    chopping only removes turns; the empty word records 0.  A count of 0
+    means a legal word, whose images stay legal, so the series is filled
+    with zeros from there without applying f again.  The default
     boundary trim is C(f) (`GraphSelfMap.cancellation_bound`), which is not
     a proved bounded-cancellation constant, so that the count reaches <= 1
     within `steps` is what `reached_le_one` reports, not a guarantee; see
@@ -409,6 +412,7 @@ def ilt_contraction(
     """
     from .graph import path_reduce
 
+    require_train_track(f)
     if chop is None:
         chop = f.cancellation_bound
     if chop < 0:
@@ -423,9 +427,12 @@ def ilt_contraction(
     if steps is None:
         steps = block * (series[0] + 2)
     for _ in range(steps):
+        if series[-1] == 0:
+            break
         w = f.apply(w)
         w = w[chop : len(w) - chop] if chop else w
         series.append(ilt_count(f, w))
+    series += [0] * (steps + 1 - len(series))
     reached = next((i for i, v in enumerate(series) if v <= 1), -1)
     return ContractionReport(
         series=tuple(series),

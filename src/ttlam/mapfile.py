@@ -11,8 +11,12 @@ Grammar (one declaration per line, `#` starts a comment):
     assert atoroidal
     assert inverse-of <name>
 
-A dart token is an edge name, optionally suffixed with `~` for the reversed
-direction.  Vertex images are inferred from the edge images and checked for
+A name is a letter, digit or `_` followed by letters, digits and `_.*-`.
+Edge names and vertex ids may not use `.` or `*`: subdivision names the
+pieces of edge e as e.1, e.2, ... and its new vertices as e*1, e*2, ..., so
+these two characters are reserved for the names it makes.  A dart token is
+an edge name, optionally suffixed with `~` for the reversed direction.
+Vertex images are inferred from the edge images and checked for
 coherence.  Assertions are unverified metadata: they record what the author
 claims about the map, and reports carry them verbatim so downstream checks
 can treat them as assumptions.
@@ -26,6 +30,7 @@ from .graph import Graph
 from .graph_map import GraphSelfMap
 
 _NAME = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.*-]*$")
+_RESERVED = ".*"  # the separators of the names subdivision makes
 _KNOWN_ASSERTS = ("iwip", "atoroidal", "inverse-of")
 
 
@@ -47,6 +52,14 @@ class MapFile:
 def _check_name(token: str, line: int, what: str) -> str:
     if not _NAME.match(token):
         raise ParseError(f"invalid {what} {token!r}", line)
+    return token
+
+
+def _check_id(token: str, line: int, what: str) -> str:
+    if any(c in _RESERVED for c in _check_name(token, line, what)):
+        raise ParseError(
+            f"{what} {token!r} uses a reserved character: '.' and '*' are kept for subdivision", line
+        )
     return token
 
 
@@ -76,7 +89,7 @@ def parse_map_file(text: str) -> MapFile:
                 raise ParseError("expected: vertex <id>", lineno)
             if in_map:
                 raise ParseError("vertex declared after map section", lineno)
-            vertices.append(_check_name(toks[1], lineno, "vertex id"))
+            vertices.append(_check_id(toks[1], lineno, "vertex id"))
         elif head == "edge":
             if len(toks) != 4:
                 raise ParseError("expected: edge <name> <origin> <terminus>", lineno)
@@ -84,9 +97,9 @@ def parse_map_file(text: str) -> MapFile:
                 raise ParseError("edge declared after map section", lineno)
             edges.append(
                 (
-                    _check_name(toks[1], lineno, "edge name"),
-                    _check_name(toks[2], lineno, "vertex id"),
-                    _check_name(toks[3], lineno, "vertex id"),
+                    _check_id(toks[1], lineno, "edge name"),
+                    _check_id(toks[2], lineno, "vertex id"),
+                    _check_id(toks[3], lineno, "vertex id"),
                 )
             )
             edge_lines.setdefault(toks[1], lineno)

@@ -133,45 +133,7 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
     return p[:n]
 
 
-# -- occurrences of an edge inside its own iterated image ----------------------
-
-@dataclass(frozen=True)
-class Occurrence:
-    """Edge e appears (as a dart) at position `index` inside f^exponent(e)."""
-
-    edge: int
-    exponent: int
-    index: int
-    reversed_: bool
-    kind: str  # "initial-vertex" | "terminal-vertex" | "interior"
-
-
-def occurrences(f: GraphSelfMap, t: int) -> list[Occurrence]:
-    """All self-occurrences at exponent t, classified by the fixed point they
-    carry.
-
-    A forward occurrence at index 0 (resp. the final index) pins the fixed
-    point of the inverse branch to the initial (resp. terminal) vertex.  A
-    reversed occurrence always pins it strictly inside the edge: the branch
-    is orientation-reversing, so its fixed point cannot sit at an endpoint.
-    """
-    out = []
-    for e in range(f.graph.num_edges):
-        p = f.edge_iterates.image(e, t)
-        last = len(p) - 1
-        for i, d in enumerate(p):
-            if d == 2 * e:
-                if i == 0:
-                    kind = "initial-vertex"
-                elif i == last:
-                    kind = "terminal-vertex"
-                else:
-                    kind = "interior"
-                out.append(Occurrence(e, t, i, False, kind))
-            elif d == 2 * e + 1:
-                out.append(Occurrence(e, t, i, True, "interior"))
-    return out
-
+# -- interior periodic points --------------------------------------------------
 
 @dataclass(frozen=True)
 class PeriodicPoint:
@@ -280,16 +242,24 @@ def point_orbit(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[PeriodicPoint,
 
 def _interior_descriptors(f: GraphSelfMap, t: int) -> list[tuple[int, int, int]]:
     """Descriptors (edge, exponent, index) of the interior points fixed by
-    f^t, in occurrence order: forward occurrences at exponent t, reversed
-    ones converted to exponent 2t."""
+    f^t, in the order their occurrences appear in f^t(e), e ascending.
+
+    A forward occurrence of e at index i carries the fixed point of the
+    inverse branch through it; at i = 0 (resp. the final index) that point
+    is the initial (resp. terminal) vertex, so only 0 < i < |f^t(e)| - 1
+    gives an interior point, at exponent t.  A reversed occurrence always
+    carries an interior point, since an orientation-reversing branch fixes
+    no endpoint; it is converted to exponent 2t (`reversed_to_preserving`).
+    """
     out = []
-    for occ in occurrences(f, t):
-        if occ.kind != "interior":
-            continue
-        if occ.reversed_:
-            out.append(reversed_to_preserving(f, occ.edge, t, occ.index))
-        else:
-            out.append((occ.edge, t, occ.index))
+    for e in range(f.graph.num_edges):
+        p = f.edge_iterates.image(e, t)
+        last = len(p) - 1
+        for i, d in enumerate(p):
+            if d == 2 * e + 1:
+                out.append(reversed_to_preserving(f, e, t, i))
+            elif d == 2 * e and 0 < i < last:
+                out.append((e, t, i))
     return out
 
 
@@ -321,104 +291,73 @@ def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
     """Subdivide the graph at the full orbit of one interior periodic point
     and carry f to the refined graph.
 
-    Each edge holding r orbit points splits into r+1 edges named e.1..e.r+1;
-    each orbit point becomes a vertex named e*j.  The rebuilt map is checked
+    Orbit point j, in `point_orbit` order, becomes vertex num_vertices + j,
+    and f sends it to orbit point j + 1 (mod the period).  An edge holding r
+    orbit points splits into r + 1 edges with consecutive ids.  Names are
+    made only for `Graph.build` and the report: the pieces of edge e are
+    e.1 .. e.(r+1), the orbit point that is the j-th along e is e*j, and an
+    edge holding no orbit point keeps its name.  The rebuilt map is checked
     to stay an expanding train track map.
     """
     g = f.graph
     t = point.exponent
     orbit = point_orbit(f, point.edge, t, point.index)
-    by_edge: dict[int, list[PeriodicPoint]] = {}
-    for p in orbit:
-        by_edge.setdefault(p.edge, []).append(p)
-    for e in by_edge:
-        by_edge[e].sort(key=lambda p: p.index)
+    period = len(orbit)
+    nv = g.num_vertices
+    on_edge: list[list[int]] = [[] for _ in range(g.num_edges)]  # orbit points along each edge
+    for j in sorted(range(period), key=lambda j: orbit[j].index):
+        on_edge[orbit[j].edge].append(j)
+    rank = [0] * period  # 1-based place of orbit point j along its edge
+    first = [0]  # edge e splits into the edges first[e] .. first[e + 1] - 1
+    for pts in on_edge:
+        for r, j in enumerate(pts, start=1):
+            rank[j] = r
+        first.append(first[-1] + len(pts) + 1)
 
-    # ranks: descriptor -> (edge, 1-based rank within edge)
-    rank: dict[tuple[int, int], int] = {}
-    for e, pts in by_edge.items():
-        for j, p in enumerate(pts, start=1):
-            rank[(p.edge, p.index)] = j
-
-    vertex_name_of: dict[tuple[int, int], str] = {
-        (p.edge, p.index): f"{g.edge_names[p.edge]}*{rank[(p.edge, p.index)]}"
-        for p in orbit
-    }
-    new_vertex_names = list(g.vertex_names) + [vertex_name_of[(p.edge, p.index)] for p in orbit]
-
+    vertex_names = list(g.vertex_names)
+    vertex_names += (f"{g.edge_names[p.edge]}*{rank[j]}" for j, p in enumerate(orbit))
     edge_split: dict[str, tuple[str, ...]] = {}
-    new_edges: list[tuple[str, str, str]] = []
-    for e in range(g.num_edges):
+    edges: list[tuple[str, str, str]] = []
+    for e, pts in enumerate(on_edge):
         name = g.edge_names[e]
-        pts = by_edge.get(e, [])
-        if not pts:
-            edge_split[name] = (name,)
-            new_edges.append((name, g.vertex_names[g.origin(2 * e)], g.vertex_names[g.terminus(2 * e)]))
-            continue
-        chain = (
-            [g.vertex_names[g.origin(2 * e)]]
-            + [vertex_name_of[(p.edge, p.index)] for p in pts]
-            + [g.vertex_names[g.terminus(2 * e)]]
-        )
-        names = tuple(f"{name}.{j}" for j in range(1, len(pts) + 2))
-        edge_split[name] = names
-        for j, sub in enumerate(names):
-            new_edges.append((sub, chain[j], chain[j + 1]))
+        pieces = tuple(f"{name}.{r}" for r in range(1, len(pts) + 2)) if pts else (name,)
+        edge_split[name] = pieces
+        ends = (g.origin(2 * e), *(nv + j for j in pts), g.terminus(2 * e))
+        chain = [vertex_names[v] for v in ends]
+        edges += zip(pieces, chain, chain[1:])
+    new_graph = Graph.build(vertex_names, edges)
 
-    new_graph = Graph.build(tuple(new_vertex_names), new_edges)
-
-    sub_dart: dict[str, int] = {new_graph.edge_names[i]: 2 * i for i in range(new_graph.num_edges)}
-
-    def rewrite(d: int) -> list[int]:
-        name = g.edge_names[edge_index(d)]
-        fwd = [sub_dart[s] for s in edge_split[name]]
+    def rewrite(d: int) -> range:
+        e = d >> 1
         if d & 1:
-            return [x ^ 1 for x in reversed(fwd)]
-        return fwd
+            return range(2 * first[e + 1] - 1, 2 * first[e], -2)
+        return range(2 * first[e], 2 * first[e + 1], 2)
 
-    # vertex images
-    vindex = {n: i for i, n in enumerate(new_graph.vertex_names)}
-    new_vimg = [0] * new_graph.num_vertices
-    for v in range(g.num_vertices):
-        new_vimg[vindex[g.vertex_names[v]]] = vindex[g.vertex_names[f.vertex_image[v]]]
-    for p in orbit:
-        ie, ii, _ = point_image(f, p.edge, t, p.index)
-        new_vimg[vindex[vertex_name_of[(p.edge, p.index)]]] = vindex[vertex_name_of[(ie, ii)]]
-
-    # edge images, cut at the images of the orbit points
-    new_images: dict[str, Path] = {}
-    for e in range(g.num_edges):
-        w: list[int] = []
-        for d in f.edge_image[e]:
-            w.extend(rewrite(d))
-        pts = by_edge.get(e, [])
+    # edge images, cut where f(e) crosses the image of each orbit point on e
+    images: list[Path] = []
+    for e, pts in enumerate(on_edge):
+        img = f.edge_image[e]
+        w = [x for d in img for x in rewrite(d)]
         cuts = [0]
-        for p in pts:
-            ie, ii, k = point_image(f, p.edge, t, p.index)
-            s = rank[(ie, ii)]
-            r_c = len(by_edge[ie])
-            gdart = f.edge_image[e][k]
-            local = ((r_c + 1) - s) if (gdart & 1) else s
-            before = sum(len(edge_split[g.edge_names[edge_index(q)]]) for q in f.edge_image[e][:k])
-            cuts.append(before + local)
+        for j in pts:
+            k = point_image(f, orbit[j].edge, t, orbit[j].index)[2]
+            before = sum(len(rewrite(d)) for d in img[:k])
+            r = rank[(j + 1) % period]  # the image point's place along the edge of img[k]
+            cuts.append(before + (len(rewrite(img[k])) - r if img[k] & 1 else r))
         cuts.append(len(w))
         if any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise SubdivisionError("orbit images are not ordered along the edge image")
-        for j, sub in enumerate(edge_split[g.edge_names[e]]):
-            new_images[sub] = tuple(w[cuts[j] : cuts[j + 1]])
+        images += (tuple(w[a:b]) for a, b in zip(cuts, cuts[1:]))
 
-    new_map = GraphSelfMap(
-        new_graph,
-        tuple(new_vimg),
-        tuple(new_images[name] for name in new_graph.edge_names),
-    )
+    vertex_image = f.vertex_image + tuple(nv + (j + 1) % period for j in range(period))
+    new_map = GraphSelfMap(new_graph, vertex_image, tuple(images))
     if not new_map.is_expanding:
         raise SubdivisionError("subdivided map lost expansion")
     require_train_track(new_map)
     return SubdivisionResult(
         map=new_map,
         orbit=orbit,
-        new_vertices=tuple(vertex_name_of[(p.edge, p.index)] for p in orbit),
+        new_vertices=tuple(vertex_names[nv:]),
         edge_split=edge_split,
     )
 

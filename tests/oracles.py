@@ -7,8 +7,6 @@ orbit walks, exhaustive path enumeration, numpy eigensolvers, comparison at
 every shift, whole-path iteration.
 """
 
-from itertools import islice
-
 import numpy as np
 
 from ttlam.errors import ConvergenceError, MapError
@@ -194,18 +192,41 @@ def random_reduced_word(g, length, rng, nexts=None):
 def harvest_factors(f, lengths, rounds):
     """{n: length-n factors of f^t(e) for t <= rounds, flip closed} for each
     n in lengths; no stability heuristic, just a fixed horizon.  Each edge
-    is iterated once for all the lengths."""
-    found = {n: set() for n in lengths}
+    is iterated once for all the lengths.  An image is a numpy gather of
+    the dart images, reduced by `reduce_word` only when two adjacent darts
+    cancel; each factor is marked in a table indexed by its digits in base
+    num_darts."""
+    nd = f.graph.num_darts
+    images = [f.edge_image[d >> 1] for d in range(nd)]
+    images = [tuple(x ^ 1 for x in reversed(img)) if d & 1 else img for d, img in enumerate(images)]
+    flat = np.array([x for img in images for x in img], dtype=np.int32)
+    size = np.array([len(img) for img in images], dtype=np.int32)
+    start = np.cumsum(size, dtype=np.int32) - size
+    seen = {n: np.zeros(nd**n, dtype=bool) for n in lengths}
     for e in range(f.graph.num_edges):
-        p = (2 * e,)
+        p = np.array([2 * e], dtype=np.int32)
         for _ in range(rounds):
-            p = apply_map(f, p)
-            for n, words in found.items():
-                words.update(zip(*(islice(p, i, None) for i in range(n))))
-    return {
-        n: words | {tuple(x ^ 1 for x in reversed(w)) for w in words}
-        for n, words in found.items()
-    }
+            k = size[p]
+            offsets = np.repeat(start[p] - np.cumsum(k, dtype=np.int32) + k, k)
+            p = flat[offsets + np.arange(len(offsets), dtype=np.int32)]
+            if np.any(p[:-1] == p[1:] ^ 1):
+                p = np.array(reduce_word(p.tolist()), dtype=np.int32)
+            for n, table in seen.items():
+                code = np.zeros(max(len(p) - n + 1, 0), dtype=np.int64)
+                for i in range(n):
+                    code = code * nd + p[i : i + len(code)]
+                table[code] = True
+    out = {}
+    for n, table in seen.items():
+        words = set()
+        for c in np.flatnonzero(table).tolist():
+            digits = []
+            for _ in range(n):
+                c, r = divmod(c, nd)
+                digits.append(r)
+            words.add(tuple(reversed(digits)))
+        out[n] = words | {tuple(x ^ 1 for x in reversed(w)) for w in words}
+    return out
 
 
 def scan_ray_pairs_by_iteration(f, window, max_period, pf_lengths):

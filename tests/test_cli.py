@@ -390,6 +390,18 @@ def test_contract_rejects_negative_steps(fixture_dir):
     assert error == "step count must be >= 0"
 
 
+def test_contract_of_a_non_train_track_map_is_violation(tmp_path):
+    # without the train track property the series may grow: this map gave
+    # 12, 33, 86, 183, 492 and exit 0
+    mf = tmp_path / "nontt3.tt"
+    mf.write_text(
+        "graph nt3\nvertex v\nedge a v v\nedge b v v\nedge c v v\nmap\n"
+        "a -> b~ c~ b~\nb -> c~ a~\nc -> c a c~\n"
+    )
+    code, text = run_command(["contract", str(mf), "--word", " ".join(["a b"] * 12), "--steps", "4", "--json"])
+    assert (code, json.loads(text)["kind"]) == (1, "property")
+
+
 @pytest.mark.parametrize("length", ["0", "-3"])
 def test_eigenrays_rejects_empty_length(fixture_dir, length):
     error = _input_error(fixture_dir, "eigenrays", "FIX/tribonacci.tt", "--length", length)
@@ -398,8 +410,10 @@ def test_eigenrays_rejects_empty_length(fixture_dir, length):
 
 @pytest.mark.parametrize("window", ["0", "-2"])
 def test_singular_rejects_empty_window(fixture_dir, window):
-    error = _input_error(fixture_dir, "singular", "FIX/tribonacci.tt", "--window", window)
-    assert error == "prefix length must be >= 1"
+    # tribonacci-inv has no singular leaf, so no window reaches the library
+    for name in ("tribonacci", "tribonacci-inv", "fibonacci", "reducible"):
+        error = _input_error(fixture_dir, "singular", f"FIX/{name}.tt", "--window", window)
+        assert error == "prefix length must be >= 1", name
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])

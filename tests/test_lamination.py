@@ -281,6 +281,18 @@ def test_contraction_legal_word_stays_zero(trib):
     assert set(rep.series) == {0}
 
 
+def test_contraction_stops_applying_at_zero(monkeypatch, rose2):
+    # the word's image grows about 2.6x per step while its count stays 0:
+    # the default 39 steps would never end
+    f = GraphSelfMap.build(rose2, {"a": "a b~ a", "b": "b a~"})
+    calls = []
+    apply = GraphSelfMap.apply
+    monkeypatch.setattr(GraphSelfMap, "apply", lambda self, w: calls.append(len(w)) or apply(self, w))
+    rep = ilt_contraction(f, rose2.parse_path(" ".join(["a b"] * 12)), steps=8)
+    assert rep.series == (11,) + (0,) * 8
+    assert len(calls) == 1
+
+
 def test_contraction_rejects_consumed_word(trib, rose3):
     from ttlam import MapError
 

@@ -63,6 +63,18 @@ def test_parse_rejects_junk_before_sections():
         parse_map_file("edge a v v\ngraph g\n")
 
 
+def test_parse_rejects_subdivision_separators_in_ids():
+    # subdivision splits a into a.1 and a.2, which would collide with the
+    # edge a.1 of this map; the same map with b in place of a.1 is fine
+    text = "graph g\nvertex v\nedge a v v\nedge a.1 v v\nedge c v v\nmap\na -> c a a.1\na.1 -> a\nc -> a.1\n"
+    parse_map_file(text.replace("a.1", "b"))
+    with pytest.raises(ParseError, match=r"line 4: edge name 'a\.1' uses a reserved character: '\.' and '\*'"):
+        parse_map_file(text)
+    with pytest.raises(ParseError, match=r"line 2: vertex id 'v\*1' uses a reserved character"):
+        parse_map_file(text.replace(" v", " v*1"))
+    assert parse_map_file(GOOD.replace("graph demo", "graph demo.v2*")).name == "demo.v2*"
+
+
 def test_parse_rejects_unreduced_image():
     bad = GOOD.replace("a -> a b", "a -> b b~ a")
     with pytest.raises(ParseError) as err:

@@ -13,12 +13,12 @@ from ttlam.errors import TtError
 from ttlam.nielsen import (
     NielsenPath,
     _encode,
+    _first_interior_point,
     _interior_descriptors,
     _pf_or_none,
     _scan_ray_pairs,
     _stems,
     _tail_matches,
-    occurrences,
     point_image,
     point_orbit,
     refine_index,
@@ -125,12 +125,10 @@ def test_eigenray_streaming_matches_iteration_any_rose_map(f):
 
 
 def test_occurrences_fib(fib):
-    # f^3(a) = a b a a b: edge a appears at 0 (initial), 2 and 3 (interior)
-    occ = [o for o in occurrences(fib, 3) if o.edge == 0 and not o.reversed_]
-    by_index = {(o.index, o.kind) for o in occ if o.edge == 0}
-    assert (2, "interior") in by_index
-    assert (3, "interior") in by_index
-    assert (0, "initial-vertex") in by_index
+    # f^3(a) = a b a a b: edge a appears at 0 (initial vertex), 2 and 3 (interior)
+    found = _interior_descriptors(fib, 3)
+    assert (0, 3, 2) in found
+    assert (0, 3, 3) in found
 
 
 def interior_periodic_points(f, max_period=6):
@@ -225,6 +223,38 @@ def test_subdivision_preserves_train_track(fib):
     assert res.map.is_expanding
     assert is_train_track(res.map)
     assert abs(pf_data(res.map).lam - pf_data(fib).lam) < 1e-9
+
+
+def _check_subdivision_refines(f):
+    """Read each dart of the subdivided map as the dart of its old edge in
+    the same direction: the images of the pieces of e, laid end to end, read
+    f(e) with every dart repeated once per piece of its edge, and the orbit
+    vertices map around the orbit."""
+    point = _first_interior_point(f, 3)
+    if point is None:
+        return
+    res = subdivide_at(f, point)
+    g, h = f.graph, res.map.graph
+    old_edge = {h.edge_names.index(p): e for e, name in enumerate(g.edge_names) for p in res.edge_split[name]}
+    for e, name in enumerate(g.edge_names):
+        joined = [x for p in res.edge_split[name] for x in res.map.edge_image[h.edge_names.index(p)]]
+        read = [2 * old_edge[x >> 1] + (x & 1) for x in joined]
+        assert read == [d for d in f.edge_image[e] for _ in res.edge_split[g.edge_names[d >> 1]]]
+    new = [h.vertex_names.index(v) for v in res.new_vertices]
+    assert [res.map.vertex_image[v] for v in new] == new[1:] + new[:1]
+    assert res.map.vertex_image[: g.num_vertices] == f.vertex_image
+
+
+def test_subdivision_refines_the_map_fixtures(all_maps):
+    # the two rank-2 maps send an orbit point onto an edge holding two orbit
+    # points, through a reversed dart of f(e)
+    for f in [*all_maps.values(), rose_map(["a b~", "a~"]), rose_map(["b~", "b a~"])]:
+        _check_subdivision_refines(f)
+
+
+@given(positive_rose_maps())
+def test_subdivision_refines_the_map_random(f):
+    _check_subdivision_refines(f)
 
 
 def test_detect_inps_fib(fib, rose2):
@@ -365,11 +395,11 @@ def test_detection_stops_at_first_interior_period(monkeypatch, images):
 
     def counting(f, t):
         assert not any(interior for _, interior in scanned), f"exponent {t} scanned past the first interior period"
-        occ = occurrences(f, t)
-        scanned.append((t, any(o.kind == "interior" for o in occ)))
-        return occ
+        found = _interior_descriptors(f, t)
+        scanned.append((t, bool(found)))
+        return found
 
-    monkeypatch.setattr(ttlam.nielsen, "occurrences", counting)
+    monkeypatch.setattr(ttlam.nielsen, "_interior_descriptors", counting)
     rep = detect_inps(f)
     monkeypatch.undo()
     period = rep.subdivision.orbit[0].period

@@ -57,9 +57,9 @@ print("equivalence classes:", eigenray_equivalence(fwd).num_classes)
 # middle, legal everywhere else.
 sing = singular_leaves(fwd)
 print("\nsingular turn pairs:")
-for t in sing.turn_pairs:
-    w = leaf_window(fwd, t, 12)
-    print(f"  ({g.dart_name(t[0])}, {g.dart_name(t[1])}):  {g.path_str(w)}")
+for leaf in sing.leaves:  # tribonacci has no INP, so every connector is a turn
+    w = leaf_window(fwd, leaf, 12)
+    print(f"  ({g.dart_name(leaf.entry)}, {g.dart_name(leaf.exit)}):  {g.path_str(w)}")
 
 # The dual language collects leaf factors plus singular-leaf factors on
 # the inverse-direction map.

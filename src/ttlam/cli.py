@@ -29,6 +29,7 @@ from .errors import (
     TtError,
 )
 from .graph import all_turns, validate_graph
+from .graph_map import compose, is_inner
 from .lamination import (
     eigenray_equivalence,
     illegality_between,
@@ -97,15 +98,12 @@ def _emit(data: dict, as_json: bool) -> str:
     return _render_text(data) + "\n"
 
 
-def _envelope(command: str, mf: MapFile, extra_assumptions: list[str] | None = None) -> dict:
-    assumptions = list(mf.assertions)
-    if extra_assumptions:
-        assumptions.extend(extra_assumptions)
+def _envelope(command: str, mf: MapFile) -> dict:
     return {
         "schema": 1,
         "command": command,
         "map": mf.name,
-        "assumptions": assumptions,
+        "assumptions": list(mf.assertions),
     }
 
 
@@ -301,15 +299,12 @@ def _cmd_singular(mf: MapFile, args) -> tuple[int, dict]:
     g = f.graph
     data = _envelope("singular", mf)
     sing = singular_leaves(f)
-    data["turn_pairs"] = [_turn_names(g, t) for t in sing.turn_pairs]
+    data["turn_pairs"] = [_turn_names(g, (a, b)) for a, p, b in sing.leaves if not p]
     data["inp_triples"] = [
         {"entry": g.dart_name(a), "path": g.path_str(p), "exit": g.dart_name(b)}
-        for a, p, b in sing.inp_triples
+        for a, p, b in sing.leaves if p
     ]
-    data["windows"] = [
-        g.path_str(leaf_window(f, item, args.window))
-        for item in list(sing.turn_pairs) + list(sing.inp_triples)
-    ]
+    data["windows"] = [g.path_str(leaf_window(f, leaf, args.window)) for leaf in sing.leaves]
     data["conclusive"] = sing.conclusive
     return (OK if sing.conclusive else INCONCLUSIVE), data
 
@@ -317,16 +312,14 @@ def _cmd_singular(mf: MapFile, args) -> tuple[int, dict]:
 def _cmd_dual(mf: MapFile, args) -> tuple[int, dict]:
     f = mf.map
     g = f.graph
-    extra = []
+    data = _envelope("dual", mf)
     if mf.asserts_inverse_of() is None:
         if not args.assume_inverse:
-            data = _envelope("dual", mf)
             data["error"] = (
                 "map file does not assert inverse-of; pass --assume-inverse to proceed"
             )
             return INPUT_ERROR, data
-        extra.append("inverse-of (assumed by flag)")
-    data = _envelope("dual", mf, extra)
+        data["assumptions"].append("inverse-of (assumed by flag)")
     base = leaf_language(f, args.window)
     words = base | singular_language(f, args.window)
     data["window"] = args.window
@@ -336,12 +329,30 @@ def _cmd_dual(mf: MapFile, args) -> tuple[int, dict]:
     return OK, data
 
 
+def _inverse_error(mf: MapFile, against: MapFile) -> str | None:
+    """Why mf's `inverse-of` fails for the reference, if it does: the name must
+    be the reference's, and on one shared vertex the composite must be inner."""
+    if mf.asserts_inverse_of() != against.name:
+        return f"{mf.name} asserts inverse-of {mf.asserts_inverse_of()}, not of {against.name}"
+    g = against.map.graph
+    if g.num_vertices == 1 and g == mf.map.graph:
+        try:
+            if not is_inner(compose(against.map, mf.map)):
+                return f"{against.name} . {mf.name} is not an inner automorphism"
+        except MapError as exc:  # the composite collapses an edge
+            return f"{against.name} . {mf.name}: {exc}"
+    return None
+
+
 def _cmd_illegality(mf: MapFile, args) -> tuple[int, dict]:
     against = parse_map_path(args.against)
     data = _envelope("illegality", mf)
     data["against"] = against.name
     data["assumptions_against"] = list(against.assertions)
     use_dual = mf.asserts_inverse_of() is not None
+    if use_dual and (error := _inverse_error(mf, against)):
+        data["error"] = error
+        return VIOLATION, data
     prof = illegality_between(against.map, mf.map, args.window, dual=use_dual)
     data["language"] = "dual" if use_dual else "leaf"
     data["window"] = args.window

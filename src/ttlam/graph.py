@@ -21,10 +21,6 @@ Path = tuple[int, ...]
 Turn = tuple[int, int]
 
 
-def reverse_dart(d: Dart) -> Dart:
-    """Opposite orientation of the same edge."""
-    return d ^ 1
-
 def edge_index(d: Dart) -> int:
     """Index of the unoriented edge underlying a dart."""
     return d >> 1
@@ -188,14 +184,6 @@ def is_reduced(path: Sequence[int]) -> bool:
 
 def reverse_path(path: Sequence[int]) -> Path:
     return tuple((d ^ 1) for d in reversed(path))
-
-
-def cyclic_reduce(path: Sequence[int]) -> Path:
-    """Reduce, then strip matching first/last darts until cyclically reduced."""
-    p = list(path_reduce(path))
-    while len(p) >= 2 and p[0] == (p[-1] ^ 1):
-        p = p[1:-1]
-    return tuple(p)
 
 
 def turn(d1: Dart, d2: Dart) -> Turn:

@@ -255,10 +255,18 @@ def compose(outer: GraphSelfMap, inner: GraphSelfMap) -> GraphSelfMap:
     """outer . inner on a shared graph, with reduced edge images."""
     if outer.graph != inner.graph:
         raise MapError("composition requires identical graphs")
-    g = outer.graph
     vertex_image = tuple(outer.vertex_image[w] for w in inner.vertex_image)
-    edge_image = tuple(outer.apply(inner.edge_image[i]) for i in range(g.num_edges))
-    for i, img in enumerate(edge_image):
-        if not img:
-            raise MapError(f"composite collapses edge {g.edge_names[i]!r}")
-    return GraphSelfMap(g, vertex_image, edge_image)
+    edge_image = tuple(outer.apply(img) for img in inner.edge_image)
+    return GraphSelfMap(outer.graph, vertex_image, edge_image)  # MapError on a collapsed edge
+
+
+def is_inner(f: GraphSelfMap) -> bool:
+    """Whether f, a map of a one-vertex graph, sends every edge e to [w e w~]
+    for one word w.  Only an edge e with w ending in e or e~ loses darts in
+    w e w~, so on rank >= 2 a longest image is w e w~ and w its first half;
+    on rank 1 every w gives e, as w = () does."""
+    longest = max(f.edge_image, key=len)
+    w = longest[: len(longest) // 2]
+    return all(
+        img == path_reduce(w + (2 * e,) + reverse_path(w)) for e, img in enumerate(f.edge_image)
+    )

@@ -3,22 +3,22 @@
 The attracting lamination of an expanding train track map is described here
 through finite data: the *leaf language* (all length-n factors of iterated
 edge images, closed under reversal), eigenray *equivalence classes* (gates
-joined through used turns, which certify branch points and the iwip
-property), and *singular leaves* (lines through an unused legal turn or an
-indivisible fixed path, which close the gap between the leaf language and
-the full dual lamination of the limit tree).
+joined through used turns, which certify the iwip property), and *singular
+leaves* (eigenray, connector, eigenray: the connector an unused legal turn
+or an indivisible Nielsen path), which close the gap between the leaf
+language and the full dual lamination of the limit tree.
 
 Everything here is window-based and exact: languages are finite sets of dart
 tuples, and every reported structure can be re-checked by direct iteration.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IncompatibleGraphsError, MapError, NotTrainTrackError
-from .graph import Path, Turn, equivalence_classes, reverse_path, turn
+from .graph import Path, equivalence_classes, path_reduce, reverse_path
 from .graph_map import GraphSelfMap
-from .nielsen import InpReport, detect_inps, eigenray_prefix, periodic_structures
+from .nielsen import detect_inps, eigenray_prefix, periodic_structures
 from .spectral import pf_data
 from .train_track import gates, ilt_count, legal_segments, require_train_track, used_turns
 
@@ -133,7 +133,7 @@ def uniform_recurrence_check(f: GraphSelfMap, m: int) -> RecurrenceReport:
     return RecurrenceReport(m=m, witness=witness, conclusive=witness > 0, factors=len(lang))
 
 
-# -- eigenray equivalence and branch points ----------------------------------------
+# -- eigenray equivalence --------------------------------------------------------
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -167,134 +167,65 @@ def eigenray_equivalence(f: GraphSelfMap) -> EquivalenceReport:
     )
 
 
-@dataclass(frozen=True)
-class BranchReport:
-    """Branch points of the limit tree: equivalence classes with >= 3 gates.
-
-    An INP with distinct endpoint vertices glues two classes into one branch
-    point; the traversal direction pair merges, so degrees add up to
-    n1 + n2 - 1.  Closed fixed paths glue a class to itself and are listed
-    separately without a merged degree.
-    """
-
-    degrees: tuple[int, ...]  # per equivalence class, sorted descending
-    branch_degrees: tuple[int, ...]  # only classes with degree >= 3
-    inp_merges: tuple[tuple[str, int], ...]  # (path string, merged degree)
-
-
-def branch_point_classes(f: GraphSelfMap, inps: InpReport | None = None) -> BranchReport:
-    eq = eigenray_equivalence(f)
-    degrees = tuple(sorted((len(cls) for cls in eq.classes), reverse=True))
-    merges = []
-    if inps is not None:
-        gate_of = gates(f).gate_of
-        class_of_gate = {}
-        for idx, cls in enumerate(eq.classes):
-            for gid in cls:
-                class_of_gate[gid] = idx
-        for inp in inps.inps:
-            p = f.graph.origin(inp.path[0])
-            q = f.graph.terminus(inp.path[-1])
-            if p == q:
-                continue
-            g1 = gate_of[inp.path[0]]
-            g2 = gate_of[inp.path[-1] ^ 1]
-            c1 = class_of_gate.get(g1)
-            c2 = class_of_gate.get(g2)
-            if c1 is None or c2 is None or c1 == c2:
-                continue
-            merged = len(eq.classes[c1]) + len(eq.classes[c2]) - 1
-            merges.append((f.graph.path_str(inp.path), merged))
-    return BranchReport(
-        degrees=degrees,
-        branch_degrees=tuple(d for d in degrees if d >= 3),
-        inp_merges=tuple(sorted(merges)),
-    )
-
-
 # -- singular leaves ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SingularReport:
-    """Leaves of the dual lamination beyond the leaf-language closure.
+class SingularLeaf(NamedTuple):
+    """A singular leaf: down the eigenray of `entry`, across `connector`, up
+    the eigenray of `exit`.  A turn leaf has the empty connector and
+    entry < exit; an INP leaf's connector is the INP's path."""
 
-    turn-type: an unused legal turn between two eigen darts at a periodic
-    vertex; the leaf runs down one eigenray, through the turn, up the other.
-    inp-type: a line crossing an indivisible fixed path, entering and leaving
-    through legal turns at its endpoints.
-    """
+    entry: int
+    connector: Path
+    exit: int
 
-    turn_pairs: tuple[Turn, ...]
-    inp_triples: tuple[tuple[int, Path, int], ...]  # (entry dart, inp path, exit dart)
+
+class SingularReport(NamedTuple):
+    """Leaves of the dual lamination beyond the leaf-language closure: the
+    sorted turn leaves, then the sorted INP leaves."""
+
+    leaves: tuple[SingularLeaf, ...]
     conclusive: bool
 
 
 def singular_leaves(f: GraphSelfMap) -> SingularReport:
+    """The turn leaves and INP leaves of f; their ends are eigen darts, which
+    start at periodic vertices.  A turn leaf (d1, (), d2) joins eigen darts
+    d1 < d2 at one vertex, in different gates, whose turn is unused.  For
+    each INP of `detect_inps(f)`, an INP leaf (din, path, dout) joins an
+    eigen dart din outside the gate of the path's first dart to an eigen
+    dart dout outside the gate of its last dart reversed: both turns legal."""
     gt = gates(f)
-    pd = periodic_structures(f)
+    eigen = periodic_structures(f).eigen_darts()
     used = used_turns(f)
-    periodic = set(pd.periodic_vertices())
-    eigen = [d for d in pd.eigen_darts() if f.graph.origin(d) in periodic]
-    pairs = []
-    for i, d1 in enumerate(eigen):
-        for d2 in eigen[i + 1 :]:
-            if f.graph.origin(d1) != f.graph.origin(d2):
-                continue
-            t = turn(d1, d2)
-            if t in used or t[0] == t[1]:
-                continue
-            if not gt.same_gate(d1, d2):
-                pairs.append(t)
-    triples = []
+    origin = f.graph.origin
+
+    def ends(d: int) -> list[int]:  # eigen darts at d's origin, outside d's gate
+        return [e for e in eigen if origin(e) == origin(d) and not gt.same_gate(e, d)]
+
     inps = detect_inps(f)
-    conclusive = inps.conclusive
-    for inp in inps.inps:
-        p_first = inp.path[0]
-        p_last = inp.path[-1]
-        entries = [
-            d
-            for d in eigen
-            if f.graph.origin(d) == f.graph.origin(p_first)
-            and d != p_first
-            and not gt.same_gate(d, p_first)
-        ]
-        exits = [
-            d
-            for d in eigen
-            if f.graph.origin(d) == f.graph.terminus(p_last)
-            and d != (p_last ^ 1)
-            and not gt.same_gate(d, p_last ^ 1)
-        ]
-        for din in entries:
-            for dout in exits:
-                triples.append((din, inp.path, dout))
-    return SingularReport(
-        turn_pairs=tuple(sorted(pairs)),
-        inp_triples=tuple(sorted(triples)),
-        conclusive=conclusive,
-    )
+    turn_leaves = [
+        SingularLeaf(a, (), b) for a in eigen for b in ends(a) if a < b and (a, b) not in used
+    ]
+    inp_leaves = [
+        SingularLeaf(a, inp.path, b)
+        for inp in inps.inps for a in ends(inp.path[0]) for b in ends(inp.path[-1] ^ 1)
+    ]
+    return SingularReport(tuple(sorted(turn_leaves) + sorted(inp_leaves)), inps.conclusive)
 
 
-def leaf_window(f: GraphSelfMap, item, n: int) -> Path:
-    """A 2n-or-longer window of a singular leaf, centered on its connector.
-
-    turn-type item (d1, d2): reverse(ray d1 prefix) + ray d2 prefix.
-    inp-type item (din, path, dout): reverse(ray din) + path + ray dout.
-    """
-    if isinstance(item, tuple) and len(item) == 2 and all(isinstance(x, int) for x in item):
-        d1, d2 = item
-        return reverse_path(eigenray_prefix(f, d1, n)) + eigenray_prefix(f, d2, n)
-    din, mid, dout = item
-    return reverse_path(eigenray_prefix(f, din, n)) + tuple(mid) + eigenray_prefix(f, dout, n)
+def leaf_window(f: GraphSelfMap, leaf: SingularLeaf, n: int) -> Path:
+    """A 2n-or-longer window of a singular leaf, centered on its connector:
+    reverse(ray entry) + connector + ray exit, each ray n darts long."""
+    entry, connector, exit_ = leaf
+    return reverse_path(eigenray_prefix(f, entry, n)) + connector + eigenray_prefix(f, exit_, n)
 
 
 # -- dual language ---------------------------------------------------------------------
 
 def singular_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
     """Length-n factors of the singular leaves' windows, flip closed."""
-    sing = singular_leaves(f)
-    items = list(sing.turn_pairs) + list(sing.inp_triples)
-    return _flip_closed(w for item in items for w in _windows(leaf_window(f, item, n), n))
+    leaves = singular_leaves(f).leaves
+    return _flip_closed(w for leaf in leaves for w in _windows(leaf_window(f, leaf, n), n))
 
 
 def dual_language(f_minus: GraphSelfMap, n: int) -> frozenset[Path]:
@@ -410,8 +341,6 @@ def ilt_contraction(
     within `steps` is what `reached_le_one` reports, not a guarantee; see
     ROADMAP item 1.
     """
-    from .graph import path_reduce
-
     require_train_track(f)
     if chop is None:
         chop = f.cancellation_bound

@@ -165,11 +165,15 @@ def parse_map_path(path: str) -> MapFile:
 
 
 def serialize_map_file(mf: MapFile) -> str:
+    """The map file text of mf; a name the parser would refuse raises its
+    ParseError, with the line number the name would have."""
     g = mf.map.graph
-    lines = [f"graph {mf.name}"]
-    lines.extend(f"vertex {v}" for v in g.vertex_names)
+    names = g.vertex_names
+    lines = [f"graph {_check_name(mf.name, 1, 'graph name')}"]
+    lines.extend(f"vertex {_check_id(v, i, 'vertex id')}" for i, v in enumerate(names, 2))
     for i, e in enumerate(g.edge_names):
-        lines.append(f"edge {e} {g.vertex_names[g.origin(2 * i)]} {g.vertex_names[g.terminus(2 * i)]}")
+        e = _check_id(e, len(lines) + 1, "edge name")
+        lines.append(f"edge {e} {names[g.origin(2 * i)]} {names[g.terminus(2 * i)]}")
     lines.append("map")
     for i, e in enumerate(g.edge_names):
         lines.append(f"{e} -> {g.path_str(mf.map.edge_image[i])}")

@@ -252,21 +252,21 @@ def test_criterion_08_singular_suite(trib):
     bad = []
     rep = singular_leaves(trib)
     name = trib.graph.dart_name
-    got = {tuple(name(d) for d in t) for t in rep.turn_pairs}
+    got = {(name(leaf.entry), name(leaf.exit)) for leaf in rep.leaves if not leaf.connector}
     want = {("a", "b"), ("a", "c"), ("b", "c"), ("b~", "c~")}
     if got != want:
         bad.append(f"turn pairs {sorted(got)}")
     used = used_turns(trib)
     for n in (8, 16, 32):
-        for pair in rep.turn_pairs:
-            w = leaf_window(trib, pair, n)
+        for leaf in rep.leaves:
+            w = leaf_window(trib, leaf, n)
             if not is_reduced(w):
-                bad.append(f"window n={n} for {pair} not reduced")
+                bad.append(f"window n={n} for {leaf} not reduced")
             if ilt_count(trib, w) > 1:
-                bad.append(f"window n={n} for {pair} has ILT > 1")
+                bad.append(f"window n={n} for {leaf} has ILT > 1")
             unused = [t for t in turns_of_path(w) if t not in used]
             if len(unused) != 1:
-                bad.append(f"window n={n} for {pair}: {len(unused)} unused turns")
+                bad.append(f"window n={n} for {leaf}: {len(unused)} unused turns")
     _report(8, "singular leaves: 4 turn pairs, almost-legal windows", bad)
 
 

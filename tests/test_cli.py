@@ -160,6 +160,42 @@ def test_illegality_dual_direction(fixture_dir):
     assert data["max_run"] <= 4
 
 
+def test_illegality_refuses_an_inverse_assertion_that_fails(fixture_dir, tmp_path):
+    # tribonacci-inv asserts it inverts tribonacci, not itself
+    code, text = run_command(
+        [
+            "illegality",
+            str(fixture_dir / "tribonacci-inv.tt"),
+            "--against",
+            str(fixture_dir / "tribonacci-inv.tt"),
+            "--window",
+            "5",
+            "--json",
+        ]
+    )
+    assert code == 1
+    assert "language" not in json.loads(text)
+    assert "inverse-of tribonacci" in json.loads(text)["error"]
+    # the right name on a map that tribonacci-inv does not invert
+    (tmp_path / "ref.tt").write_text(
+        "graph tribonacci\nvertex v\nedge a v v\nedge b v v\nedge c v v\n"
+        "map\na -> a b\nb -> c\nc -> a\n"
+    )
+    code, text = run_command(
+        [
+            "illegality",
+            str(fixture_dir / "tribonacci-inv.tt"),
+            "--against",
+            str(tmp_path / "ref.tt"),
+            "--window",
+            "5",
+            "--json",
+        ]
+    )
+    assert code == 1
+    assert json.loads(text)["error"] == "tribonacci . tribonacci-inv is not an inner automorphism"
+
+
 def test_contract_output(fixture_dir):
     code, text = run_command(
         [

@@ -5,12 +5,10 @@ from hypothesis import given, strategies as st
 
 from ttlam import Graph, GraphError, all_turns
 from ttlam.graph import (
-    cyclic_reduce,
     edge_index,
     extend_reduced,
     is_reduced,
     path_reduce,
-    reverse_dart,
     reverse_path,
     turn,
     turns_of_path,
@@ -29,9 +27,6 @@ def test_equivalence_classes_order():
 
 
 def test_dart_arithmetic():
-    assert reverse_dart(0) == 1
-    assert reverse_dart(1) == 0
-    assert reverse_dart(6) == 7
     assert edge_index(0) == 0
     assert edge_index(1) == 0
     assert edge_index(7) == 3
@@ -83,12 +78,6 @@ def test_path_reduce_examples(rose2):
     assert path_reduce((0, 2, 3, 1)) == ()
     assert path_reduce((0, 2, 3, 0)) == (0, 0)
     assert path_reduce(()) == ()
-
-
-def test_cyclic_reduce(rose2):
-    # b~ a b is reduced but not cyclically: conjugate down to a
-    assert cyclic_reduce((3, 0, 2)) == (0,)
-    assert cyclic_reduce((0, 2)) == (0, 2)
 
 
 def test_turns(rose2):

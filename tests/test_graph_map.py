@@ -1,13 +1,15 @@
 """Graph self-maps: construction, images, iteration, cancellation."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ttlam import Graph, GraphSelfMap, MapError, NotExpandingError
-from ttlam.graph_map import compose
+from ttlam.graph_map import compose, is_inner
 
 from conftest import positive_rose_maps, reduced_rose_maps
-from oracles import apply_map, random_reduced_word
+from oracles import apply_map, random_reduced_word, reduce_word
 
 import random
 
@@ -162,6 +164,26 @@ def test_compose_inverse_pair(trib, trib_inv, rose3):
     other = compose(trib_inv, trib)
     for e in range(3):
         assert other.edge_image[e] == (2 * e,)
+
+
+_WORDS = st.lists(st.integers(0, 3), max_size=2).map(lambda w: tuple(reduce_word(w)))
+
+
+@given(_WORDS, _WORDS)
+def test_is_inner_matches_search_over_conjugators(rose2, w0, w1):
+    # a -> [w0 a w0~], b -> [w1 b w1~] is inner iff one short word w conjugates both
+    def conj(w, d):
+        return tuple(reduce_word(w + (d,) + tuple(x ^ 1 for x in reversed(w))))
+
+    f = GraphSelfMap(rose2, (0,), (conj(w0, 0), conj(w1, 2)))
+    words = {tuple(reduce_word(w)) for k in range(4) for w in itertools.product(range(4), repeat=k)}
+    want = any(f.edge_image == (conj(w, 0), conj(w, 2)) for w in words)
+    assert is_inner(f) == want
+
+
+def test_is_inner_fixtures(trib, trib_inv, fib):
+    assert is_inner(compose(trib, trib_inv)) and is_inner(compose(trib_inv, trib))
+    assert not is_inner(trib) and not is_inner(fib)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))

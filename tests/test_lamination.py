@@ -1,7 +1,7 @@
 """Leaf languages, recurrence, equivalence classes, singular leaves, duality."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
 from ttlam import (
     GraphSelfMap,
@@ -11,6 +11,8 @@ from ttlam import (
     eigenray_equivalence,
     illegality_between,
     ilt_contraction,
+    ilt_count,
+    is_train_track,
     leaf_language,
     leaf_window,
     pf_data,
@@ -18,9 +20,10 @@ from ttlam import (
     transition_matrix,
     uniform_recurrence_check,
 )
-from ttlam.lamination import branch_point_classes, contraction_block, illegality_profile
+from ttlam.graph import is_reduced
+from ttlam.lamination import contraction_block, illegality_profile
 
-from conftest import positive_rose_maps, rose_map
+from conftest import positive_rose_maps, reduced_rose_maps, rose_map
 from oracles import (
     apply_map,
     derivative_orbit_gates,
@@ -148,53 +151,63 @@ def test_equivalence_reducible_split(reducible, rose3):
 
 def test_branch_degrees_trib_inv(trib_inv):
     # one class of three gates: a single degree-3 branch point downstairs
-    rep = branch_point_classes(trib_inv)
-    assert rep.degrees == (3,)
-    assert rep.branch_degrees == (3,)
+    eq = eigenray_equivalence(trib_inv)
+    assert [len(cls) for cls in eq.classes] == [3]
 
 
 def test_branch_degrees_trib(trib):
-    rep = branch_point_classes(trib)
-    assert rep.degrees == (5,)
+    eq = eigenray_equivalence(trib)
+    assert [len(cls) for cls in eq.classes] == [5]
 
 
 def test_singular_trib(trib, rose3):
     rep = singular_leaves(trib)
     assert rep.conclusive
     name = rose3.dart_name
-    got = {tuple(name(d) for d in t) for t in rep.turn_pairs}
+    got = {(name(leaf.entry), name(leaf.exit)) for leaf in rep.leaves}
     assert got == {("a", "b"), ("a", "c"), ("b", "c"), ("b~", "c~")}
-    assert rep.inp_triples == ()
+    assert all(leaf.connector == () for leaf in rep.leaves)
 
 
 def test_singular_trib_inv_empty(trib_inv):
     rep = singular_leaves(trib_inv)
     assert rep.conclusive
-    assert rep.turn_pairs == ()
-    assert rep.inp_triples == ()
+    assert rep.leaves == ()
 
 
 def test_singular_fib_inp_lines(fib):
     rep = singular_leaves(fib)
     assert rep.conclusive
-    assert len(rep.inp_triples) == 4  # entries {a, b~} x exits {a, a~}
+    inp_leaves = [leaf for leaf in rep.leaves if leaf.connector]
+    assert len(inp_leaves) == 4  # entries {a, b~} x exits {a, a~}
 
 
 def test_singular_windows_almost_legal(trib):
-    from ttlam import ilt_count
-    from ttlam.graph import is_reduced, turns_of_path
+    from ttlam.graph import turns_of_path
     from ttlam.train_track import used_turns
 
     used = used_turns(trib)
     rep = singular_leaves(trib)
     for n in (8, 16, 32):
-        for pair in rep.turn_pairs:
-            w = leaf_window(trib, pair, n)
+        for leaf in rep.leaves:
+            w = leaf_window(trib, leaf, n)
             assert is_reduced(w)
             assert ilt_count(trib, w) == 0
             unused = [t for t in turns_of_path(w) if t not in used]
             assert len(unused) == 1
-            assert unused[0] == pair
+            assert unused[0] == (leaf.entry, leaf.exit)
+
+
+@given(st.one_of(positive_rose_maps(), reduced_rose_maps()))
+def test_singular_leaf_windows_cross_one_connector(f):
+    # a window is legal on both rays; a turn leaf's connector is a legal
+    # turn, an INP leaf's carries the INP's one illegal turn
+    assume(f.is_expanding and is_train_track(f))
+    for leaf in singular_leaves(f).leaves:
+        for n in (1, 6):
+            w = leaf_window(f, leaf, n)
+            assert f.graph.is_edge_path(w) and is_reduced(w)
+            assert ilt_count(f, w) == (1 if leaf.connector else 0)
 
 
 def test_dual_equals_leaf_when_no_singulars(trib_inv):

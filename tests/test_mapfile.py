@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ttlam import ParseError
-from ttlam.mapfile import parse_map_file, serialize_map_file
+from ttlam import ParseError, detect_inps
+from ttlam.mapfile import MapFile, parse_map_file, serialize_map_file
+
+from conftest import positive_rose_maps
 
 GOOD = """\
 # comment line
@@ -116,3 +118,17 @@ def test_roundtrip_generated(images):
     lines += [f"{e} -> {w}" for e, w in images.items()]
     mf = parse_map_file("\n".join(lines) + "\n")
     assert parse_map_file(serialize_map_file(mf)).map.edge_image == mf.map.edge_image
+
+
+@given(positive_rose_maps())
+def test_roundtrip_rose_maps(f):
+    mf = MapFile(name="g", map=f, assertions=())
+    assert parse_map_file(serialize_map_file(mf)).map == mf.map
+
+
+def test_serialize_refuses_names_the_parser_refuses(fib):
+    # subdivision names its new vertices a*1, ...: unreadable as a map file
+    sub = detect_inps(fib).subdivision.map
+    with pytest.raises(ParseError, match="line 3: vertex id 'a\\*1' uses a reserved character"):
+        serialize_map_file(MapFile(name="fib", map=sub, assertions=()))
+

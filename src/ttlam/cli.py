@@ -15,19 +15,7 @@ import functools
 import json
 import sys
 
-from .errors import (
-    BudgetExceededError,
-    ConvergenceError,
-    GraphError,
-    IncompatibleGraphsError,
-    MapError,
-    NotExpandingError,
-    NotPrimitiveError,
-    NotTrainTrackError,
-    ParseError,
-    SubdivisionError,
-    TtError,
-)
+from .errors import MapError, ParseError, TtError
 from .graph import all_turns, validate_graph
 from .graph_map import compose, is_inner
 from .lamination import (
@@ -45,6 +33,7 @@ from .spectral import charpoly_coefficients, is_primitive, pf_data, transition_m
 from .train_track import gates, is_legal_turn, is_train_track, two_gates_everywhere, used_turns
 
 OK, VIOLATION, INCONCLUSIVE, INPUT_ERROR = 0, 1, 2, 3
+_EXIT_OF_KIND = {"input": INPUT_ERROR, "property": VIOLATION, "inconclusive": INCONCLUSIVE}
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -440,19 +429,10 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         mf = parse_map_path(args.mapfile)
         code, data = _HANDLERS[args.command](mf, args)
         return code, _emit(data, args.json)
-    except (ParseError, GraphError, MapError, IncompatibleGraphsError, OSError) as exc:
-        payload = {"schema": 1, "error": str(exc), "kind": "input"}
-        as_json = "--json" in argv
-        return INPUT_ERROR, _emit(payload, as_json)
-    except (NotExpandingError, NotTrainTrackError, NotPrimitiveError, SubdivisionError) as exc:
-        payload = {"schema": 1, "error": str(exc), "kind": "property"}
-        return VIOLATION, _emit(payload, "--json" in argv)
-    except (BudgetExceededError, ConvergenceError) as exc:
-        payload = {"schema": 1, "error": str(exc), "kind": "inconclusive"}
-        return INCONCLUSIVE, _emit(payload, "--json" in argv)
-    except TtError as exc:
-        payload = {"schema": 1, "error": str(exc), "kind": "input"}
-        return INPUT_ERROR, _emit(payload, "--json" in argv)
+    except (TtError, OSError) as exc:  # an unreadable file is bad input
+        kind = getattr(exc, "kind", "input")
+        payload = {"schema": 1, "error": str(exc), "kind": kind}
+        return _EXIT_OF_KIND[kind], _emit(payload, "--json" in argv)
 
 
 def main() -> None:

@@ -2,7 +2,10 @@
 
 
 class TtError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  Its `kind` sets the command
+    line's exit code: "input" 3, "property" 1, "inconclusive" 2."""
+
+    kind = "input"
 
 
 class GraphError(TtError):
@@ -16,25 +19,37 @@ class MapError(TtError):
 class NotExpandingError(TtError):
     """Operation requires an expanding map."""
 
+    kind = "property"
+
 
 class NotTrainTrackError(TtError):
     """Operation requires a train track map."""
+
+    kind = "property"
 
 
 class NotPrimitiveError(TtError):
     """Operation requires a primitive transition matrix."""
 
+    kind = "property"
+
 
 class ConvergenceError(TtError):
     """Iterative solver exceeded its iteration cap."""
+
+    kind = "inconclusive"
 
 
 class BudgetExceededError(TtError):
     """A search exhausted its budget; the result is inconclusive, not negative."""
 
+    kind = "inconclusive"
+
 
 class SubdivisionError(TtError):
     """Subdivision produced an inconsistent map."""
+
+    kind = "property"
 
 
 class IncompatibleGraphsError(TtError):

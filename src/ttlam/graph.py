@@ -21,11 +21,6 @@ Path = tuple[int, ...]
 Turn = tuple[int, int]
 
 
-def edge_index(d: Dart) -> int:
-    """Index of the unoriented edge underlying a dart."""
-    return d >> 1
-
-
 @dataclass(frozen=True)
 class Graph:
     """Connected graph with named vertices and edges.
@@ -84,18 +79,8 @@ class Graph:
     def terminus(self, d: Dart) -> int:
         return self.dart_origin[d ^ 1]
 
-    def darts_at(self, v: int) -> tuple[int, ...]:
-        return tuple(d for d in self.darts() if self.dart_origin[d] == v)
-
     def valence(self, v: int) -> int:
         return sum(1 for d in self.darts() if self.dart_origin[d] == v)
-
-    def euler_characteristic(self) -> int:
-        return self.num_vertices - self.num_edges
-
-    def rank(self) -> int:
-        """Rank of the fundamental group (free group rank)."""
-        return 1 - self.euler_characteristic()
 
     # -- names --------------------------------------------------------------
 
@@ -130,10 +115,6 @@ class Graph:
             if self.terminus(a) != self.origin(b):
                 return False
         return True
-
-    def check_edge_path(self, path: Sequence[int]) -> None:
-        if not self.is_edge_path(path):
-            raise GraphError(f"not an edge path: {list(path)}")
 
     def is_closed(self, path: Sequence[int]) -> bool:
         return bool(path) and self.origin(path[0]) == self.terminus(path[-1])

@@ -44,19 +44,9 @@ class GraphSelfMap:
                 raise MapError(f"vertex {g.vertex_names[v]} maps out of range")
         if len(self.edge_image) != g.num_edges:
             raise MapError("edge image table has wrong length")
-        for i, img in enumerate(self.edge_image):
-            name = g.edge_names[i]
-            if not img:
-                raise MapError(f"edge {name!r} has empty image (map not a homotopy equivalence candidate)")
-            if not g.is_edge_path(img):
-                raise MapError(f"image of edge {name!r} is not an edge path")
-            if not is_reduced(img):
-                raise MapError(f"image of edge {name!r} is not reduced")
-            o, t = g.origin(2 * i), g.terminus(2 * i)
-            if g.origin(img[0]) != self.vertex_image[o]:
-                raise MapError(f"image of edge {name!r} starts at the wrong vertex")
-            if g.terminus(img[-1]) != self.vertex_image[t]:
-                raise MapError(f"image of edge {name!r} ends at the wrong vertex")
+        vertex_image = dict(enumerate(self.vertex_image))
+        for e, img in enumerate(self.edge_image):
+            check_image(g, e, img, vertex_image)
 
     @staticmethod
     def build(graph: Graph, images: dict[str, str]) -> "GraphSelfMap":
@@ -67,18 +57,15 @@ class GraphSelfMap:
             raise MapError(f"edge images missing {sorted(missing)} / unknown {sorted(extra)}")
         edge_image = []
         vimg: dict[int, int] = {}
-        for i, name in enumerate(graph.edge_names):
-            img = graph.parse_path(images[name])
-            if not img:
-                raise MapError(f"edge {name!r} has empty image")
-            if not is_reduced(img):
-                raise MapError(f"image of edge {name!r} is not reduced")
-            graph.check_edge_path(img)
-            edge_image.append(img)
-            for v, w in ((graph.origin(2 * i), graph.origin(img[0])),
-                         (graph.terminus(2 * i), graph.terminus(img[-1]))):
-                if vimg.setdefault(v, w) != w:
-                    raise MapError(f"vertex {graph.vertex_names[v]} gets conflicting images")
+        for e, name in enumerate(graph.edge_names):
+            edge_image.append(graph.parse_path(images[name]))
+            check_image(graph, e, edge_image[-1], vimg)
+        return GraphSelfMap.inferred(graph, vimg, edge_image)
+
+    @staticmethod
+    def inferred(graph: Graph, vimg: dict[int, int], edge_image: Sequence[Path]) -> "GraphSelfMap":
+        """The map with these edge images and the vertex images vimg that
+        `check_image` inferred from them; a vertex no edge touches has none."""
         for v in range(graph.num_vertices):
             if v not in vimg:
                 raise MapError(f"vertex {graph.vertex_names[v]} touched by no edge")
@@ -179,12 +166,25 @@ class GraphSelfMap:
                 best = max(best, k)
         return 2 * best
 
-    def describe(self) -> str:
-        g = self.graph
-        lines = []
-        for i, name in enumerate(g.edge_names):
-            lines.append(f"{name} -> {g.path_str(self.edge_image[i])}")
-        return "\n".join(lines)
+
+def check_image(graph: Graph, e: int, img: Path, vertex_image: dict[int, int]) -> None:
+    """Raise MapError unless img can be the image of edge e: a nonempty,
+    reduced edge path whose ends agree with vertex_image, the vertex images
+    known so far.  An end vertex that vertex_image lacks is added to it, so
+    checking the images one at a time infers the vertex images and stops at
+    the first image that conflicts with an earlier one."""
+    name = graph.edge_names[e]
+    if not img:
+        raise MapError(f"edge {name!r} has empty image")
+    if not graph.is_edge_path(img):
+        shown = graph.path_str(img) if all(0 <= d < graph.num_darts for d in img) else list(img)
+        raise MapError(f"image of edge {name!r} is not an edge path: {shown}")
+    if not is_reduced(img):
+        raise MapError(f"image of edge {name!r} is not reduced")
+    for v, w in ((graph.origin(2 * e), graph.origin(img[0])),
+                 (graph.terminus(2 * e), graph.terminus(img[-1]))):
+        if vertex_image.setdefault(v, w) != w:
+            raise MapError(f"vertex {graph.vertex_names[v]} gets conflicting images")
 
 
 T = TypeVar("T")

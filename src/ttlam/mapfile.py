@@ -26,8 +26,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import GraphError, MapError, ParseError
-from .graph import Graph
-from .graph_map import GraphSelfMap
+from .graph import Graph, Path
+from .graph_map import GraphSelfMap, check_image
 
 _NAME = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.*-]*$")
 _RESERVED = ".*"  # the separators of the names subdivision makes
@@ -63,15 +63,27 @@ def _check_id(token: str, line: int, what: str) -> str:
     return token
 
 
+def _declared_graph(vertices: list[str], edges: list[tuple[int, tuple[str, str, str]]]) -> Graph:
+    """The graph of the declarations, each edge given with its line; an edge
+    with an undeclared end vertex fails on its own line."""
+    for lineno, (name, *ends) in edges:
+        for v in ends:
+            if v not in vertices:
+                raise ParseError(f"edge {name!r} uses unknown vertex {v!r}", lineno)
+    return Graph.build(vertices, [edge for _, edge in edges])
+
+
 def parse_map_file(text: str) -> MapFile:
+    """Parse a map file, checking each declaration and edge image on its own
+    line; the graph is complete at the `map` line, as no vertex or edge may
+    follow it."""
     name: str | None = None
     vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    edge_lines: dict[str, int] = {}
-    images: dict[str, str] = {}
-    image_lines: dict[str, int] = {}
+    edges: list[tuple[int, tuple[str, str, str]]] = []  # (line, (name, origin, terminus))
+    graph: Graph | None = None  # built at the map line
+    images: dict[str, Path] = {}
+    vertex_image: dict[int, int] = {}  # inferred from the images read so far
     assertions: list[str] = []
-    in_map = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,29 +96,30 @@ def parse_map_file(text: str) -> MapFile:
             if name is not None:
                 raise ParseError("duplicate graph declaration", lineno)
             name = _check_name(toks[1], lineno, "graph name")
+        elif head in ("vertex", "edge") and graph is not None:
+            raise ParseError(f"{head} declared after map section", lineno)
         elif head == "vertex":
             if len(toks) != 2:
                 raise ParseError("expected: vertex <id>", lineno)
-            if in_map:
-                raise ParseError("vertex declared after map section", lineno)
-            vertices.append(_check_id(toks[1], lineno, "vertex id"))
+            vertex = _check_id(toks[1], lineno, "vertex id")
+            if vertex in vertices:
+                raise ParseError(f"duplicate vertex name {vertex!r}", lineno)
+            vertices.append(vertex)
         elif head == "edge":
             if len(toks) != 4:
                 raise ParseError("expected: edge <name> <origin> <terminus>", lineno)
-            if in_map:
-                raise ParseError("edge declared after map section", lineno)
-            edges.append(
-                (
-                    _check_id(toks[1], lineno, "edge name"),
-                    _check_id(toks[2], lineno, "vertex id"),
-                    _check_id(toks[3], lineno, "vertex id"),
-                )
+            edge = (
+                _check_id(toks[1], lineno, "edge name"),
+                _check_id(toks[2], lineno, "vertex id"),
+                _check_id(toks[3], lineno, "vertex id"),
             )
-            edge_lines.setdefault(toks[1], lineno)
+            if any(edge[0] == other[0] for _, other in edges):
+                raise ParseError(f"duplicate edge name {edge[0]!r}", lineno)
+            edges.append((lineno, edge))
         elif head == "map":
             if len(toks) != 1:
                 raise ParseError("expected: map", lineno)
-            in_map = True
+            graph = graph or _declared_graph(vertices, edges)
         elif head == "assert":
             body = line.split(None, 1)[1] if len(toks) > 1 else ""
             if body == "iwip" or body == "atoroidal":
@@ -118,13 +131,18 @@ def parse_map_file(text: str) -> MapFile:
                     f"unknown assertion {body!r} (known: {', '.join(_KNOWN_ASSERTS)})", lineno
                 )
         elif len(toks) >= 3 and toks[1] == "->":
-            if not in_map:
+            if graph is None:
                 raise ParseError("edge image before the map line", lineno)
             ename = toks[0]
             if ename in images:
                 raise ParseError(f"duplicate image for edge {ename!r}", lineno)
-            images[ename] = " ".join(toks[2:])
-            image_lines[ename] = lineno
+            if ename not in graph.edge_names:
+                raise ParseError(f"image for unknown edge {ename!r}", lineno)
+            try:
+                images[ename] = graph.parse_path(" ".join(toks[2:]))
+                check_image(graph, graph.edge_names.index(ename), images[ename], vertex_image)
+            except (GraphError, MapError) as exc:
+                raise ParseError(str(exc), lineno) from exc
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if name is None:
@@ -133,29 +151,14 @@ def parse_map_file(text: str) -> MapFile:
         raise ParseError("no vertices declared")
     if not edges:
         raise ParseError("no edges declared")
-    try:
-        graph = Graph.build(vertices, edges)
-    except GraphError as exc:
-        msg = str(exc)
-        lineno = next((ln for en, ln in edge_lines.items() if f"{en!r}" in msg), None)
-        raise ParseError(msg, lineno) from exc
-    for ename in images:
-        if ename not in graph.edge_names:
-            raise ParseError(f"image for unknown edge {ename!r}", image_lines[ename])
+    graph = graph or _declared_graph(vertices, edges)
     for ename in graph.edge_names:
         if ename not in images:
             raise ParseError(f"edge {ename!r} has no image")
-    # re-raise per-edge problems with their line numbers
     try:
-        gsm = GraphSelfMap.build(graph, images)
-    except (MapError, GraphError) as exc:
-        msg = str(exc)
-        lineno = None
-        for ename, ln in image_lines.items():
-            if f"{ename!r}" in msg:
-                lineno = ln
-                break
-        raise ParseError(msg, lineno) from exc
+        gsm = GraphSelfMap.inferred(graph, vertex_image, [images[e] for e in graph.edge_names])
+    except MapError as exc:  # a vertex that no edge touches
+        raise ParseError(str(exc)) from exc
     return MapFile(name=name, map=gsm, assertions=tuple(assertions))
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NotPrimitiveError,
     SubdivisionError,
 )
-from .graph import Graph, Path, edge_index, extend_reduced, reverse_path, turn
+from .graph import Graph, Path, extend_reduced, reverse_path, turn
 from .graph_map import GraphSelfMap, per_map
 from .spectral import PFData, pf_data
 from .train_track import gates, is_legal_turn, require_train_track
@@ -150,44 +150,20 @@ class PeriodicPoint:
     period: int
 
 
-def reversed_to_preserving(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]:
-    """Convert a reversed occurrence at exponent t to the orientation-
-    preserving descriptor of the same point at exponent 2t.
+def doubled_index(f: GraphSelfMap, e: int, t: int, i: int) -> int:
+    """Index in f^(2t)(e) of the point that the occurrence P[i] = e or e~,
+    P = f^t(e), carries.
 
-    With P = f^t(e) and P[i] = reverse of e, the point lands at index
-    |f^t(P[:i])| + (|P| - 1 - i) inside f^{2t}(e).
+    f^(2t)(e) = f^t(P), whose block f^t(P[i]) starts at ell = |f^t(P[:i])|
+    and reads P forward when P[i] = e, P reversed when P[i] = e~.  Either
+    way the dart e of that block, the one holding the point, sits at ell + i
+    or at ell + |P| - 1 - i.
     """
     store = f.edge_iterates
     p = store.image(e, t)
-    if p[i] != 2 * e + 1:
-        raise MapError("not a reversed occurrence")
-    lens_t = store.lengths(t)
-    offset = sum(lens_t[edge_index(d)] for d in p[:i])
-    j = offset + (len(p) - 1 - i)
-    lens_2t = store.lengths(2 * t)
-    if not (0 < j < lens_2t[e] - 1):
-        raise MapError("reversed occurrence did not convert to an interior one")
-    return (e, 2 * t, j)
-
-
-def refine_index(f: GraphSelfMap, e: int, t: int, i: int, factor: int) -> int:
-    """Occurrence index of the same point at exponent t*factor.
-
-    i_{(k+1)t} = |f^{kt}(P[:i])| + i_{kt} with P = f^t(e); the prefix stays
-    at the base exponent, so only the exact lengths |f^{kt}(edge)| are needed.
-    """
-    if factor < 1:
-        raise MapError("refinement factor must be >= 1")
-    if factor == 1:
-        return i
-    store = f.edge_iterates
-    counts = [0] * f.graph.num_edges
-    for d in store.image(e, t)[:i]:
-        counts[edge_index(d)] += 1
-    idx = i
-    for k in range(1, factor):
-        idx += sum(c * length for c, length in zip(counts, store.lengths(k * t)))
-    return idx
+    lens = store.lengths(t)
+    ell = sum(lens[d >> 1] for d in p[:i])
+    return ell + (len(p) - 1 - i if p[i] & 1 else i)
 
 
 def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]:
@@ -205,12 +181,12 @@ def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]
     p = store.image(e, t)
     if p[i] != 2 * e:
         raise MapError("descriptor is not an orientation-preserving occurrence")
-    ell = sum(len(f.edge_image[edge_index(d)]) for d in p[:i])
+    ell = sum(len(f.edge_image[d >> 1]) for d in p[:i])
     q = f.edge_image[e]
     lens = store.lengths(t)
     cum = 0
     for k, g in enumerate(q):
-        ge = edge_index(g)
+        ge = g >> 1
         lk = lens[ge]
         pos = ell + k
         if cum <= pos < cum + lk:
@@ -225,21 +201,6 @@ def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]
     raise MapError("fixed point image not located inside f(e)")
 
 
-def point_orbit(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[PeriodicPoint, ...]:
-    """Forward orbit of an interior fixed point of f^t, as descriptors at the
-    shared exponent t; closes exactly because descriptors at one exponent are
-    unique per point, and within t steps because f^t fixes the point."""
-    seq = [(e, i)]
-    ce, ci = e, i
-    for _ in range(t):
-        ce, ci, _ = point_image(f, ce, t, ci)
-        if (ce, ci) == (e, i):
-            period = len(seq)
-            return tuple(PeriodicPoint(a, t, b, period) for a, b in seq)
-        seq.append((ce, ci))
-    raise ConvergenceError(f"point orbit did not close within {t} steps")
-
-
 def _interior_descriptors(f: GraphSelfMap, t: int) -> list[tuple[int, int, int]]:
     """Descriptors (edge, exponent, index) of the interior points fixed by
     f^t, in the order their occurrences appear in f^t(e), e ascending.
@@ -249,7 +210,7 @@ def _interior_descriptors(f: GraphSelfMap, t: int) -> list[tuple[int, int, int]]
     is the initial (resp. terminal) vertex, so only 0 < i < |f^t(e)| - 1
     gives an interior point, at exponent t.  A reversed occurrence always
     carries an interior point, since an orientation-reversing branch fixes
-    no endpoint; it is converted to exponent 2t (`reversed_to_preserving`).
+    no endpoint; it is converted to exponent 2t (`doubled_index`).
     """
     out = []
     for e in range(f.graph.num_edges):
@@ -257,7 +218,7 @@ def _interior_descriptors(f: GraphSelfMap, t: int) -> list[tuple[int, int, int]]
         last = len(p) - 1
         for i, d in enumerate(p):
             if d == 2 * e + 1:
-                out.append(reversed_to_preserving(f, e, t, i))
+                out.append((e, 2 * t, doubled_index(f, e, t, i)))
             elif d == 2 * e and 0 < i < last:
                 out.append((e, t, i))
     return out
@@ -266,11 +227,12 @@ def _interior_descriptors(f: GraphSelfMap, t: int) -> list[tuple[int, int, int]]
 def _first_interior_point(f: GraphSelfMap, max_period: int) -> PeriodicPoint | None:
     """The interior point of period <= max_period that comes first in the
     order (period, edge, index at a common exponent), or None when there is
-    none, without enumerating the rest (see `detect_inps` for why)."""
+    none, without enumerating the rest (see `detect_inps` for why).  The
+    common exponent is 2t, where a reversed descriptor is stored already."""
     for t in range(1, max_period + 1):
         found = _interior_descriptors(f, t)
         if found:
-            e, texp, i = min(found, key=lambda d: (d[0], refine_index(f, *d, 2 * t // d[1])))
+            e, texp, i = min(found, key=lambda d: (d[0], doubled_index(f, *d) if d[1] == t else d[2]))
             return PeriodicPoint(e, texp, i, t)
     return None
 
@@ -291,9 +253,12 @@ def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
     """Subdivide the graph at the full orbit of one interior periodic point
     and carry f to the refined graph.
 
-    Orbit point j, in `point_orbit` order, becomes vertex num_vertices + j,
-    and f sends it to orbit point j + 1 (mod the period).  An edge holding r
-    orbit points splits into r + 1 edges with consecutive ids.  Names are
+    The orbit is walked once: each `point_image` step gives orbit point
+    j + 1 and the dart of f(e_j) holding it, where f(e_j) is cut.  The walk
+    closes at its start within t steps, since f^t fixes the point.  Orbit
+    point j becomes vertex num_vertices + j, and f sends it to orbit point
+    j + 1 (mod the period).  An edge holding r orbit points splits into
+    r + 1 edges with consecutive ids.  Names are
     made only for `Graph.build` and the report: the pieces of edge e are
     e.1 .. e.(r+1), the orbit point that is the j-th along e is e*j, and an
     edge holding no orbit point keeps its name.  The rebuilt map is checked
@@ -301,8 +266,19 @@ def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
     """
     g = f.graph
     t = point.exponent
-    orbit = point_orbit(f, point.edge, t, point.index)
-    period = len(orbit)
+    walk = [(point.edge, point.index)]  # orbit point j as (edge, index) at exponent t
+    cut_dart: list[int] = []  # cut_dart[j]: the dart of f(e_j) holding orbit point j + 1
+    for _ in range(t):
+        ce, ci = walk[-1]
+        ne, ni, k = point_image(f, ce, t, ci)
+        cut_dart.append(k)
+        if (ne, ni) == walk[0]:
+            break
+        walk.append((ne, ni))
+    else:
+        raise ConvergenceError(f"point orbit did not close within {t} steps")
+    period = len(walk)
+    orbit = tuple(PeriodicPoint(e, t, i, period) for e, i in walk)
     nv = g.num_vertices
     on_edge: list[list[int]] = [[] for _ in range(g.num_edges)]  # orbit points along each edge
     for j in sorted(range(period), key=lambda j: orbit[j].index):
@@ -340,7 +316,7 @@ def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
         w = [x for d in img for x in rewrite(d)]
         cuts = [0]
         for j in pts:
-            k = point_image(f, orbit[j].edge, t, orbit[j].index)[2]
+            k = cut_dart[j]
             before = sum(len(rewrite(d)) for d in img[:k])
             r = rank[(j + 1) % period]  # the image point's place along the edge of img[k]
             cuts.append(before + (len(rewrite(img[k])) - r if img[k] & 1 else r))

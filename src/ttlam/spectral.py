@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, MapError, NotPrimitiveError
-from .graph import Path, edge_index
+from .graph import Path
 from .graph_map import GraphSelfMap
 
 
@@ -29,7 +29,7 @@ def transition_matrix(f: GraphSelfMap) -> np.ndarray:
     m = np.zeros((n, n), dtype=np.int64)
     for j in range(n):
         for d in f.edge_image[j]:
-            m[edge_index(d), j] += 1
+            m[d >> 1, j] += 1
     return m
 
 
@@ -100,7 +100,7 @@ class PFData:
     iterations: int
 
     def pf_length(self, path: Path) -> float:
-        return sum(self.pf_lengths[edge_index(d)] for d in path)
+        return sum(self.pf_lengths[d >> 1] for d in path)
 
 
 # |lam - rho| bound that pf_data certifies

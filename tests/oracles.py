@@ -7,6 +7,8 @@ orbit walks, exhaustive path enumeration, numpy eigensolvers, comparison at
 every shift, whole-path iteration.
 """
 
+import functools
+
 import numpy as np
 
 from ttlam.errors import ConvergenceError, MapError
@@ -39,6 +41,60 @@ def apply_map(f, path):
             img = table[d] = tuple(x ^ 1 for x in reversed(img)) if d & 1 else img
         out.extend(img)
     return reduce_word(out)
+
+
+def reduced_successors(g):
+    """For each dart d, the darts that may follow it in a reduced path:
+    every dart leaving the terminus of d except d reversed, read from the
+    graph's origin table."""
+    origin = g.dart_origin
+    return [
+        [x for x in range(g.num_darts) if origin[x] == origin[d ^ 1] and x != d ^ 1]
+        for d in range(g.num_darts)
+    ]
+
+
+@functools.lru_cache(maxsize=64)
+def edge_iterate(f, e, t):
+    """f^t(e) for the forward dart of edge e, by t applications of
+    `apply_map`; each (map, edge, exponent) is built once."""
+    return (2 * e,) if t == 0 else apply_map(f, edge_iterate(f, e, t - 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _offsets_at_multiple(f, e, t, factor):
+    """offsets[i] = sum over 0 < k < factor of |f^(kt)(P[:i])|, P = f^t(e),
+    for every i: a prefix sum of P weighted by the column sums of M^(kt),
+    computed in numpy's object dtype (Python ints)."""
+    n = f.graph.num_edges
+    m = np.zeros((n, n), dtype=object)
+    for j, img in enumerate(f.edge_image):
+        for d in img:
+            m[d >> 1, j] += 1
+    step = np.linalg.matrix_power(m, t)
+    lengths, weight = np.ones(n, dtype=object), np.zeros(n, dtype=object)
+    for _ in range(1, factor):
+        lengths = lengths.dot(step)  # |f^(kt)(edge)|: column sums of M^(kt)
+        weight = weight + lengths
+    weight = weight.tolist()
+    offsets = [0]
+    for d in edge_iterate(f, e, t):
+        offsets.append(offsets[-1] + weight[d >> 1])
+    return offsets
+
+
+def index_at_multiple(f, e, t, i, factor):
+    """Index in f^(factor t)(e) of the point that the forward occurrence
+    P[i] = e, P = f^t(e), carries, for a train track map f.
+
+    f^((k+1)t)(e) = f^(kt)(P) holds the point inside its block f^(kt)(P[i]),
+    which starts after |f^(kt)(P[:i])| darts, so the index is i plus the sum
+    of |f^(kt)(P[:i])| over 0 < k < factor.  P is built by `edge_iterate`;
+    nothing cancels between the blocks of a train track map, so each length
+    is a column sum of M^(kt).
+    """
+    assert edge_iterate(f, e, t)[i] == 2 * e, "not a forward occurrence"
+    return i + _offsets_at_multiple(f, e, t, factor)[i]
 
 
 def derivative_orbit_gates(f):
@@ -92,10 +148,7 @@ def brute_force_inps(f, max_len, max_period=4):
     """
     g = f.graph
     _, assigned = derivative_orbit_gates(f)
-    nexts = [
-        [x for x in g.darts_at(g.terminus(d)) if x != (d ^ 1)]
-        for d in range(g.num_darts)
-    ]
+    nexts = reduced_successors(g)
 
     def flip(path):
         return tuple(x ^ 1 for x in reversed(path))
@@ -179,10 +232,7 @@ def primitivity_exponent(m):
 
 def random_reduced_word(g, length, rng, nexts=None):
     if nexts is None:
-        nexts = [
-            [x for x in g.darts_at(g.terminus(d)) if x != (d ^ 1)]
-            for d in range(g.num_darts)
-        ]
+        nexts = reduced_successors(g)
     w = [rng.randrange(g.num_darts)]
     for _ in range(length - 1):
         w.append(rng.choice(nexts[w[-1]]))

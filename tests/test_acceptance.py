@@ -38,7 +38,7 @@ from ttlam.lamination import illegality_profile
 from ttlam.spectral import is_primitive
 from ttlam.train_track import turn_image
 
-from oracles import bisect_root, brute_force_inps, random_reduced_word
+from oracles import bisect_root, brute_force_inps, random_reduced_word, reduced_successors
 
 
 def _report(num: int, label: str, failures: list[str]) -> None:
@@ -131,10 +131,7 @@ def test_criterion_03_ilt_monotone(all_maps):
     violations = 0
     for f in all_maps.values():
         g = f.graph
-        nexts = [
-            [x for x in g.darts_at(g.terminus(d)) if x != (d ^ 1)]
-            for d in range(g.num_darts)
-        ]
+        nexts = reduced_successors(g)
         for _ in range(10_000):
             w = random_reduced_word(g, rng.randrange(2, 201), rng, nexts)
             if ilt_count(f, f.apply(w)) > ilt_count(f, w):

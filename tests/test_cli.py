@@ -5,7 +5,21 @@ import pathlib
 
 import pytest
 
+from ttlam import cli
 from ttlam.cli import run_command
+from ttlam.errors import (
+    BudgetExceededError,
+    ConvergenceError,
+    GraphError,
+    IncompatibleGraphsError,
+    MapError,
+    NotExpandingError,
+    NotPrimitiveError,
+    NotTrainTrackError,
+    ParseError,
+    SubdivisionError,
+    TtError,
+)
 
 
 def _run(fixture_dir, *args):
@@ -465,3 +479,34 @@ def test_inps_rejects_unusable_max_pf_len(fixture_dir, bound):
     # silently replaced by the smallest window
     error = _input_error(fixture_dir, "inps", "FIX/fibonacci.tt", "--max-pf-len", bound)
     assert error == "max_pf_len must be > 0 and finite"
+
+
+# the README's exit codes: 1 a property violation, 2 inconclusive, 3 bad input
+ERROR_EXITS = [
+    (TtError, 3, "input"),
+    (GraphError, 3, "input"),
+    (MapError, 3, "input"),
+    (ParseError, 3, "input"),
+    (IncompatibleGraphsError, 3, "input"),
+    (NotExpandingError, 1, "property"),
+    (NotTrainTrackError, 1, "property"),
+    (NotPrimitiveError, 1, "property"),
+    (SubdivisionError, 1, "property"),
+    (ConvergenceError, 2, "inconclusive"),
+    (BudgetExceededError, 2, "inconclusive"),
+]
+
+
+def test_every_error_class_has_an_exit():
+    assert set(TtError.__subclasses__()) | {TtError} == {error for error, _, _ in ERROR_EXITS}
+
+
+@pytest.mark.parametrize("error, exit_code, kind", ERROR_EXITS)
+def test_error_kind_sets_the_exit_code(monkeypatch, fixture_dir, error, exit_code, kind):
+    def fail(mf, args):
+        raise error("stopped")
+
+    monkeypatch.setitem(cli._HANDLERS, "gates", fail)
+    argv = ["gates", str(fixture_dir / "fibonacci.tt")]
+    assert run_command(argv) == (exit_code, f"schema: 1\nerror: stopped\nkind: {kind}\n")
+    assert run_command(argv + ["--json"]) == (exit_code, f'{{"error":"stopped","kind":"{kind}","schema":1}}\n')

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from ttlam import Graph, GraphError, all_turns
 from ttlam.graph import (
-    edge_index,
     extend_reduced,
     is_reduced,
     path_reduce,
@@ -26,20 +25,11 @@ def test_equivalence_classes_order():
     assert equivalence_classes([], pairs) == []
 
 
-def test_dart_arithmetic():
-    assert edge_index(0) == 0
-    assert edge_index(1) == 0
-    assert edge_index(7) == 3
-
-
 def test_build_rose(rose3):
     assert rose3.num_vertices == 1
     assert rose3.num_edges == 3
     assert rose3.num_darts == 6
     assert rose3.valence(0) == 6
-    assert rose3.euler_characteristic() == -2
-    assert rose3.rank() == 3
-    assert sorted(rose3.darts_at(0)) == [0, 1, 2, 3, 4, 5]
 
 
 def test_build_theta(theta):
@@ -47,7 +37,6 @@ def test_build_theta(theta):
     assert theta.origin(0) == 0 and theta.terminus(0) == 1
     assert theta.origin(1) == 1 and theta.terminus(1) == 0
     assert theta.valence(0) == 3 == theta.valence(1)
-    assert theta.rank() == 2
 
 
 def test_build_rejects_duplicates():

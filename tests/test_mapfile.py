@@ -48,6 +48,43 @@ def test_parse_errors_carry_line_numbers():
     assert "line 5" in str(err.value)
 
 
+LINES = """\
+graph g
+vertex v
+vertex w
+edge a v v
+edge b v w
+edge c w v
+map
+a -> a b c
+b -> b
+c -> c
+""".splitlines()
+
+
+@pytest.mark.parametrize("lineno, text, error", [
+    pytest.param(9, "b -> z", "line 9: unknown edge 'z'", id="unknown-edge"),
+    pytest.param(8, "a -> a c", "line 8: image of edge 'a' is not an edge path: a c", id="not-a-path"),
+    # the line of the later of the two images
+    pytest.param(9, "b -> a", "line 10: vertex w gets conflicting images", id="conflict"),
+    pytest.param(3, "vertex v", "line 3: duplicate vertex name 'v'", id="duplicate-vertex"),
+    # the duplicate's own line, not the first declaration's
+    pytest.param(6, "edge b w v", "line 6: duplicate edge name 'b'", id="duplicate-edge"),
+])
+def test_parse_errors_name_their_own_line(lineno, text, error):
+    assert parse_map_file("\n".join(LINES) + "\n").map.vertex_image == (0, 1)
+    lines = list(LINES)
+    lines[lineno - 1] = text
+    with pytest.raises(ParseError) as err:
+        parse_map_file("\n".join(lines) + "\n")
+    assert str(err.value) == error
+
+
+def test_parse_accepts_edges_before_vertices():
+    text = "graph g\nedge a v v\nvertex v\nmap\na -> a a\n"
+    assert parse_map_file(text).map.edge_image == ((0, 0),)
+
+
 def test_parse_rejects_duplicate_image():
     bad = GOOD + "a -> b\n"
     with pytest.raises(ParseError):

@@ -19,10 +19,9 @@ from ttlam.nielsen import (
     _scan_ray_pairs,
     _stems,
     _tail_matches,
+    PeriodicPoint,
+    doubled_index,
     point_image,
-    point_orbit,
-    refine_index,
-    reversed_to_preserving,
     stability_verdict,
 )
 
@@ -30,6 +29,8 @@ from conftest import positive_rose_maps, reduced_rose_maps, rose_map
 from oracles import (
     apply_map,
     brute_force_inps,
+    edge_iterate,
+    index_at_multiple,
     iterated_eigenray_prefix,
     quadratic_tail_stems,
     scan_ray_pairs_by_iteration,
@@ -104,7 +105,7 @@ def _check_eigenrays_against_iteration(f, lengths):
     for d in f.graph.darts():
         for n in lengths:
             want = _outcome(iterated_eigenray_prefix, f, d, n)
-            assert _outcome(eigenray_prefix, f, d, n) == want, (f.describe(), d, n)
+            assert _outcome(eigenray_prefix, f, d, n) == want, (f.edge_image, d, n)
 
 
 def test_eigenray_streaming_matches_iteration_fixtures(all_maps):
@@ -136,17 +137,20 @@ def interior_periodic_points(f, max_period=6):
     the full enumeration that `detect_inps` picks the first orbit of.
 
     Orientation-preserving occurrences are found at their period; reversed
-    ones at twice it.  Every discovered descriptor is refined to the common
-    exponent 2*lcm(1..max_period) for duplicate elimination.  It costs
-    O(points x |f^t(e)|), so it stays a test reference.
+    ones at twice it.  Every discovered descriptor is moved to the common
+    exponent 2*lcm(1..max_period) by `index_at_multiple` for duplicate
+    elimination.  A point fixed by f^t occurs at exponent t, and one of
+    minimal period p at no exponent below p, so its period is the first t
+    at which it occurs.  It costs O(points x |f^t(e)|), so it stays a test
+    reference.
     """
     t_canon = 2 * lcm(*range(1, max_period + 1))
     found = {}
     for t in range(1, max_period + 1):
         for e, texp, i in _interior_descriptors(f, t):
-            key = (e, refine_index(f, e, texp, i, t_canon // texp))
+            key = (e, index_at_multiple(f, e, texp, i, t_canon // texp))
             if key not in found:
-                found[key] = point_orbit(f, e, texp, i)[0]
+                found[key] = PeriodicPoint(e, texp, i, t)
     pts = sorted(found.items(), key=lambda kv: (kv[1].period, kv[0]))
     return tuple(p for _, p in pts)
 
@@ -168,26 +172,58 @@ def test_interior_points_trib_orbit(trib, rose3):
     assert all(p.period == 5 for p in pts)
 
 
-def test_reversed_to_preserving_trib_inv(trib_inv):
-    # f(a) = c a~ holds a reversed occurrence of a at index 1; doubling the
-    # exponent produces an orientation-preserving descriptor
-    e, t2, j = reversed_to_preserving(trib_inv, 0, 1, 1)
-    assert (e, t2) == (0, 2)
-    p2 = trib_inv.iterate((0,), 2)
-    assert p2[j] == 0
+def test_doubled_index_of_a_reversed_occurrence_trib_inv(trib_inv):
+    # f(a) = c a~ holds a reversed occurrence of a at index 1; at the doubled
+    # exponent the point sits on a forward a
+    j = doubled_index(trib_inv, 0, 1, 1)
+    assert trib_inv.iterate((0,), 2)[j] == 0
 
 
-def test_refine_index_consistent(fib):
-    # the same point seen at exponent 3 and 6 refines consistently
-    i6 = refine_index(fib, 0, 3, 2, 2)
-    p6 = fib.iterate((0,), 6)
-    assert p6[i6] == 0
-    i12 = refine_index(fib, 0, 6, i6, 2)
-    assert refine_index(fib, 0, 3, 2, 4) == i12
+def test_doubled_index_consistent(fib):
+    # the same point seen at exponent 3, 6 and 12
+    i6 = doubled_index(fib, 0, 3, 2)
+    assert fib.iterate((0,), 6)[i6] == 0
+    i12 = doubled_index(fib, 0, 6, i6)
+    assert i12 == index_at_multiple(fib, 0, 3, 2, 4)
+
+
+def _check_doubled_index(f):
+    """For every occurrence P[i] of e or e~ in P = f^t(e), t <= 3, the dart
+    of f^(2t)(e) = f^t(P) at doubled_index is e.  It is read inside the
+    block f^t(P[i]), which is P or P reversed and starts after the blocks of
+    P[:i]: for a train track map no two blocks cancel.  A forward occurrence
+    also agrees with `index_at_multiple`."""
+    for t in (1, 2, 3):
+        lens = [len(edge_iterate(f, e, t)) for e in range(f.graph.num_edges)]
+        for e in range(f.graph.num_edges):
+            p = edge_iterate(f, e, t)
+            start = 0  # where the block of p[i] starts in f^t(P)
+            for i, d in enumerate(p):
+                if d >> 1 == e:
+                    j = doubled_index(f, e, t, i) - start
+                    assert 0 <= j < len(p), (f.edge_image, e, t, i)
+                    if d & 1:
+                        assert p[len(p) - 1 - j] ^ 1 == 2 * e, (f.edge_image, e, t, i)
+                    else:
+                        assert p[j] == 2 * e, (f.edge_image, e, t, i)
+                        assert j + start == index_at_multiple(f, e, t, i, 2)
+                start += lens[d >> 1]
+
+
+def test_doubled_index_lands_on_the_edge_fixtures(all_maps):
+    for f in all_maps.values():
+        _check_doubled_index(f)
+
+
+# one move per rank keeps |f^3(e)| in the hundreds: doubled_index costs
+# O(i), so checking every occurrence costs O(|f^3(e)|^2)
+@given(positive_rose_maps(moves_per_rank=1))
+def test_doubled_index_lands_on_the_edge_random(f):
+    _check_doubled_index(f)
 
 
 def test_point_image_closes_orbit(fib):
-    orbit = point_orbit(fib, 0, 3, 2)
+    orbit = subdivide_at(fib, PeriodicPoint(0, 3, 2, 3)).orbit
     assert len(orbit) == 3
     assert {p.edge for p in orbit} == {0, 1}
 

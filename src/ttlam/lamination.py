@@ -15,7 +15,7 @@ tuples, and every reported structure can be re-checked by direct iteration.
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import IncompatibleGraphsError, MapError, NotTrainTrackError
+from .errors import IncompatibleGraphsError, MapError
 from .graph import Path, equivalence_classes, path_reduce, reverse_path
 from .graph_map import GraphSelfMap
 from .nielsen import detect_inps, eigenray_prefix, periodic_structures
@@ -29,15 +29,9 @@ from .train_track import gates, ilt_count, legal_segments, require_train_track, 
 # length <= n of f(P) is a factor of f(u) for a factor u of P with |u| <= n,
 # and |u| = n will do when |P| >= n.  The languages below are therefore
 # closures of finite sets under one finite map, with no length budget.  The
-# argument needs the absence of cancellation, so every image checks it.
-
-def _image(f: GraphSelfMap, u: Path) -> Path:
-    """f(u), raising NotTrainTrackError if the image cancels."""
-    img = f.apply(u)
-    if len(img) != sum(len(f.edge_image[d >> 1]) for d in u):
-        raise NotTrainTrackError(f"f({f.graph.path_str(u)}) cancels: not a train track map")
-    return img
-
+# argument needs the absence of cancellation, so each language first
+# requires a train track map; every word it maps is then a factor of an
+# iterated edge image, which is legal.
 
 def _windows(p: Path, n: int) -> set[Path]:
     return {p[i : i + n] for i in range(len(p) - n + 1)}
@@ -57,21 +51,21 @@ def leaf_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
 
     Exact for train track maps: each edge is iterated only until its image
     has n darts, and those images' length-n factors are closed under
-    u -> F_n(f(u)).  Raises NotTrainTrackError if an image cancels, which
-    a train track map never does.
+    u -> F_n(f(u)).  Raises NotTrainTrackError for any other map.
     """
     if n < 1:
         raise MapError("window length must be >= 1")
     f.require_expanding()
+    require_train_track(f)
     words: set[Path] = set()
     for e in range(f.graph.num_edges):
-        p = _image(f, (2 * e,))
+        p = f.apply((2 * e,))
         while len(p) < n:
-            p = _image(f, p)
+            p = f.apply(p)
         words |= _windows(p, n)
     todo = list(words)
     while todo:
-        new = _windows(_image(f, todo.pop()), n) - words
+        new = _windows(f.apply(todo.pop()), n) - words
         words |= new
         todo += new
     return _flip_closed(words)
@@ -101,11 +95,13 @@ def uniform_recurrence_check(f: GraphSelfMap, m: int) -> RecurrenceReport:
     F_<=m(f(u)) over u in S_t(e), a deterministic system on finitely many
     states, so it is run until the tuple (S_t(e))_e repeats; from then on
     it cycles, and the witness is exact.  The length-m words met on the way
-    are exactly the leaf language.
+    are exactly the leaf language.  Raises NotTrainTrackError for a map
+    that is not a train track map.
     """
     if m < 1:
         raise MapError("window length must be >= 1")
     f.require_expanding()
+    require_train_track(f)
     step: dict[Path, frozenset[Path]] = {}
 
     def factors(p: Path) -> frozenset[Path]:
@@ -113,12 +109,12 @@ def uniform_recurrence_check(f: GraphSelfMap, m: int) -> RecurrenceReport:
 
     def advance(s: frozenset[Path]) -> frozenset[Path]:
         for u in s - step.keys():
-            step[u] = factors(_image(f, u))
+            step[u] = factors(f.apply(u))
         return frozenset().union(*(step[u] for u in s))
 
     # history[t - 1] is the tuple (S_t(e))_e
     history: list[tuple[frozenset[Path], ...]] = []
-    state = tuple(factors(_image(f, (2 * e,))) for e in range(f.graph.num_edges))
+    state = tuple(factors(f.apply((2 * e,))) for e in range(f.graph.num_edges))
     while state not in history:
         history.append(state)
         state = tuple(advance(s) for s in state)

@@ -30,7 +30,7 @@ from .errors import (
 from .graph import Graph, Path, extend_reduced, reverse_path, turn
 from .graph_map import GraphSelfMap, per_map
 from .spectral import PFData, pf_data
-from .train_track import gates, is_legal_turn, require_train_track
+from .train_track import is_legal_turn, require_train_track
 
 
 # -- periodic vertices and darts ---------------------------------------------
@@ -346,7 +346,11 @@ class NielsenPath:
 
     `tip_index` marks the illegal turn: it sits between path[tip_index - 1]
     and path[tip_index].  Stored in canonical orientation (lexicographically
-    smaller of the path and its reverse).
+    smaller of the path and its reverse).  The scan builds it canonical, as
+    r1[:m1] + reverse(r2[:m2]) from the eigenrays of eigen darts d1 < d2,
+    which starts with d1 while its reverse starts with d2.  Its tip is m1:
+    both halves are eigenray prefixes of a train track map, hence legal,
+    and the scan has checked that the junction turn is illegal.
     """
 
     path: Path
@@ -357,13 +361,6 @@ class NielsenPath:
     def halves(self) -> tuple[Path, Path]:
         """Legal halves (alpha-bar, beta) with the tip between them."""
         return self.path[: self.tip_index], self.path[self.tip_index :]
-
-
-def _canonical_inp(path: Path, tip: int) -> tuple[Path, int]:
-    rev = reverse_path(path)
-    if rev < path:
-        return rev, len(path) - tip
-    return path, tip
 
 
 def _pf_or_none(f: GraphSelfMap) -> PFData | None:
@@ -397,46 +394,40 @@ def _encode(path: Path) -> str:
     return "".join(map(chr, path))
 
 
-def _tail_matches(s1: str, s2: str, min_agree: int) -> list[int]:
-    """The shifts delta, in ascending order, at which rays r1 and r2, given
-    encoded by `_encode`, have r1[i] and r2[i - delta] agree on the last
-    min_agree darts where both are defined.
+def _tail_stems(r1: Path, r2: Path, s1: str, s2: str, min_agree: int) -> list[tuple[int, int]]:
+    """Stem lengths (m1, m2) of the tail candidates of rays r1, r2 (encoded
+    by `_encode` as s1, s2), in ascending order of the shift delta.
 
-    The aligned overlap is [lo, hi) with hi = min(len(r1), len(r2) + delta).
-    When it ends with r1, those darts are the tail of r1 found in r2 at
-    len(r1) - min_agree - delta; when it ends with r2, they are the tail of
-    r2 found in r1 at len(r2) + delta - min_agree.  Both tails are searched
-    for as substrings.
+    A shift aligns r1[i] with r2[i - delta] on the overlap [lo, hi),
+    lo = max(0, delta), hi = min(len(r1), len(r2) + delta).  It is a
+    candidate when the last min_agree darts of the overlap agree and an
+    earlier one does not; the last mismatch is r1[m1 - 1] != r2[m2 - 1].
+    The overlap ends where one ray ends, so its last min_agree darts are
+    that ray's tail found in the other ray, and every such occurrence is a
+    shift: a substring search for both tails visits exactly these shifts,
+    in linear time rather than quadratic, and sorting them keeps the order
+    of a scan over every shift.
+
+    The overlap of a shift found holds at least min_agree darts, the last
+    min_agree agreeing, so the mismatch scan starts at hi - min_agree - 1.
+    A mismatch there gives lo + 1 <= m1 <= hi - min_agree, hence m1 >= 1,
+    m2 = m1 - delta >= lo + 1 - delta >= 1, and min_agree agreeing darts
+    after it; an overlap that agrees throughout gives no candidate.
     """
     n1, n2 = len(s1), len(s2)
     if min(n1, n2) < min_agree:
         return []
     shifts = {n1 - min_agree - pos for pos in _occurrences_of(s1[n1 - min_agree :], s2)}
     shifts.update(pos + min_agree - n2 for pos in _occurrences_of(s2[n2 - min_agree :], s1))
-    return sorted(shifts)
-
-
-def _stems(r1: Path, r2: Path, delta: int, min_agree: int) -> tuple[int, int] | None:
-    """Stem lengths (m1, m2) of the tail candidate at shift delta: r1[m1:]
-    and r2[m2:] agree to the end of the overlap on at least min_agree darts,
-    and r1[m1 - 1] != r2[m2 - 1].  None when the shift gives no candidate."""
-    lo = max(0, delta)
-    hi = min(len(r1), len(r2) + delta)
-    if hi - lo < min_agree + 1:
-        return None
-    mismatch = -1
-    for i in range(hi - 1, lo - 1, -1):
-        if r1[i] != r2[i - delta]:
-            mismatch = i
-            break
-    if mismatch < 0:
-        # windows nested from the very start: not INP-shaped
-        return None
-    m1 = mismatch + 1
-    m2 = m1 - delta
-    if m1 < 1 or m2 < 1 or hi - m1 < min_agree:
-        return None
-    return m1, m2
+    out = []
+    for delta in sorted(shifts):
+        lo = max(0, delta)
+        hi = min(n1, n2 + delta)
+        for i in range(hi - min_agree - 1, lo - 1, -1):
+            if r1[i] != r2[i - delta]:
+                out.append((i + 1, i + 1 - delta))
+                break
+    return out
 
 
 def _nielsen_period(f: GraphSelfMap, a: Path, b: Path, max_period: int) -> int | None:
@@ -480,76 +471,55 @@ def _scan_ray_pairs(
     window: int,
     max_period: int,
     pf: PFData | None,
-) -> tuple[set[tuple[Path, int]], list[tuple[Path, int]], list[str]]:
+) -> tuple[dict[Path, tuple[int, int]], list[str]]:
     """One pass of eigenray tail matching at a fixed window size.
 
-    Returns (verified INPs as (canonical path, period), failed full-window
-    candidates, notes).  Candidates require: tails agree to the window end,
-    the preceding darts differ, both stems are nonempty, and the junction
-    turn is illegal; verification is the exact identity [f^s(eta)] = eta
-    at the least s <= max_period where it holds (`_nielsen_period`, which
-    rules most periods out by an integer length test before building
-    anything).
+    Returns (verified INPs as {path: (period, tip)}, notes), one note for
+    each candidate that failed.  Candidates come from `_tail_stems`: tails
+    agree to the window end, the preceding darts differ, both stems are
+    nonempty; the junction turn must be illegal, and verification is the
+    exact identity [f^s(eta)] = eta at the least s <= max_period where it
+    holds (`_nielsen_period`, which rules most periods out by an integer
+    length test before building anything).
     A genuine INP expands both halves by the same overflow, forcing equal
     PF-lengths; unequal-stem coincidences are discarded as impossible rather
     than held against conclusiveness.
-
-    A shift delta aligns r1[i] with r2[i - delta] on the overlap [lo, hi),
-    hi = min(n1, n2 + delta).  `_stems` keeps a shift only when the last
-    min_agree darts of the overlap agree.  The overlap ends where r1 ends
-    (hi = n1) or where r2 ends (hi = n2 + delta), so those darts are the
-    last min_agree darts of one ray, found inside the other.  Conversely,
-    every occurrence of one ray's tail in the other ray is a shift in
-    -(n2 - min_agree) .. n1 - min_agree, the range a comparison of every
-    shift would scan.  So `_tail_matches`, a substring search for both
-    tails, visits every shift that `_stems` can keep, in linear time rather
-    than quadratic, and in ascending order, which keeps the order of the
-    candidates and notes of a scan over every shift.  Each ray is encoded
-    for that search once per scan.
     """
     pd = periodic_structures(f)
     eigen = pd.eigen_darts()
     rays = {d: eigenray_prefix(f, d, window) for d in eigen}
     codes = {d: _encode(r) for d, r in rays.items()}
     min_agree = max(16, window // 2)
-    verified: set[tuple[Path, int]] = set()
-    failed: list[tuple[Path, int]] = []
+    verified: dict[Path, tuple[int, int]] = {}
     notes: list[str] = []
     seen: set[Path] = set()
     for a in range(len(eigen)):
         for b in range(a + 1, len(eigen)):
             r1, r2 = rays[eigen[a]], rays[eigen[b]]
-            for delta in _tail_matches(codes[eigen[a]], codes[eigen[b]], min_agree):
-                stems = _stems(r1, r2, delta, min_agree)
-                if stems is None:
-                    continue
-                m1, m2 = stems
+            for m1, m2 in _tail_stems(r1, r2, codes[eigen[a]], codes[eigen[b]], min_agree):
                 eta = r1[:m1] + reverse_path(r2[:m2])
-                canon, tip = _canonical_inp(eta, m1)
-                if canon in seen:
+                if eta in seen:
                     continue
-                seen.add(canon)
+                seen.add(eta)
                 if pf is not None:
                     l1 = pf.pf_length(r1[:m1])
                     l2 = pf.pf_length(r2[:m2])
                     if abs(l1 - l2) > 1e-6 * max(l1, l2):
                         continue
                 if is_legal_turn(f, turn(r1[m1 - 1] ^ 1, r2[m2 - 1] ^ 1)):
-                    failed.append((canon, tip))
                     notes.append(
                         f"tail coincidence with legal junction at window {window}: "
-                        f"{f.graph.path_str(canon)}"
+                        f"{f.graph.path_str(eta)}"
                     )
                     continue
                 period = _nielsen_period(f, r1[:m1], r2[:m2], max_period)
                 if period is not None:
-                    verified.add((canon, period))
+                    verified[eta] = (period, m1)
                 else:
-                    failed.append((canon, tip))
                     notes.append(
-                        f"unverified tail candidate at window {window}: {f.graph.path_str(canon)}"
+                        f"unverified tail candidate at window {window}: {f.graph.path_str(eta)}"
                     )
-    return verified, failed, notes
+    return verified, notes
 
 
 def _detect_on(
@@ -557,31 +527,23 @@ def _detect_on(
     window: int,
     max_period: int,
     pf: PFData | None,
-) -> tuple[tuple[NielsenPath, ...], bool, list[str]]:
-    """Scan at the window, then at twice and four times it, until no
-    unverified candidates remain; the notes are those of the last scan."""
+) -> tuple[tuple[NielsenPath, ...], list[str]]:
+    """Scan at the window, then at twice and four times it, until a scan
+    leaves no note; the notes are those of the last scan."""
     for w in (window, 2 * window, 4 * window):
-        verified, failed, notes = _scan_ray_pairs(f, w, max_period, pf)
-        if not failed:
+        verified, notes = _scan_ray_pairs(f, w, max_period, pf)
+        if not notes:
             break
     inps = tuple(
         NielsenPath(
-            path=canon,
+            path=path,
             period=s,
-            tip_index=_tip_of(f, canon),
-            closed=f.graph.is_closed(canon),
+            tip_index=tip,
+            closed=f.graph.is_closed(path),
         )
-        for canon, s in sorted(verified)
+        for path, (s, tip) in sorted(verified.items())
     )
-    return inps, not failed, notes
-
-
-def _tip_of(f: GraphSelfMap, path: Path) -> int:
-    gate_of = gates(f).gate_of
-    tips = [i for i in range(1, len(path)) if gate_of[path[i - 1] ^ 1] == gate_of[path[i]]]
-    if len(tips) != 1:
-        raise MapError("path does not have exactly one illegal turn")
-    return tips[0]
+    return inps, notes
 
 
 @dataclass(frozen=True)
@@ -634,19 +596,18 @@ def detect_inps(
         raise MapError("max_pf_len must be > 0 and finite")
     pf = _pf_or_none(f)
     w = _default_window(pf, max_pf_len)
-    inps, conclusive, notes = _detect_on(f, w, max_period, pf)
+    inps, notes = _detect_on(f, w, max_period, pf)
     sub: SubdivisionResult | None = None
     sub_inps: tuple[NielsenPath, ...] = ()
     point = _first_interior_point(f, max_period)
     if point is not None:
         sub = subdivide_at(f, point)
         sub_pf = _pf_or_none(sub.map)
-        sub_inps, c2, n2 = _detect_on(sub.map, _default_window(sub_pf, max_pf_len), max_period, sub_pf)
-        conclusive = conclusive and c2
-        notes = notes + n2
+        sub_inps, sub_notes = _detect_on(sub.map, _default_window(sub_pf, max_pf_len), max_period, sub_pf)
+        notes = notes + sub_notes
     return InpReport(
         inps=inps,
-        conclusive=conclusive,
+        conclusive=not notes,
         window=w,
         notes=tuple(notes),
         subdivision=sub,
@@ -660,7 +621,6 @@ class StabilityReport:
 
     status: str  # "pass" | "fail" | "inconclusive"
     reason: str
-    inps: InpReport
 
 
 def stability_verdict(f: GraphSelfMap, rep: InpReport) -> StabilityReport:
@@ -678,18 +638,15 @@ def stability_verdict(f: GraphSelfMap, rep: InpReport) -> StabilityReport:
         return StabilityReport(
             status="fail",
             reason=f"closed indivisible fixed path {shown}: invariant conjugacy class (surface-type)",
-            inps=rep,
         )
     if not rep.conclusive:
         return StabilityReport(
             status="inconclusive",
             reason="unverified eigenray tail coincidences remain",
-            inps=rep,
         )
     if rep.inps or rep.subdivided_inps:
         return StabilityReport(
             status="pass",
             reason="indivisible fixed paths exist but none is closed",
-            inps=rep,
         )
-    return StabilityReport(status="pass", reason="no indivisible fixed paths found", inps=rep)
+    return StabilityReport(status="pass", reason="no indivisible fixed paths found")

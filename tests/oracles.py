@@ -280,12 +280,14 @@ def harvest_factors(f, lengths, rounds):
 
 
 def scan_ray_pairs_by_iteration(f, window, max_period, pf_lengths):
-    """(verified, failed, notes) of one eigenray tail scan at a window, as
+    """(verified, notes) of one eigenray tail scan at a window, as
     ``nielsen._scan_ray_pairs`` defines them, from the definitions: eigenrays
     by whole-path iteration of apply_map, candidates from a comparison at
-    every shift, legality from Df orbits, and each candidate verified by
-    applying f at every period up to max_period.  pf_lengths (or None)
-    drives the same PF-length filter."""
+    every shift, each put in canonical orientation, legality from Df orbits,
+    each candidate verified by applying f at every period up to max_period,
+    and the tip of a verified path read as its only illegal turn.
+    verified maps each path to (period, tip).  pf_lengths (or None) drives
+    the same PF-length filter."""
     g = f.graph
     nd = g.num_darts
     _, assigned = derivative_orbit_gates(f)
@@ -305,6 +307,9 @@ def scan_ray_pairs_by_iteration(f, window, max_period, pf_lengths):
     def flip(path):
         return tuple(x ^ 1 for x in reversed(path))
 
+    def illegal_turns(path):
+        return [i for i in range(1, len(path)) if assigned[path[i - 1] ^ 1] == assigned[path[i]]]
+
     def ray(d, k):
         p = (d,)
         while len(p) < window:
@@ -318,13 +323,13 @@ def scan_ray_pairs_by_iteration(f, window, max_period, pf_lengths):
     eigen = [d for d in range(nd) if df_period(d) is not None]
     rays = {d: ray(d, df_period(d)) for d in eigen}
     min_agree = max(16, window // 2)
-    verified, failed, notes, seen = set(), [], [], set()
+    verified, notes, seen = {}, [], set()
     for i, d1 in enumerate(eigen):
         for d2 in eigen[i + 1 :]:
             r1, r2 = rays[d1], rays[d2]
             for m1, m2 in quadratic_tail_stems(r1, r2, min_agree):
                 eta = r1[:m1] + flip(r2[:m2])
-                canon, tip = (flip(eta), len(eta) - m1) if flip(eta) < eta else (eta, m1)
+                canon = min(eta, flip(eta))
                 if canon in seen:
                     continue
                 seen.add(canon)
@@ -335,19 +340,19 @@ def scan_ray_pairs_by_iteration(f, window, max_period, pf_lengths):
                         continue
                 x, y = r1[m1 - 1] ^ 1, r2[m2 - 1] ^ 1
                 if x != y and assigned[x] != assigned[y]:
-                    failed.append((canon, tip))
                     notes.append(f"tail coincidence with legal junction at window {window}: {g.path_str(canon)}")
                     continue
                 w = canon
                 for s in range(1, max_period + 1):
                     w = apply_map(f, w)
                     if w == canon:
-                        verified.add((canon, s))
+                        tips = illegal_turns(canon)
+                        assert len(tips) == 1, "a verified path has exactly one illegal turn"
+                        verified[canon] = (s, tips[0])
                         break
                 else:
-                    failed.append((canon, tip))
                     notes.append(f"unverified tail candidate at window {window}: {g.path_str(canon)}")
-    return verified, failed, notes
+    return verified, notes
 
 
 def quadratic_tail_stems(r1, r2, min_agree):

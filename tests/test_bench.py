@@ -1,9 +1,12 @@
 """The benchmark's traced run still finds every function it wraps by name,
-and its oracle checks pass on the rose maps of rank 3-20."""
+and its oracle checks pass on the rose maps of rank 3-20 of its structure,
+INP and language workloads."""
 
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -21,6 +24,8 @@ def test_bench_trace_runs():
     _run_bench("fixtures-cli", "1")
 
 
-def test_bench_rose_structure_matches_oracles():
-    # check, gates and turns reports against tests/oracles.py on every map
-    _run_bench("rose-structure", "0")
+@pytest.mark.parametrize("workload", ["rose-structure", "rose-nielsen", "rose-language"])
+def test_bench_matches_oracles(workload):
+    # every report of the workload against its checks in bench/checks.py,
+    # which read tests/oracles.py, on every map
+    _run_bench(workload, "0")

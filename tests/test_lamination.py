@@ -86,12 +86,15 @@ def test_leaf_language_rank5_regression():
 
 def test_collapsing_map_is_not_train_track(rose2):
     # f^2(b) = a b b~ a~ reduces to the empty path: no train track, and the
-    # lengthening loop must not wait for the image to grow
+    # lengthening loop must not wait for the image to grow; a window of one
+    # dart, where no image cancels, must still refuse it
     f = GraphSelfMap.build(rose2, {"a": "a b", "b": "b~ a~"})
-    with pytest.raises(NotTrainTrackError):
-        leaf_language(f, 8)
-    with pytest.raises(NotTrainTrackError):
-        uniform_recurrence_check(f, 2)
+    for n in (8, 1):
+        with pytest.raises(NotTrainTrackError):
+            leaf_language(f, n)
+    for m in (2, 1):
+        with pytest.raises(NotTrainTrackError):
+            uniform_recurrence_check(f, m)
 
 
 def test_leaf_language_trib_inv_n3_regression(trib_inv):

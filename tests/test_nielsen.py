@@ -17,8 +17,7 @@ from ttlam.nielsen import (
     _interior_descriptors,
     _pf_or_none,
     _scan_ray_pairs,
-    _stems,
-    _tail_matches,
+    _tail_stems,
     PeriodicPoint,
     doubled_index,
     point_image,
@@ -29,6 +28,7 @@ from conftest import positive_rose_maps, reduced_rose_maps, rose_map
 from oracles import (
     apply_map,
     brute_force_inps,
+    derivative_orbit_gates,
     edge_iterate,
     index_at_multiple,
     iterated_eigenray_prefix,
@@ -445,8 +445,7 @@ def test_detection_stops_at_first_interior_period(monkeypatch, images):
 
 
 def _candidate_stems(r1, r2, min_agree):
-    stems = (_stems(r1, r2, d, min_agree) for d in _tail_matches(_encode(r1), _encode(r2), min_agree))
-    return [s for s in stems if s is not None]
+    return _tail_stems(r1, r2, _encode(r1), _encode(r2), min_agree)
 
 
 # rays over two or three darts repeat a lot, so one tail occurs many times
@@ -490,7 +489,7 @@ def test_scan_matches_iteration_oracle_fixtures(all_maps):
     for f in maps:
         for window in (64, 155):
             for max_period in (1, 2, 6):
-                verified, failed, notes = _scan_against_oracle(f, window, max_period)
+                verified, notes = _scan_against_oracle(f, window, max_period)
                 kinds.update(note.split(" at window")[0] for note in notes)
                 kinds.update("verified" for _ in verified)
     # every outcome of a candidate occurs: verified, unverified, legal junction
@@ -516,7 +515,8 @@ def _iterate_lengths(f, s):
 
 def _check_length_identity(f, rep):
     """Every verified INP a b~ of period s has sum_a |f^s(d)| - |a| equal to
-    sum_b |f^s(d)| - |b|; returns how many INPs were checked."""
+    sum_b |f^s(d)| - |b|, its tip as its only illegal turn, and canonical
+    orientation; returns how many INPs were checked."""
     found = [(f, p) for p in rep.inps]
     if rep.subdivision is not None:
         found += [(rep.subdivision.map, p) for p in rep.subdivided_inps]
@@ -525,6 +525,11 @@ def _check_length_identity(f, rep):
         a, b_bar = inp.halves()
         b = tuple(x ^ 1 for x in reversed(b_bar))
         assert sum(lens[d >> 1] for d in a) - len(a) == sum(lens[d >> 1] for d in b) - len(b)
+        _, gate_of = derivative_orbit_gates(g)
+        path = inp.path
+        tips = [i for i in range(1, len(path)) if gate_of[path[i - 1] ^ 1] == gate_of[path[i]]]
+        assert tips == [inp.tip_index]
+        assert path <= tuple(x ^ 1 for x in reversed(path))
     return len(found)
 
 

@@ -30,8 +30,8 @@ g = f.graph
 # attracting lamination leaf.
 pd = periodic_structures(f)
 print("eigen darts and periods:")
-for d in pd.eigen_darts():
-    print(f"  {g.dart_name(d)}: period {pd.dart_period_of(d)}")
+for d, period in pd.dart_period.items():
+    print(f"  {g.dart_name(d)}: period {period}")
 ray = eigenray_prefix(f, 0, 24)
 print("ray from a:", g.path_str(ray))
 

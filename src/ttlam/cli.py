@@ -48,8 +48,6 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return sorted(_round_floats(v) for v in obj)
     return obj
 
 
@@ -100,12 +98,11 @@ def _turn_names(g, t):
     return [g.dart_name(t[0]), g.dart_name(t[1])]
 
 
-# -- handlers (each returns (exit_code, data)) ---------------------------------
+# -- handlers (each fills in the report `data`, returns the exit code) -------
 
-def _cmd_check(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_check(mf: MapFile, args, data: dict) -> int:
     f = mf.map
     g = f.graph
-    data = _envelope("check", mf)
     problems = validate_graph(g)
     data["graph_valid"] = not problems
     data["graph_problems"] = problems
@@ -139,13 +136,12 @@ def _cmd_check(mf: MapFile, args) -> tuple[int, dict]:
         and eq.num_classes == 1
     )
     data["pass"] = ok
-    return (OK if ok else VIOLATION), data
+    return OK if ok else VIOLATION
 
 
-def _cmd_gates(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_gates(mf: MapFile, args, data: dict) -> int:
     f = mf.map
     g = f.graph
-    data = _envelope("gates", mf)
     gt = gates(f)
     pd = periodic_structures(f)
     out = []
@@ -153,8 +149,8 @@ def _cmd_gates(mf: MapFile, args) -> tuple[int, dict]:
         out.append(
             {
                 "vertex": g.vertex_names[v],
-                "periodic": pd.vertex_period_of(v) is not None,
-                "period": pd.vertex_period_of(v),
+                "periodic": v in pd.vertex_period,
+                "period": pd.vertex_period.get(v),
                 "gates": [
                     [g.dart_name(d) for d in gt.members[gid]] for gid in gt.gates_at(v)
                 ],
@@ -162,15 +158,14 @@ def _cmd_gates(mf: MapFile, args) -> tuple[int, dict]:
         )
     data["vertices"] = out
     data["eigen_darts"] = [
-        {"dart": g.dart_name(d), "period": p} for d, p in pd.dart_period
+        {"dart": g.dart_name(d), "period": p} for d, p in pd.dart_period.items()
     ]
-    return OK, data
+    return OK
 
 
-def _cmd_turns(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_turns(mf: MapFile, args, data: dict) -> int:
     f = mf.map
     g = f.graph
-    data = _envelope("turns", mf)
     turns = all_turns(g)
     legal = [is_legal_turn(f, t) for t in turns]
     used_set = used_turns(f)
@@ -185,20 +180,19 @@ def _cmd_turns(mf: MapFile, args) -> tuple[int, dict]:
         "used": sum(used),
         "used_illegal": sum(u and not ok for ok, u in zip(legal, used)),
     }
-    return OK, data
+    return OK
 
 
-def _cmd_pf(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_pf(mf: MapFile, args, data: dict) -> int:
     f = mf.map
     g = f.graph
-    data = _envelope("pf", mf)
     m = transition_matrix(f)
     data["matrix"] = [[int(x) for x in row] for row in m]
     prim = is_primitive(m)
     data["primitive"] = prim
     if not prim:
         data["error"] = "transition matrix is not primitive"
-        return VIOLATION, data
+        return VIOLATION
     pf = pf_data(f, tol=args.tol)
     data["lambda"] = pf.lam
     if g.num_edges <= 6:
@@ -210,13 +204,12 @@ def _cmd_pf(mf: MapFile, args) -> tuple[int, dict]:
     data["c_illegal"] = pf.c_illegal
     data["residual"] = pf.residual
     data["iterations"] = pf.iterations
-    return OK, data
+    return OK
 
 
-def _cmd_inps(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_inps(mf: MapFile, args, data: dict) -> int:
     f = mf.map
     g = f.graph
-    data = _envelope("inps", mf)
     rep = detect_inps(f, max_period=args.max_period, max_pf_len=args.max_pf_len)
 
     def describe(inp, graph):
@@ -248,16 +241,14 @@ def _cmd_inps(mf: MapFile, args) -> tuple[int, dict]:
         data["subdivided_inps"] = []
     stab = stability_verdict(f, rep)
     data["stability"] = {"status": stab.status, "reason": stab.reason}
-    return (OK if rep.conclusive else INCONCLUSIVE), data
+    return OK if rep.conclusive else INCONCLUSIVE
 
 
-def _cmd_eigenrays(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_eigenrays(mf: MapFile, args, data: dict) -> int:
     f = mf.map
     g = f.graph
-    data = _envelope("eigenrays", mf)
-    pd = periodic_structures(f)
     rays = []
-    for d, p in pd.dart_period:
+    for d, p in periodic_structures(f).dart_period.items():
         rays.append(
             {
                 "dart": g.dart_name(d),
@@ -267,26 +258,24 @@ def _cmd_eigenrays(mf: MapFile, args) -> tuple[int, dict]:
         )
     data["length"] = args.length
     data["rays"] = rays
-    return OK, data
+    return OK
 
 
-def _cmd_bfh(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_bfh(mf: MapFile, args, data: dict) -> int:
     f = mf.map
     g = f.graph
-    data = _envelope("bfh", mf)
     lang = leaf_language(f, args.window)
     data["window"] = args.window
     data["count"] = len(lang)
     data["words"] = sorted(g.path_str(w) for w in lang)
-    return OK, data
+    return OK
 
 
-def _cmd_singular(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_singular(mf: MapFile, args, data: dict) -> int:
     if args.window < 1:  # checked here: a map with no singular leaf takes no window
         raise MapError("prefix length must be >= 1")
     f = mf.map
     g = f.graph
-    data = _envelope("singular", mf)
     sing = singular_leaves(f)
     data["turn_pairs"] = [_turn_names(g, (a, b)) for a, p, b in sing.leaves if not p]
     data["inp_triples"] = [
@@ -295,19 +284,18 @@ def _cmd_singular(mf: MapFile, args) -> tuple[int, dict]:
     ]
     data["windows"] = [g.path_str(leaf_window(f, leaf, args.window)) for leaf in sing.leaves]
     data["conclusive"] = sing.conclusive
-    return (OK if sing.conclusive else INCONCLUSIVE), data
+    return OK if sing.conclusive else INCONCLUSIVE
 
 
-def _cmd_dual(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_dual(mf: MapFile, args, data: dict) -> int:
     f = mf.map
     g = f.graph
-    data = _envelope("dual", mf)
     if mf.asserts_inverse_of() is None:
         if not args.assume_inverse:
             data["error"] = (
                 "map file does not assert inverse-of; pass --assume-inverse to proceed"
             )
-            return INPUT_ERROR, data
+            return INPUT_ERROR
         data["assumptions"].append("inverse-of (assumed by flag)")
     base = leaf_language(f, args.window)
     words = base | singular_language(f, args.window)
@@ -315,7 +303,7 @@ def _cmd_dual(mf: MapFile, args) -> tuple[int, dict]:
     data["count"] = len(words)
     data["words"] = sorted(g.path_str(w) for w in words)
     data["equals_leaf_language"] = words == base
-    return OK, data
+    return OK
 
 
 def _inverse_error(mf: MapFile, against: MapFile) -> str | None:
@@ -333,15 +321,14 @@ def _inverse_error(mf: MapFile, against: MapFile) -> str | None:
     return None
 
 
-def _cmd_illegality(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_illegality(mf: MapFile, args, data: dict) -> int:
     against = parse_map_path(args.against)
-    data = _envelope("illegality", mf)
     data["against"] = against.name
     data["assumptions_against"] = list(against.assertions)
     use_dual = mf.asserts_inverse_of() is not None
     if use_dual and (error := _inverse_error(mf, against)):
         data["error"] = error
-        return VIOLATION, data
+        return VIOLATION
     prof = illegality_between(against.map, mf.map, args.window, dual=use_dual)
     data["language"] = "dual" if use_dual else "leaf"
     data["window"] = args.window
@@ -350,13 +337,12 @@ def _cmd_illegality(mf: MapFile, args) -> tuple[int, dict]:
     data["histogram"] = [list(h) for h in prof.histogram]
     data["c_illegal"] = prof.c_illegal
     data["all_below"] = prof.all_below
-    return OK, data
+    return OK
 
 
-def _cmd_contract(mf: MapFile, args) -> tuple[int, dict]:
+def _cmd_contract(mf: MapFile, args, data: dict) -> int:
     f = mf.map
     g = f.graph
-    data = _envelope("contract", mf)
     word = g.parse_path(args.word)
     rep = ilt_contraction(f, word, steps=args.steps, chop=args.chop)
     data["word"] = g.path_str(word)
@@ -365,22 +351,7 @@ def _cmd_contract(mf: MapFile, args) -> tuple[int, dict]:
     data["block"] = rep.block
     data["reached_le_one"] = rep.reached_le_one
     data["step_reached"] = rep.step_reached
-    return OK, data
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "gates": _cmd_gates,
-    "turns": _cmd_turns,
-    "pf": _cmd_pf,
-    "inps": _cmd_inps,
-    "eigenrays": _cmd_eigenrays,
-    "bfh": _cmd_bfh,
-    "singular": _cmd_singular,
-    "dual": _cmd_dual,
-    "illegality": _cmd_illegality,
-    "contract": _cmd_contract,
-}
+    return OK
 
 
 @functools.cache
@@ -389,33 +360,34 @@ def _parser() -> _CliParser:
     p = _CliParser(prog="ttlam", description="Train track map analysis")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str):
+    def add(name: str, help_: str, handler):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("mapfile", help="path to a .tt map file")
         sp.add_argument("--json", action="store_true", help="canonical JSON output")
+        sp.set_defaults(handler=handler)
         return sp
 
-    add("check", "validate graph, expansion, train track, gates, primitivity")
-    add("gates", "gate partition, periodic vertices, eigen darts")
-    add("turns", "legal/used table over all turns")
-    sp = add("pf", "dominant eigenvalue and edge lengths")
+    add("check", "validate graph, expansion, train track, gates, primitivity", _cmd_check)
+    add("gates", "gate partition, periodic vertices, eigen darts", _cmd_gates)
+    add("turns", "legal/used table over all turns", _cmd_turns)
+    sp = add("pf", "dominant eigenvalue and edge lengths", _cmd_pf)
     sp.add_argument("--tol", type=float, default=1e-12)
-    sp = add("inps", "detect periodic indivisible Nielsen paths")
+    sp = add("inps", "detect periodic indivisible Nielsen paths", _cmd_inps)
     sp.add_argument("--max-period", type=int, default=6)
     sp.add_argument("--max-pf-len", type=float, default=None)
-    sp = add("eigenrays", "prefixes of the invariant rays")
+    sp = add("eigenrays", "prefixes of the invariant rays", _cmd_eigenrays)
     sp.add_argument("--length", type=int, default=32)
-    sp = add("bfh", "leaf language of iterated edge images")
+    sp = add("bfh", "leaf language of iterated edge images", _cmd_bfh)
     sp.add_argument("--window", type=int, required=True)
-    sp = add("singular", "singular leaves beyond the leaf language")
+    sp = add("singular", "singular leaves beyond the leaf language", _cmd_singular)
     sp.add_argument("--window", type=int, default=16)
-    sp = add("dual", "dual lamination language (inverse-direction map)")
+    sp = add("dual", "dual lamination language (inverse-direction map)", _cmd_dual)
     sp.add_argument("--window", type=int, required=True)
     sp.add_argument("--assume-inverse", action="store_true")
-    sp = add("illegality", "legal-run profile of one map's language in another's gates")
+    sp = add("illegality", "legal-run profile of one map's language in another's gates", _cmd_illegality)
     sp.add_argument("--against", required=True, help="reference map file")
     sp.add_argument("--window", type=int, required=True)
-    sp = add("contract", "chopped illegal-turn series under iteration")
+    sp = add("contract", "chopped illegal-turn series under iteration", _cmd_contract)
     sp.add_argument("--word", required=True, help="path literal, e.g. 'a b~ c'")
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--chop", type=int, default=None)
@@ -427,8 +399,8 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     try:
         args = _parser().parse_args(argv)
         mf = parse_map_path(args.mapfile)
-        code, data = _HANDLERS[args.command](mf, args)
-        return code, _emit(data, args.json)
+        data = _envelope(args.command, mf)
+        return args.handler(mf, args, data), _emit(data, args.json)
     except (TtError, OSError) as exc:  # an unreadable file is bad input
         kind = getattr(exc, "kind", "input")
         payload = {"schema": 1, "error": str(exc), "kind": kind}

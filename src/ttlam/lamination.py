@@ -148,8 +148,7 @@ class EquivalenceReport:
 
 def eigenray_equivalence(f: GraphSelfMap) -> EquivalenceReport:
     gt = gates(f)
-    pd = periodic_structures(f)
-    periodic = set(pd.periodic_vertices())
+    periodic = periodic_structures(f).vertex_period
     nodes = [gid for gid in range(len(gt.members)) if gt.vertex_of_gate[gid] in periodic]
     gate_pairs = ((gt.gate_of[d1], gt.gate_of[d2]) for d1, d2 in used_turns(f))
     classes = tuple(equivalence_classes(nodes, gate_pairs))
@@ -191,7 +190,7 @@ def singular_leaves(f: GraphSelfMap) -> SingularReport:
     eigen dart din outside the gate of the path's first dart to an eigen
     dart dout outside the gate of its last dart reversed: both turns legal."""
     gt = gates(f)
-    eigen = periodic_structures(f).eigen_darts()
+    eigen = periodic_structures(f).dart_period
     used = used_turns(f)
     origin = f.graph.origin
 
@@ -327,7 +326,8 @@ def ilt_contraction(
     """Drive a word toward the lamination: iterate, trim boundary effects,
     count illegal turns.
 
-    f must be a train track map (NotTrainTrackError otherwise), so that the
+    The word must be an edge path of f's graph (MapError otherwise).  f
+    must be a train track map (NotTrainTrackError otherwise), so that the
     series is non-increasing: applying f never raises the count and
     chopping only removes turns; the empty word records 0.  A count of 0
     means a legal word, whose images stay legal, so the series is filled
@@ -344,6 +344,8 @@ def ilt_contraction(
         raise MapError("boundary trim must be >= 0")
     if steps is not None and steps < 0:
         raise MapError("step count must be >= 0")
+    if not f.graph.is_edge_path(word):
+        raise MapError("word is not an edge path")
     w = path_reduce(word)
     if len(w) <= 2 * chop and chop > 0:
         raise MapError(f"word of length {len(w)} is consumed by a boundary trim of {chop}")

@@ -19,7 +19,9 @@ as are the periodic data (`graph_map.per_map`).
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     ConvergenceError,
@@ -52,31 +54,19 @@ def _cycle_periods(step: tuple[int, ...]) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class PeriodicData:
-    """Vertices periodic under f and darts periodic under Df, with periods."""
+    """Vertices periodic under f and darts periodic under Df, each mapped to
+    its period, keys ascending.  The maps are read-only views, since every
+    caller of `periodic_structures` shares them."""
 
-    vertex_period: tuple[tuple[int, int], ...]
-    dart_period: tuple[tuple[int, int], ...]
-
-    def periodic_vertices(self) -> list[int]:
-        return [v for v, _ in self.vertex_period]
-
-    def eigen_darts(self) -> list[int]:
-        return [d for d, _ in self.dart_period]
-
-    def vertex_period_of(self, v: int) -> int | None:
-        return dict(self.vertex_period).get(v)
-
-    def dart_period_of(self, d: int) -> int | None:
-        return dict(self.dart_period).get(d)
+    vertex_period: Mapping[int, int]
+    dart_period: Mapping[int, int]
 
 
 @per_map
 def periodic_structures(f: GraphSelfMap) -> PeriodicData:
-    vp = _cycle_periods(f.vertex_image)
-    dp = _cycle_periods(f.derivative_table)
     return PeriodicData(
-        tuple(sorted(vp.items())),
-        tuple(sorted(dp.items())),
+        MappingProxyType(_cycle_periods(f.vertex_image)),
+        MappingProxyType(_cycle_periods(f.derivative_table)),
     )
 
 
@@ -104,8 +94,7 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
     """
     if n < 1:
         raise MapError("prefix length must be >= 1")
-    pd = periodic_structures(f)
-    k = pd.dart_period_of(dart)
+    k = periodic_structures(f).dart_period.get(dart)
     if k is None:
         raise MapError(f"dart {f.graph.dart_name(dart)} is not Df-periodic; no eigenray")
     f.require_expanding()
@@ -201,39 +190,36 @@ def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]
     raise MapError("fixed point image not located inside f(e)")
 
 
-def _interior_descriptors(f: GraphSelfMap, t: int) -> list[tuple[int, int, int]]:
-    """Descriptors (edge, exponent, index) of the interior points fixed by
-    f^t, in the order their occurrences appear in f^t(e), e ascending.
-
-    A forward occurrence of e at index i carries the fixed point of the
-    inverse branch through it; at i = 0 (resp. the final index) that point
-    is the initial (resp. terminal) vertex, so only 0 < i < |f^t(e)| - 1
-    gives an interior point, at exponent t.  A reversed occurrence always
-    carries an interior point, since an orientation-reversing branch fixes
-    no endpoint; it is converted to exponent 2t (`doubled_index`).
-    """
-    out = []
-    for e in range(f.graph.num_edges):
-        p = f.edge_iterates.image(e, t)
-        last = len(p) - 1
-        for i, d in enumerate(p):
-            if d == 2 * e + 1:
-                out.append((e, 2 * t, doubled_index(f, e, t, i)))
-            elif d == 2 * e and 0 < i < last:
-                out.append((e, t, i))
-    return out
-
-
 def _first_interior_point(f: GraphSelfMap, max_period: int) -> PeriodicPoint | None:
-    """The interior point of period <= max_period that comes first in the
-    order (period, edge, index at a common exponent), or None when there is
-    none, without enumerating the rest (see `detect_inps` for why).  The
-    common exponent is 2t, where a reversed descriptor is stored already."""
+    """The first interior point in the order (period, edge, place along the
+    edge) among those of period <= max_period, or None when there is none.
+
+    Exponents t = 1, 2, ... are walked in turn, then edges e ascending, then
+    the darts P[i] of P = f^t(e) in order, and the first occurrence met is
+    returned.  A forward occurrence P[i] = e carries an interior point only
+    for 0 < i < |P| - 1, since at the first (last) index the fixed point is
+    the initial (terminal) vertex; it is stored at exponent t.  A reversed
+    occurrence P[i] = e~ always carries one, since an orientation-reversing
+    branch fixes no endpoint; it is stored at exponent 2t (`doubled_index`).
+    `detect_inps` says why the first t with an occurrence gives the points
+    of smallest period.
+
+    Why the first occurrence is the leftmost point.  The occurrence P[i]
+    carries the fixed point of the inverse branch of f^t through P[i], and
+    that point lies in the i-th of the consecutive intervals of e that f^t
+    maps onto the darts of P.  So along e the points follow i, for forward
+    and reversed occurrences alike.  At exponent 2t the point lies in block
+    i of f^t(P), which is where `doubled_index` puts it, so ordering by
+    index at the common exponent 2t picks the same point as ordering by i.
+    """
     for t in range(1, max_period + 1):
-        found = _interior_descriptors(f, t)
-        if found:
-            e, texp, i = min(found, key=lambda d: (d[0], doubled_index(f, *d) if d[1] == t else d[2]))
-            return PeriodicPoint(e, texp, i, t)
+        for e in range(f.graph.num_edges):
+            p = f.edge_iterates.image(e, t)
+            for i, d in enumerate(p):
+                if d == 2 * e + 1:
+                    return PeriodicPoint(e, 2 * t, doubled_index(f, e, t, i), t)
+                if d == 2 * e and 0 < i < len(p) - 1:
+                    return PeriodicPoint(e, t, i, t)
     return None
 
 
@@ -485,8 +471,7 @@ def _scan_ray_pairs(
     PF-lengths; unequal-stem coincidences are discarded as impossible rather
     than held against conclusiveness.
     """
-    pd = periodic_structures(f)
-    eigen = pd.eigen_darts()
+    eigen = list(periodic_structures(f).dart_period)
     rays = {d: eigenray_prefix(f, d, window) for d in eigen}
     codes = {d: _encode(r) for d, r in rays.items()}
     min_agree = max(16, window // 2)
@@ -581,12 +566,11 @@ def detect_inps(
     is fixed by f^t, so its period divides t; a point of period p < t would
     have shown up at exponent p already.  So the points found at the first
     such t are exactly the points of smallest period, the ones the full
-    enumeration sorts first.  It orders them by (edge, index at a common
-    exponent); f^s is monotone on each edge, so the index order at any
-    common exponent, here 2t, is the order along the edge and picks the
-    same leftmost point.  Its descriptor is the one the full enumeration
+    enumeration sorts first.  Its descriptor is the one the full enumeration
     stores too, the occurrence at exponent t (2t when it is reversed), since
-    a point of period t first occurs at exponent t.
+    a point of period t first occurs at exponent t.  Among the points of
+    that period, `_first_interior_point` explains why the first occurrence
+    is the one on the smallest edge, leftmost along it.
     """
     require_train_track(f)
     f.require_expanding()

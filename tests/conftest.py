@@ -1,14 +1,34 @@
+import os
 import pathlib
+import random
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from ttlam import Graph, GraphSelfMap, parse_map_path
+from ttlam import Graph, GraphSelfMap, is_train_track, parse_map_path
+from ttlam.graph import path_reduce, reverse_path
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+BENCH_REFERENCE = ROOT / "bench" / "reference" / "fixtures-cli.json"
+RECORDED = ROOT / "tests" / "reference"  # recorded by tests/record_reference.py
+
+
+def fixture_argv(key):
+    """The argv of a benchmark fixture command from its reference key; the
+    word after --word is one argument."""
+    head, flag, word = key.partition(" --word ")
+    argv = [str(FIXTURES / a) if a.endswith(".tt") else a for a in head.split()]
+    return argv + ([flag.strip(), word] if flag else [])
+
+
+def demo_env():
+    """The environment a demo runs in: this checkout's src first on the path."""
+    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +86,15 @@ def map_files(fixture_dir):
     }
 
 
+# a train track map on a graph with three vertices, where a word can fail to
+# chain: e0 runs from v0 to v1, so e0 e0 is no edge path
+THREE_VERTEX_TT = (
+    "graph chain\nvertex v0\nvertex v1\nvertex v2\n"
+    "edge e0 v0 v1\nedge e1 v1 v0\nedge e2 v0 v2\nedge e3 v2 v0\nmap\n"
+    "e0 -> e2\ne1 -> e3 e0 e1\ne2 -> e2 e3 e0\ne3 -> e1 e2 e3\n"
+)
+
+
 def rose_map(images):
     names = [chr(ord("a") + i) for i in range(len(images))]
     g = Graph.build(["v"], [(x, "v", "v") for x in names])
@@ -88,6 +117,32 @@ def positive_rose_maps(draw, moves_per_rank=2):
         j = (i + k) % rank
         words[i] = words[i] + words[j] if right else words[j] + words[i]
     return rose_map([" ".join(chr(ord("a") + x) for x in w) for w in words])
+
+
+def train_track_automorphisms(rank, count, seed):
+    """`count` expanding train track automorphisms of the rank-`rank` rose
+    with a backward dart in some edge image, drawn with random.Random(seed).
+
+    Each draw composes 1 to 2 * rank signed Nielsen moves x -> x y^(+-1) or
+    x -> y^(+-1) x on the identity, with y's current image, and is kept only
+    when it passes all three tests: about 1 draw in 11 does at rank 2, 1 in
+    13 at rank 3 and 1 in 22 at rank 4.  Up to 3 * rank moves drew a rank-3
+    map with lambda ~ 15, whose reversed points at exponent 6 took the
+    reference enumeration 7.6 s."""
+    rng = random.Random(seed)
+    names = [chr(ord("a") + i) for i in range(rank)]
+    g = Graph.build(["v"], [(x, "v", "v") for x in names])
+    out = []
+    while len(out) < count:
+        words = [(2 * i,) for i in range(rank)]
+        for _ in range(rng.randint(1, 2 * rank)):
+            i, j = rng.sample(range(rank), 2)
+            y = words[j] if rng.random() < 0.5 else reverse_path(words[j])
+            words[i] = path_reduce(words[i] + y if rng.random() < 0.5 else y + words[i])
+        f = GraphSelfMap(g, (0,), tuple(words))
+        if f.is_expanding and is_train_track(f) and any(d & 1 for w in words for d in w):
+            out.append(f)
+    return out
 
 
 @st.composite

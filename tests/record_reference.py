@@ -1,0 +1,34 @@
+"""Record the outputs that tier-1 pins besides the --json fixture reports:
+the text report and exit code of each fixture command of the benchmark, and
+the stdout of each demo.  Run from the repository root:
+
+    PYTHONPATH=src python3 tests/record_reference.py
+
+test_cli.py and test_demos.py compare against these files byte for byte, so
+re-record them only for a change that moves an output on purpose, and list
+what moved.
+"""
+
+import json
+import subprocess
+import sys
+
+from conftest import BENCH_REFERENCE, RECORDED, ROOT, demo_env, fixture_argv
+
+from ttlam.cli import run_command
+
+
+def main() -> None:
+    reports = {}
+    for key in sorted(json.loads(BENCH_REFERENCE.read_text())):
+        code, text = run_command(fixture_argv(key))
+        reports[key] = {"exit": code, "report": text}
+    (RECORDED / "fixtures-text.json").write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        out = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=demo_env(), capture_output=True, text=True, check=True)
+        (RECORDED / "demos" / f"{demo.stem}.txt").write_text(out.stdout)
+    print(f"wrote {len(reports)} text reports and the demos' stdout to {RECORDED}")
+
+
+if __name__ == "__main__":
+    main()

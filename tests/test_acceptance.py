@@ -176,8 +176,8 @@ def test_criterion_05_eigenray_suite(all_maps):
     for name, f in all_maps.items():
         pd = periodic_structures(f)
         gt = gates(f)
-        eigen = set(pd.eigen_darts())
-        for v in pd.periodic_vertices():
+        eigen = set(pd.dart_period)
+        for v in pd.vertex_period:
             n_gates = len(gt.gates_at(v))
             n_rays = sum(1 for d in eigen if f.graph.origin(d) == v)
             if n_gates != n_rays:

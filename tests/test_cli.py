@@ -21,6 +21,8 @@ from ttlam.errors import (
     TtError,
 )
 
+from conftest import RECORDED, THREE_VERTEX_TT, fixture_argv
+
 
 def _run(fixture_dir, *args):
     return run_command([str(a).replace("FIX", str(fixture_dir)) for a in args])
@@ -317,6 +319,14 @@ def test_fixture_commands_match_reference_reports(fixture_dir):
         assert (code, text) == (reference[key]["exit"], reference[key]["report"]), key
 
 
+def test_fixture_commands_match_reference_text_reports():
+    # the same 44 commands in text mode, against tests/reference/fixtures-text.json
+    reference = json.loads((RECORDED / "fixtures-text.json").read_text())
+    assert sorted(reference) == sorted(json.loads(REFERENCE.read_text()))
+    for key, want in sorted(reference.items()):
+        assert run_command(fixture_argv(key)) == (want["exit"], want["report"]), key
+
+
 def test_derived_data_built_once_per_map(monkeypatch, fixture_dir):
     # each undecorated computation, counted by the map instance (or per-map
     # table) it ran for: gates (one Gates built by `gates`, keyed by the map
@@ -454,6 +464,14 @@ def test_contract_of_a_non_train_track_map_is_violation(tmp_path):
     assert (code, json.loads(text)["kind"]) == (1, "property")
 
 
+def test_contract_rejects_a_word_that_is_not_an_edge_path(tmp_path):
+    # e0 ends at v1, where e0 does not start: the word has no image to count
+    mf = tmp_path / "chain.tt"
+    mf.write_text(THREE_VERTEX_TT)
+    argv = ["contract", str(mf), "--word", "e0 e0", "--steps", "3", "--chop", "0", "--json"]
+    assert run_command(argv) == (3, '{"error":"word is not an edge path","kind":"input","schema":1}\n')
+
+
 @pytest.mark.parametrize("length", ["0", "-3"])
 def test_eigenrays_rejects_empty_length(fixture_dir, length):
     error = _input_error(fixture_dir, "eigenrays", "FIX/tribonacci.tt", "--length", length)
@@ -505,10 +523,10 @@ def test_every_error_class_has_an_exit():
 
 @pytest.mark.parametrize("error, exit_code, kind", ERROR_EXITS)
 def test_error_kind_sets_the_exit_code(monkeypatch, fixture_dir, error, exit_code, kind):
-    def fail(mf, args):
+    def fail(f):
         raise error("stopped")
 
-    monkeypatch.setitem(cli._HANDLERS, "gates", fail)
+    monkeypatch.setattr(cli, "gates", fail)
     argv = ["gates", str(fixture_dir / "fibonacci.tt")]
     assert run_command(argv) == (exit_code, f"schema: 1\nerror: stopped\nkind: {kind}\n")
     assert run_command(argv + ["--json"]) == (exit_code, f'{{"error":"stopped","kind":"{kind}","schema":1}}\n')

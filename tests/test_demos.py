@@ -1,9 +1,8 @@
-"""Every demo script runs to completion from the repository root, and the
-package exports exactly the names the demos and the README import."""
+"""Every demo script runs to completion from the repository root and prints
+the stdout recorded in tests/reference/demos, and the package exports
+exactly the names the demos and the README import."""
 
 import ast
-import os
-import pathlib
 import re
 import subprocess
 import sys
@@ -13,7 +12,8 @@ import pytest
 import ttlam
 import ttlam.errors
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from conftest import RECORDED, ROOT, demo_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -23,12 +23,11 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(demo)], cwd=ROOT, env=demo_env(), capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (RECORDED / "demos" / f"{demo.stem}.txt").read_text()
 
 
 def _imported_from_ttlam(source: str) -> set[str]:

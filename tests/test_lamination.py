@@ -23,7 +23,7 @@ from ttlam import (
 from ttlam.graph import is_reduced
 from ttlam.lamination import contraction_block, illegality_profile
 
-from conftest import positive_rose_maps, reduced_rose_maps, rose_map
+from conftest import THREE_VERTEX_TT, positive_rose_maps, reduced_rose_maps, rose_map
 from oracles import (
     apply_map,
     derivative_orbit_gates,
@@ -314,3 +314,13 @@ def test_contraction_rejects_consumed_word(trib, rose3):
 
     with pytest.raises(MapError):
         ilt_contraction(trib, rose3.parse_path("a b"), steps=3)
+
+
+def test_contraction_rejects_a_word_that_is_not_an_edge_path():
+    from ttlam import MapError
+    from ttlam.mapfile import parse_map_file
+
+    f = parse_map_file(THREE_VERTEX_TT).map
+    with pytest.raises(MapError, match="not an edge path"):
+        ilt_contraction(f, f.graph.parse_path("e0 e0"), steps=3, chop=0)
+    assert ilt_contraction(f, f.graph.parse_path("e0 e1"), steps=3, chop=0).series == (0, 0, 0, 0)

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ttlam.nielsen
 from ttlam import GraphSelfMap, detect_inps, eigenray_prefix, periodic_structures, subdivide_at
 from ttlam.errors import TtError
 from ttlam.nielsen import (
     NielsenPath,
     _encode,
     _first_interior_point,
-    _interior_descriptors,
     _pf_or_none,
     _scan_ray_pairs,
     _tail_stems,
@@ -24,7 +22,9 @@ from ttlam.nielsen import (
     stability_verdict,
 )
 
-from conftest import positive_rose_maps, reduced_rose_maps, rose_map
+from ttlam.graph_map import EdgeIterates
+
+from conftest import positive_rose_maps, reduced_rose_maps, rose_map, train_track_automorphisms
 from oracles import (
     apply_map,
     brute_force_inps,
@@ -39,17 +39,16 @@ from oracles import (
 
 def test_periodic_structures_trib(trib, rose3):
     pd = periodic_structures(trib)
-    assert pd.periodic_vertices() == [0]
-    assert pd.vertex_period_of(0) == 1
+    assert dict(pd.vertex_period) == {0: 1}
     name = rose3.dart_name
-    periods = {name(d): p for d, p in pd.dart_period}
+    periods = {name(d): p for d, p in pd.dart_period.items()}
     assert periods == {"a": 3, "b": 3, "c": 3, "b~": 2, "c~": 2}
 
 
 def test_periodic_structures_fib(fib, rose2):
     pd = periodic_structures(fib)
     name = rose2.dart_name
-    periods = {name(d): p for d, p in pd.dart_period}
+    periods = {name(d): p for d, p in pd.dart_period.items()}
     assert periods == {"a": 1, "a~": 2, "b~": 2}
 
 
@@ -60,8 +59,8 @@ def test_eigen_darts_one_per_gate(all_maps):
     for f in all_maps.values():
         pd = periodic_structures(f)
         gt = gates(f)
-        eigen = set(pd.eigen_darts())
-        for v in pd.periodic_vertices():
+        eigen = set(pd.dart_period)
+        for v in pd.vertex_period:
             for gid in gt.gates_at(v):
                 assert sum(1 for d in gt.members[gid] if d in eigen) == 1
 
@@ -90,7 +89,7 @@ def test_eigenray_legal(trib, fib):
 
     for f in (trib, fib):
         pd = periodic_structures(f)
-        for d in pd.eigen_darts():
+        for d in pd.dart_period:
             assert ilt_count(f, eigenray_prefix(f, d, 128)) == 0
 
 
@@ -125,9 +124,25 @@ def test_eigenray_streaming_matches_iteration_any_rose_map(f):
     _check_eigenrays_against_iteration(f, (1, 6, 40))
 
 
+def interior_descriptors(f, t):
+    """Descriptors (edge, exponent, index) of the interior points fixed by
+    f^t, read off `edge_iterate`: a forward occurrence of e at
+    0 < i < |f^t(e)| - 1 at exponent t, a reversed one at exponent 2t,
+    where `doubled_index` moves it."""
+    out = []
+    for e in range(f.graph.num_edges):
+        p = edge_iterate(f, e, t)
+        for i, d in enumerate(p):
+            if d == 2 * e + 1:
+                out.append((e, 2 * t, doubled_index(f, e, t, i)))
+            elif d == 2 * e and 0 < i < len(p) - 1:
+                out.append((e, t, i))
+    return out
+
+
 def test_occurrences_fib(fib):
     # f^3(a) = a b a a b: edge a appears at 0 (initial vertex), 2 and 3 (interior)
-    found = _interior_descriptors(fib, 3)
+    found = interior_descriptors(fib, 3)
     assert (0, 3, 2) in found
     assert (0, 3, 3) in found
 
@@ -147,7 +162,7 @@ def interior_periodic_points(f, max_period=6):
     t_canon = 2 * lcm(*range(1, max_period + 1))
     found = {}
     for t in range(1, max_period + 1):
-        for e, texp, i in _interior_descriptors(f, t):
+        for e, texp, i in interior_descriptors(f, t):
             key = (e, index_at_multiple(f, e, texp, i, t_canon // texp))
             if key not in found:
                 found[key] = PeriodicPoint(e, texp, i, t)
@@ -419,6 +434,22 @@ def test_first_orbit_matches_full_enumeration_random(f, p):
     _check_first_orbit(f, p)
 
 
+def test_first_interior_point_is_first_in_full_enumeration_with_reversed_occurrences():
+    # positive maps have no reversed occurrence; on these non-positive ones
+    # the first point is the first occurrence for both kinds, also where its
+    # edge holds points of both kinds at that period, whichever comes first.
+    # This seed's draws cover both orders, as about one seed in six does.
+    seen = set()  # (first point reversed, its edge holds both kinds)
+    for f in train_track_automorphisms(3, 60, seed=10):
+        for p in (1, 2, 3):
+            pts = interior_periodic_points(f, p)
+            assert _first_interior_point(f, p) == (pts[0] if pts else None), (f.edge_image, p)
+            if pts:
+                kinds = {q.exponent == 2 * q.period for q in pts if (q.edge, q.period) == (pts[0].edge, pts[0].period)}
+                seen.add((pts[0].exponent == 2 * pts[0].period, len(kinds) == 2))
+    assert {(True, True), (False, True)} <= seen
+
+
 @pytest.mark.parametrize("images", [
     # the rank-3 and rank-4 benchmark maps (lambda ~ 5) on which default
     # detection used to enumerate thousands of interior points up to period 6
@@ -427,20 +458,15 @@ def test_first_orbit_matches_full_enumeration_random(f, p):
 ])
 def test_detection_stops_at_first_interior_period(monkeypatch, images):
     f = rose_map(images)
-    scanned = []  # (exponent, whether it had an interior occurrence)
+    asked = []  # every exponent t of an f^t(e) the scan reads
 
-    def counting(f, t):
-        assert not any(interior for _, interior in scanned), f"exponent {t} scanned past the first interior period"
-        found = _interior_descriptors(f, t)
-        scanned.append((t, bool(found)))
-        return found
-
-    monkeypatch.setattr(ttlam.nielsen, "_interior_descriptors", counting)
-    rep = detect_inps(f)
+    image = EdgeIterates.image
+    monkeypatch.setattr(EdgeIterates, "image", lambda self, e, t: asked.append(t) or image(self, e, t))
+    point = _first_interior_point(f, 6)
     monkeypatch.undo()
-    period = rep.subdivision.orbit[0].period
-    assert [t for t, _ in scanned] == list(range(1, period + 1))
-    assert rep.subdivision.orbit[0] == interior_periodic_points(f, period)[0]
+    assert sorted(set(asked)) == list(range(1, point.period + 1))
+    rep = detect_inps(f)
+    assert rep.subdivision.orbit[0] == point == interior_periodic_points(f, point.period)[0]
     assert rep.conclusive
 
 
@@ -463,7 +489,7 @@ def test_tail_matches_agree_with_every_shift_scan_eigenrays(all_maps):
     maps = list(all_maps.values())
     maps += [detect_inps(f).subdivision.map for f in all_maps.values()]
     for f in maps:
-        eigen = periodic_structures(f).eigen_darts()
+        eigen = list(periodic_structures(f).dart_period)
         for window in (64, 155, 310, 620):
             min_agree = max(16, window // 2)
             rays = [eigenray_prefix(f, d, window) for d in eigen]

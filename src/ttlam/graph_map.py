@@ -250,6 +250,14 @@ class EdgeIterates:
             table.append(tuple(sum(prev[d >> 1] for d in img) for img in self._f.edge_image))
         return table[t]
 
+    def first_level_over(self, c: int) -> int:
+        """The least s >= 1 with every lengths(s)[e] > c.  The search ends
+        only when those column sums grow past c; each caller proves that."""
+        s = 1
+        while min(self.lengths(s)) <= c:
+            s += 1
+        return s
+
 
 def compose(outer: GraphSelfMap, inner: GraphSelfMap) -> GraphSelfMap:
     """outer . inner on a shared graph, with reduced edge images."""

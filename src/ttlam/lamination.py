@@ -23,15 +23,15 @@ from .spectral import pf_data
 from .train_track import gates, ilt_count, legal_segments, require_train_track, used_turns
 
 
-# -- exact factor closure -----------------------------------------------------------
+# -- factor languages ------------------------------------------------------------
 #
-# A train track map never cancels on a legal path P, so every factor of
-# length <= n of f(P) is a factor of f(u) for a factor u of P with |u| <= n,
-# and |u| = n will do when |P| >= n.  The languages below are therefore
-# closures of finite sets under one finite map, with no length budget.  The
-# argument needs the absence of cancellation, so each language first
-# requires a train track map; every word it maps is then a factor of an
-# iterated edge image, which is legal.
+# A train track map never cancels on a legal path, and every iterated edge
+# image is legal, so f^s(P) for a factor P of some f^t(e) is the
+# concatenation of the blocks f^s(d) over the darts d of P, and a short
+# factor of it lies in the images of a few adjacent darts of P.  The
+# languages below are therefore read off finitely many images with no
+# length budget.  The argument needs the absence of cancellation, so each
+# language first requires a train track map.
 
 def _windows(p: Path, n: int) -> set[Path]:
     return {p[i : i + n] for i in range(len(p) - n + 1)}
@@ -47,27 +47,72 @@ def _flip_closed(words: Iterable[Path]) -> frozenset[Path]:
 
 def leaf_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
     """All length-n factors of the iterated edge images f^t(e), t >= 1,
-    closed under reversal.
+    closed under reversal.  Raises NotTrainTrackError for a map that is not
+    a train track map.
 
-    Exact for train track maps: each edge is iterated only until its image
-    has n darts, and those images' length-n factors are closed under
-    u -> F_n(f(u)).  Raises NotTrainTrackError for any other map.
+    Let k >= 1 be the least level with every |f^k(e)| >= n - 1.  The
+    language is the flip closure of
+      (A) the length-n windows of f^t(e), for every edge e and 1 <= t <= k;
+      (B) for n > 1 and each used turn {x, y}, the windows of
+          f^k(x~ y) = tail(f^k(x~)) + head(f^k(y)), both n - 1 darts long.
+    Each word of (A) and (B) is a factor: x~ y is a legal factor of some
+    f^t(e) with t >= 1, so f^k(x~ y) = f^k(x~) f^k(y), without
+    cancellation, is a factor of f^(t+k)(e).  Each factor is in (A) or (B):
+    one of f^t(e) with t <= k is in (A).  For t > k, f^t(e) is the
+    concatenation of the blocks f^k(d) over the darts d of f^(t-k)(e),
+    each of >= n - 1 darts, so a window meets at most two adjacent blocks.
+    Inside one block it is a window of f^k(e) or of its flip; across two it
+    is a window of f^k(x~ y) for the turn {x, y} that f^(t-k)(e) crosses
+    there, which is used.  The terms of (A) with t < k matter for a map
+    that is not primitive, where f^t(e) may hold a word no later image does.
+
+    k exists.  The lengths never shrink: |f^(t+1)(e)| is the sum of
+    |f^t(d)| over the darts d of f(e), and |f^t(e)| of |f^(t-1)(d)|, so
+    |f^t| >= |f^(t-1)| gives |f^(t+1)| >= |f^t|, from |f^1| >= 1 = |f^0|.
+    An expanding map sends each edge e over two darts at some first level;
+    at the largest of these levels, T, every |f^T(e)| >= 2, and then
+    |f^(t+T)(e)| >= 2|f^t(e)|.
+
+    No whole image is built: on a map whose strata grow at different rates,
+    a fast edge's image at level k can be far longer than n.  Write
+    m = n - 1.  The clip of f^t(d) is f^t(d) itself while it has fewer than
+    m darts, and otherwise the pair of its first and last m darts.  f^t(e)
+    is the concatenation of the blocks f^(t-1)(d) over the darts d of f(e),
+    so joining the clips of those blocks gives runs of f^t(e), split at each
+    pair.  A window meeting two or more blocks cannot run past both ends of
+    a cut block, which takes m + 2 darts, so it meets each cut block in at
+    most m darts at one end, and lies in one run.  Any other window lies
+    inside one block, where it is a window of f^(t-1) of an edge or of its
+    flip; at t = 1 no clip is a pair, and the one run is f(e).  The windows
+    of the runs over 1 <= t <= k are then (A) up to flips.  At level k
+    every clip is a pair, and its first parts are the heads that (B) needs.
     """
     if n < 1:
         raise MapError("window length must be >= 1")
     f.require_expanding()
     require_train_track(f)
+    k = f.edge_iterates.first_level_over(n - 2)
+    m = n - 1
     words: set[Path] = set()
-    for e in range(f.graph.num_edges):
-        p = f.apply((2 * e,))
-        while len(p) < n:
-            p = f.apply(p)
-        words |= _windows(p, n)
-    todo = list(words)
-    while todo:
-        new = _windows(f.apply(todo.pop()), n) - words
-        words |= new
-        todo += new
+    clips = [((d,),) for d in range(f.graph.num_darts)]
+    for _ in range(k):
+        level = []
+        for img in f.edge_image:
+            runs = [()]
+            for d in img:
+                runs[-1] += clips[d][0]
+                runs += clips[d][1:]
+            for r in runs:
+                words |= _windows(r, n)
+            if len(runs) == 1 and len(runs[0]) < m:
+                clip = (runs[0],)
+            else:
+                clip = (runs[0][:m], runs[-1][len(runs[-1]) - m :])
+            level += [clip, tuple(reverse_path(r) for r in reversed(clip))]
+        clips = level
+    if n > 1:
+        for x, y in used_turns(f):
+            words |= _windows(reverse_path(clips[x][0]) + clips[y][0], n)
     return _flip_closed(words)
 
 
@@ -175,7 +220,7 @@ class SingularLeaf(NamedTuple):
 
 
 class SingularReport(NamedTuple):
-    """Leaves of the dual lamination beyond the leaf-language closure: the
+    """Leaves of the dual lamination beyond the leaf language: the
     sorted turn leaves, then the sorted INP leaves."""
 
     leaves: tuple[SingularLeaf, ...]
@@ -296,7 +341,7 @@ class ContractionReport:
 
 def contraction_block(f: GraphSelfMap) -> int:
     """The smallest s with every |f^s(e)| > c = c_illegal, the column sums
-    of M^s read from the map's store `edge_iterates`.
+    of M^s searched by the map's store, `edge_iterates.first_level_over`.
 
     The search ends by s = k + c, k the primitivity exponent of M (M^k > 0;
     `pf_data` requires a primitive M).  Write L_s = 1^T M^s for the column
@@ -310,11 +355,7 @@ def contraction_block(f: GraphSelfMap) -> int:
     """
     c = pf_data(f).c_illegal
     f.require_expanding()
-    lengths = f.edge_iterates.lengths
-    s = 1
-    while min(lengths(s)) <= c:
-        s += 1
-    return s
+    return f.edge_iterates.first_level_over(c)
 
 
 def ilt_contraction(

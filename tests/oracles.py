@@ -415,3 +415,27 @@ def iterated_eigenray_prefix(f, dart, n):
             stalls = 0
         p = q
     return p[:n]
+
+
+def leaf_language_by_closure(f, n):
+    """Length-n factors of the iterated edge images f^t(e), t >= 1, flip
+    closed, for a train track map f.  Each edge is iterated by `apply_map`
+    until its image has n darts, and the windows of those images are closed
+    under u -> the windows of apply_map(f, u): nothing cancels on a legal
+    word, so a window of f(P) lies in f(u) for a length-n factor u of P."""
+
+    def windows(p):
+        return {p[i : i + n] for i in range(len(p) - n + 1)}
+
+    words = set()
+    for e in range(f.graph.num_edges):
+        p = apply_map(f, (2 * e,))
+        while len(p) < n:
+            p = apply_map(f, p)
+        words |= windows(p)
+    todo = list(words)
+    while todo:
+        new = windows(apply_map(f, todo.pop())) - words
+        words |= new
+        todo += new
+    return words | {tuple(x ^ 1 for x in reversed(w)) for w in words}

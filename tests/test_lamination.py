@@ -21,15 +21,23 @@ from ttlam import (
     uniform_recurrence_check,
 )
 from ttlam.graph import is_reduced
+from ttlam.graph_map import EdgeIterates
 from ttlam.lamination import contraction_block, illegality_profile
 
-from conftest import THREE_VERTEX_TT, positive_rose_maps, reduced_rose_maps, rose_map
+from conftest import (
+    THREE_VERTEX_TT,
+    positive_rose_maps,
+    reduced_rose_maps,
+    rose_map,
+    train_track_automorphisms,
+)
 from oracles import (
     apply_map,
     derivative_orbit_gates,
     first_power_over,
     harvest_factors,
     illegal_turn_count,
+    leaf_language_by_closure,
     primitivity_exponent,
 )
 
@@ -84,9 +92,63 @@ def test_leaf_language_rank5_regression():
         assert {p[i : i + 6] for i in range(len(p) - 5)} <= lang
 
 
+def _check_against_closure(f):
+    for n in range(1, 9):
+        assert leaf_language(f, n) == leaf_language_by_closure(f, n)
+
+
+@given(positive_rose_maps())
+def test_leaf_language_matches_closure_random(f):
+    _check_against_closure(f)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_leaf_language_matches_closure_with_backward_darts(rank):
+    # legal images with backward darts: a turn x~ y is crossed both ways
+    for f in train_track_automorphisms(rank, 12, seed=5):
+        _check_against_closure(f)
+
+
+def test_leaf_language_matches_closure_fixtures(map_files):
+    for mf in map_files.values():
+        _check_against_closure(mf.map)
+
+
+def test_leaf_language_keeps_words_of_early_images():
+    # k = 2 at n = 3 (|f(b)| = 1), and only f(c) holds a b b: no image
+    # f^t(e) with t >= 2 does, as each is made of the blocks a b and a
+    f = rose_map(["a b", "a", "a b b"])
+    assert f.edge_iterates.first_level_over(1) == 2
+    assert f.graph.parse_path("a b b") in leaf_language(f, 3)
+
+
+def test_leaf_language_work_is_bounded_by_the_window(monkeypatch):
+    # strata growing at different rates: at n = 16 the level is k = 7, set
+    # by the Fibonacci stratum b c, while f^7(a) = a^(10^7); the language
+    # must come from clipped images, never from a whole one
+    f = rose_map(["a a a a a a a a a a", "b c", "b"])
+    assert f.edge_iterates.first_level_over(14) == 7
+
+    def whole_image(self, e, t):
+        raise AssertionError(f"whole image f^{t}(edge {e}) built")
+
+    monkeypatch.setattr(EdgeIterates, "image", whole_image)
+    for n in (16, 24):
+        assert leaf_language(f, n) == leaf_language_by_closure(f, n)
+
+
+def test_recurrence_counts_the_leaf_language(map_files):
+    # two independent computations of the same language
+    maps = [mf.map for mf in map_files.values()]
+    maps += [f for rank in (2, 3, 4) for f in train_track_automorphisms(rank, 6, seed=9)]
+    for f in maps:
+        for m in (1, 2, 3):
+            assert uniform_recurrence_check(f, m).factors == len(leaf_language(f, m))
+
+
 def test_collapsing_map_is_not_train_track(rose2):
     # f^2(b) = a b b~ a~ reduces to the empty path: no train track, and the
-    # lengthening loop must not wait for the image to grow; a window of one
+    # level search must not wait for the image to grow; a window of one
     # dart, where no image cancels, must still refuse it
     f = GraphSelfMap.build(rose2, {"a": "a b", "b": "b~ a~"})
     for n in (8, 1):

@@ -2,9 +2,9 @@
 
 Subcommands operate on map files (see `mapfile`) and print either a readable
 text report or, with --json, a canonical JSON document: keys sorted, floats
-rounded to 12 significant digits, no whitespace padding, schema version
-embedded.  Identical inputs and flags therefore produce byte-identical
-output.
+rounded to 12 significant digits (only `pf` reports hold any, rounded by
+their handler), no whitespace padding, schema version embedded.  Identical
+inputs and flags therefore produce byte-identical output.
 
 Exit codes: 0 = pass / result produced, 1 = property violation,
 2 = inconclusive (budget exhausted), 3 = input error.
@@ -41,16 +41,6 @@ class _CliParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def _render_text(data: dict, indent: int = 0) -> str:
     lines = []
     pad = "  " * indent
@@ -79,7 +69,6 @@ def _render_text(data: dict, indent: int = 0) -> str:
 
 
 def _emit(data: dict, as_json: bool) -> str:
-    data = _round_floats(data)
     if as_json:
         return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
     return _render_text(data) + "\n"
@@ -167,11 +156,13 @@ def _cmd_turns(mf: MapFile, args, data: dict) -> int:
     f = mf.map
     g = f.graph
     turns = all_turns(g)
-    legal = [is_legal_turn(f, t) for t in turns]
+    gate_of = gates(f).gate_of
+    legal = [gate_of[a] != gate_of[b] for a, b in turns]  # all_turns has no (d, d)
     used_set = used_turns(f)
     used = [t in used_set for t in turns]
+    names = [g.dart_name(d) for d in g.darts()]
     data["turns"] = [
-        {"turn": _turn_names(g, t), "legal": ok, "used": u} for t, ok, u in zip(turns, legal, used)
+        {"turn": [names[a], names[b]], "legal": ok, "used": u} for (a, b), ok, u in zip(turns, legal, used)
     ]
     data["counts"] = {
         "total": len(turns),
@@ -181,6 +172,12 @@ def _cmd_turns(mf: MapFile, args, data: dict) -> int:
         "used_illegal": sum(u and not ok for ok, u in zip(legal, used)),
     }
     return OK
+
+
+def _rounded(x: float) -> float:
+    """x to 12 significant digits, as every float of a report is given;
+    `pf` reports are the only ones that hold floats."""
+    return float(f"{x:.12g}")
 
 
 def _cmd_pf(mf: MapFile, args, data: dict) -> int:
@@ -194,15 +191,15 @@ def _cmd_pf(mf: MapFile, args, data: dict) -> int:
         data["error"] = "transition matrix is not primitive"
         return VIOLATION
     pf = pf_data(f, tol=args.tol)
-    data["lambda"] = pf.lam
+    data["lambda"] = _rounded(pf.lam)
     if g.num_edges <= 6:
         data["charpoly"] = charpoly_coefficients(m)
-    data["lengths"] = {g.edge_names[i]: pf.pf_lengths[i] for i in range(g.num_edges)}
-    data["volume"] = pf.vol_pf
-    data["bbt_bound"] = pf.bbt_bound
-    data["min_length"] = pf.min_pf_length
+    data["lengths"] = {g.edge_names[i]: _rounded(pf.pf_lengths[i]) for i in range(g.num_edges)}
+    data["volume"] = _rounded(pf.vol_pf)
+    data["bbt_bound"] = _rounded(pf.bbt_bound)
+    data["min_length"] = _rounded(pf.min_pf_length)
     data["c_illegal"] = pf.c_illegal
-    data["residual"] = pf.residual
+    data["residual"] = _rounded(pf.residual)
     data["iterations"] = pf.iterations
     return OK
 

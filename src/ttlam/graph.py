@@ -11,7 +11,9 @@ canonical as ``(min, max)`` so that dict/set membership never depends on the
 order a turn was encountered in.
 """
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphError
@@ -88,36 +90,49 @@ class Graph:
         name = self.edge_names[d >> 1]
         return name if (d & 1) == 0 else name + "~"
 
+    @cached_property
+    def darts_by_name(self) -> dict[str, Dart]:
+        """Dart of each token: an edge name for the forward dart, the name
+        and `~` for the backward one.  A token ending in `~` is only ever
+        read as a backward dart."""
+        table = {name: 2 * i for i, name in enumerate(self.edge_names) if not name.endswith("~")}
+        table.update((name + "~", 2 * i + 1) for i, name in enumerate(self.edge_names))
+        return table
+
     def dart_by_name(self, token: str) -> Dart:
-        rev = token.endswith("~")
-        name = token[:-1] if rev else token
         try:
-            i = self.edge_names.index(name)
-        except ValueError:
-            raise GraphError(f"unknown edge {name!r}") from None
-        return 2 * i + (1 if rev else 0)
+            return self.darts_by_name[token]
+        except KeyError:
+            raise _unknown_token(token) from None
 
     def path_str(self, path: Iterable[int]) -> str:
         return " ".join(self.dart_name(d) for d in path)
 
     def parse_path(self, text: str) -> Path:
-        toks = text.split()
-        return tuple(self.dart_by_name(t) for t in toks)
+        table = self.darts_by_name
+        try:
+            return tuple([table[t] for t in text.split()])
+        except KeyError as exc:
+            raise _unknown_token(exc.args[0]) from None
 
     # -- path predicates ----------------------------------------------------
 
     def is_edge_path(self, path: Sequence[int]) -> bool:
         """Darts chain: terminus of each equals origin of the next."""
-        for d in path:
-            if not (0 <= d < self.num_darts):
-                return False
-        for a, b in zip(path, path[1:]):
-            if self.terminus(a) != self.origin(b):
-                return False
-        return True
+        origin = self.dart_origin
+        if path and (min(path) < 0 or max(path) >= len(origin)):
+            return False
+        return [origin[a ^ 1] for a in path[:-1]] == [origin[b] for b in path[1:]]
 
     def is_closed(self, path: Sequence[int]) -> bool:
         return bool(path) and self.origin(path[0]) == self.terminus(path[-1])
+
+
+def _unknown_token(token: str) -> GraphError:
+    """The error for a token that names no dart: it names the edge, the
+    token less one trailing `~`."""
+    name = token[:-1] if token.endswith("~") else token
+    return GraphError(f"unknown edge {name!r}")
 
 
 # -- reduction and turns ----------------------------------------------------
@@ -160,7 +175,8 @@ def extend_reduced(stack: list[int], blocks: Iterable[Sequence[int]]) -> list[in
 
 
 def is_reduced(path: Sequence[int]) -> bool:
-    return all(b != (a ^ 1) for a, b in zip(path, path[1:]))
+    """No dart is followed by its reversal."""
+    return all(map(operator.ne, [d ^ 1 for d in path[:-1]], path[1:]))
 
 
 def reverse_path(path: Sequence[int]) -> Path:

@@ -55,17 +55,20 @@ class GraphSelfMap:
             missing = set(graph.edge_names) - set(images)
             extra = set(images) - set(graph.edge_names)
             raise MapError(f"edge images missing {sorted(missing)} / unknown {sorted(extra)}")
-        edge_image = []
-        vimg: dict[int, int] = {}
-        for e, name in enumerate(graph.edge_names):
-            edge_image.append(graph.parse_path(images[name]))
-            check_image(graph, e, edge_image[-1], vimg)
-        return GraphSelfMap.inferred(graph, vimg, edge_image)
+        return GraphSelfMap.inferred(graph, [graph.parse_path(images[name]) for name in graph.edge_names])
 
     @staticmethod
-    def inferred(graph: Graph, vimg: dict[int, int], edge_image: Sequence[Path]) -> "GraphSelfMap":
-        """The map with these edge images and the vertex images vimg that
-        `check_image` inferred from them; a vertex no edge touches has none."""
+    def inferred(graph: Graph, edge_image: Sequence[Path]) -> "GraphSelfMap":
+        """The map with these edge images, tuples of darts of graph, each
+        vertex sent where the first image in edge order that touches it
+        sends it; the constructor checks every image against these vertex
+        images.  A vertex that no image touches raises MapError."""
+        origin = graph.dart_origin
+        vimg: dict[int, int] = {}
+        for e, img in enumerate(edge_image):
+            if img:
+                vimg.setdefault(origin[2 * e], origin[img[0]])
+                vimg.setdefault(origin[2 * e + 1], origin[img[-1] ^ 1])
         for v in range(graph.num_vertices):
             if v not in vimg:
                 raise MapError(f"vertex {graph.vertex_names[v]} touched by no edge")
@@ -152,14 +155,20 @@ class GraphSelfMap:
         b -> c a b a, c -> c c a b a, C(f) = 8, yet f(a~ b) * f(c~ b a)
         cancels 11 darts on each side.  ROADMAP item 1 replaces it with a
         proved constant.
+
+        The images at each vertex are sorted, and only neighbours compared:
+        in sorted order the common prefix of two images is the shortest of
+        those of the neighbouring pairs between them, so a neighbouring pair
+        reaches the maximum over all pairs, in O(d log d) comparisons for d
+        darts.
         """
-        g = self.graph
+        at_vertex: dict[int, list[Path]] = {}
+        for d, img in enumerate(self.dart_images):
+            at_vertex.setdefault(self.graph.dart_origin[d], []).append(img)
         best = 0
-        for d1 in g.darts():
-            for d2 in range(d1 + 1, g.num_darts):
-                if g.origin(d1) != g.origin(d2):
-                    continue
-                a, b = self.dart_image(d1), self.dart_image(d2)
+        for imgs in at_vertex.values():
+            imgs.sort()
+            for a, b in zip(imgs, imgs[1:]):
                 k = 0
                 while k < len(a) and k < len(b) and a[k] == b[k]:
                     k += 1

@@ -13,14 +13,15 @@ tuples, and every reported structure can be re-checked by direct iteration.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IncompatibleGraphsError, MapError
-from .graph import Path, equivalence_classes, path_reduce, reverse_path
+from .graph import Path, equivalence_classes, extend_reduced, path_reduce, reverse_path
 from .graph_map import GraphSelfMap
 from .nielsen import detect_inps, eigenray_prefix, periodic_structures
 from .spectral import pf_data
-from .train_track import gates, ilt_count, legal_segments, require_train_track, used_turns
+from .train_track import gates, legal_segments, require_train_track, used_turns
 
 
 # -- factor languages ------------------------------------------------------------
@@ -377,6 +378,24 @@ def ilt_contraction(
     a proved bounded-cancellation constant, so that the count reaches <= 1
     within `steps` is what `reached_le_one` reports, not a guarantee; see
     ROADMAP item 1.
+
+    Each step counts only at junctions.  A train track map sends a legal
+    path s to the legal, reduced path f(s), the blocks f(d) over its darts
+    laid end to end: each f(d) is legal, as every turn of an edge image is
+    used, and Df sends the legal turns of s to legal turns.  So f(w) is the
+    reduction of the blocks f(s) over the maximal legal segments s of w, cut
+    at its illegal turns, and what is left of each block is a subpath of a
+    legal path: an illegal turn of f(w) sits where what is left of one block
+    meets what is left of another.  `extend_reduced` joins the blocks one at
+    a time, so the stack lengths around a block tell where its leftover
+    starts: a block of b darts that takes the stack from length s to s'
+    cancels (s + b - s') / 2 darts on each side, so its leftover starts at
+    (s - b + s') / 2.  A later block that pops the stack below a junction
+    consumes it.  The illegal turns among the junctions left standing inside
+    the chop window are the count, and the cuts of the next step.  A step
+    thus takes one Python-level pass per legal segment of w, at most |w|,
+    with the blocks laid out by list operations, rather than one per dart
+    of f(w), as a scan of the whole image would.
     """
     require_train_track(f)
     if chop is None:
@@ -391,15 +410,33 @@ def ilt_contraction(
     if len(w) <= 2 * chop and chop > 0:
         raise MapError(f"word of length {len(w)} is consumed by a boundary trim of {chop}")
     block = contraction_block(f)
-    series = [ilt_count(f, w)]
+    gate_of = gates(f).gate_of
+    images = f.dart_images
+    # the positions i of w with an illegal turn between w[i - 1] and w[i]
+    cuts = [i for i in range(1, len(w)) if gate_of[w[i - 1] ^ 1] == gate_of[w[i]]]
+    series = [len(cuts)]
     if steps is None:
         steps = block * (series[0] + 2)
     for _ in range(steps):
-        if series[-1] == 0:
+        if not cuts:
             break
-        w = f.apply(w)
-        w = w[chop : len(w) - chop] if chop else w
-        series.append(ilt_count(f, w))
+        stack: list[int] = []
+        junctions: list[int] = []  # where each standing leftover starts, ascending
+        for a, b in zip([0] + cuts, cuts + [len(w)]):
+            image = list(chain.from_iterable(map(images.__getitem__, w[a:b])))
+            before = len(stack)
+            extend_reduced(stack, (image,))
+            start = (before - len(image) + len(stack)) // 2
+            while junctions and junctions[-1] >= start:
+                junctions.pop()
+            if 0 < start < len(stack):
+                junctions.append(start)
+        end = len(stack) - chop
+        cuts = [
+            j - chop for j in junctions if chop < j < end and gate_of[stack[j - 1] ^ 1] == gate_of[stack[j]]
+        ]
+        series.append(len(cuts))
+        w = stack[chop:end]
     series += [0] * (steps + 1 - len(series))
     reached = next((i for i, v in enumerate(series) if v <= 1), -1)
     return ContractionReport(

@@ -24,6 +24,7 @@ can treat them as assumptions.
 
 import re
 from dataclasses import dataclass
+from typing import Collection
 
 from .errors import GraphError, MapError, ParseError
 from .graph import Graph, Path
@@ -56,14 +57,15 @@ def _check_name(token: str, line: int, what: str) -> str:
 
 
 def _check_id(token: str, line: int, what: str) -> str:
-    if any(c in _RESERVED for c in _check_name(token, line, what)):
+    _check_name(token, line, what)
+    if any(c in token for c in _RESERVED):
         raise ParseError(
             f"{what} {token!r} uses a reserved character: '.' and '*' are kept for subdivision", line
         )
     return token
 
 
-def _declared_graph(vertices: list[str], edges: list[tuple[int, tuple[str, str, str]]]) -> Graph:
+def _declared_graph(vertices: list[str], edges: Collection[tuple[int, tuple[str, str, str]]]) -> Graph:
     """The graph of the declarations, each edge given with its line; an edge
     with an undeclared end vertex fails on its own line."""
     for lineno, (name, *ends) in edges:
@@ -73,16 +75,29 @@ def _declared_graph(vertices: list[str], edges: list[tuple[int, tuple[str, str, 
     return Graph.build(vertices, [edge for _, edge in edges])
 
 
+def _first_bad_image(graph: Graph, images: dict[int, tuple[int, Path]]) -> ParseError | None:
+    """The error of the first image in file order that `check_image` refuses,
+    given the vertex images that the images above it infer, on its line."""
+    vertex_image: dict[int, int] = {}
+    for lineno, e, img in sorted((lineno, e, img) for e, (lineno, img) in images.items()):
+        try:
+            check_image(graph, e, img, vertex_image)
+        except MapError as exc:
+            return ParseError(str(exc), lineno)
+    return None
+
+
 def parse_map_file(text: str) -> MapFile:
-    """Parse a map file, checking each declaration and edge image on its own
-    line; the graph is complete at the `map` line, as no vertex or edge may
-    follow it."""
+    """Parse a map file, checking each declaration and the darts of each
+    edge image on its own line; the graph is complete at the `map` line, as
+    no vertex or edge may follow it.  Each image is checked once, when the
+    map is built; an image it refuses is reported on its own line, the first
+    in file order that `check_image` refuses."""
     name: str | None = None
     vertices: list[str] = []
-    edges: list[tuple[int, tuple[str, str, str]]] = []  # (line, (name, origin, terminus))
+    edges: dict[str, tuple[int, tuple[str, str, str]]] = {}  # name -> (line, (name, origin, terminus))
     graph: Graph | None = None  # built at the map line
-    images: dict[str, Path] = {}
-    vertex_image: dict[int, int] = {}  # inferred from the images read so far
+    images: dict[int, tuple[int, Path]] = {}  # edge -> (line, image)
     assertions: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -113,13 +128,13 @@ def parse_map_file(text: str) -> MapFile:
                 _check_id(toks[2], lineno, "vertex id"),
                 _check_id(toks[3], lineno, "vertex id"),
             )
-            if any(edge[0] == other[0] for _, other in edges):
+            if edge[0] in edges:
                 raise ParseError(f"duplicate edge name {edge[0]!r}", lineno)
-            edges.append((lineno, edge))
+            edges[edge[0]] = (lineno, edge)
         elif head == "map":
             if len(toks) != 1:
                 raise ParseError("expected: map", lineno)
-            graph = graph or _declared_graph(vertices, edges)
+            graph = graph or _declared_graph(vertices, edges.values())
         elif head == "assert":
             body = line.split(None, 1)[1] if len(toks) > 1 else ""
             if body == "iwip" or body == "atoroidal":
@@ -133,15 +148,14 @@ def parse_map_file(text: str) -> MapFile:
         elif len(toks) >= 3 and toks[1] == "->":
             if graph is None:
                 raise ParseError("edge image before the map line", lineno)
-            ename = toks[0]
-            if ename in images:
-                raise ParseError(f"duplicate image for edge {ename!r}", lineno)
-            if ename not in graph.edge_names:
-                raise ParseError(f"image for unknown edge {ename!r}", lineno)
+            dart = graph.darts_by_name.get(toks[0])
+            if dart is None or dart & 1:
+                raise ParseError(f"image for unknown edge {toks[0]!r}", lineno)
+            if dart >> 1 in images:
+                raise ParseError(f"duplicate image for edge {toks[0]!r}", lineno)
             try:
-                images[ename] = graph.parse_path(" ".join(toks[2:]))
-                check_image(graph, graph.edge_names.index(ename), images[ename], vertex_image)
-            except (GraphError, MapError) as exc:
+                images[dart >> 1] = (lineno, graph.parse_path(" ".join(toks[2:])))
+            except GraphError as exc:
                 raise ParseError(str(exc), lineno) from exc
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
@@ -151,14 +165,14 @@ def parse_map_file(text: str) -> MapFile:
         raise ParseError("no vertices declared")
     if not edges:
         raise ParseError("no edges declared")
-    graph = graph or _declared_graph(vertices, edges)
-    for ename in graph.edge_names:
-        if ename not in images:
+    graph = graph or _declared_graph(vertices, edges.values())
+    for e, ename in enumerate(graph.edge_names):
+        if e not in images:
             raise ParseError(f"edge {ename!r} has no image")
     try:
-        gsm = GraphSelfMap.inferred(graph, vertex_image, [images[e] for e in graph.edge_names])
-    except MapError as exc:  # a vertex that no edge touches
-        raise ParseError(str(exc)) from exc
+        gsm = GraphSelfMap.inferred(graph, [images[e][1] for e in range(graph.num_edges)])
+    except MapError as exc:  # a refused image, else a vertex that no edge touches
+        raise _first_bad_image(graph, images) or ParseError(str(exc)) from exc
     return MapFile(name=name, map=gsm, assertions=tuple(assertions))
 
 

@@ -19,8 +19,10 @@ as are the periodic data (`graph_map.per_map`).
 """
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import islice
+from operator import eq
 from types import MappingProxyType
 
 from .errors import (
@@ -416,6 +418,18 @@ def _tail_stems(r1: Path, r2: Path, s1: str, s2: str, min_agree: int) -> list[tu
     return out
 
 
+def _image_darts(f: GraphSelfMap, path: Path, s: int) -> Iterator[int]:
+    """The darts of f^s(path), one at a time, for a legal path of a train
+    track map: the blocks f^(s-1)(d) over the darts d of f(path), laid end
+    to end, with nothing cancelled and nothing stored."""
+    if s == 0:
+        yield from path
+        return
+    images = f.dart_images
+    for d in path:
+        yield from _image_darts(f, images[d], s - 1)
+
+
 def _nielsen_period(f: GraphSelfMap, a: Path, b: Path, max_period: int) -> int | None:
     """The least s <= max_period with [f^s(a b~)] = a b~, or None, for a
     train track map f and nonempty legal paths a, b whose junction turn
@@ -433,11 +447,14 @@ def _nielsen_period(f: GraphSelfMap, a: Path, b: Path, max_period: int) -> int |
 
         sum_a |f^s(d)| - |a| = |w| = sum_b |f^s(d)| - |b|.
 
-    Periods are tried in order, and fa, fb are built from the stored
-    f^s-blocks only at periods that pass this integer test.  The check
-    fa[:|a|] = a, fb[:|b|] = b, fa[|a|:] = fb[|b|:] is sufficient for any
-    map, so a reported period is always a true one; the test's proof above
-    uses the train track property, which detection checks first.
+    Periods are tried in order, and only at periods that pass this integer
+    test are fa and fb compared: fa[:|a|] = a, fb[:|b|] = b and
+    fa[|a|:] = fb[|b|:], which suffices.  As nothing cancels, both are
+    streamed dart by dart from the dart images (`_image_darts`) and the
+    comparison stops at the first difference, so no f^s-block is built: a
+    candidate of a map with large images that fails costs its agreeing
+    prefix, not |f^s(a)| darts, which can run to billions.  Detection checks
+    the train track property first.
     """
     store = f.edge_iterates
     m1, m2 = len(a), len(b)
@@ -445,9 +462,9 @@ def _nielsen_period(f: GraphSelfMap, a: Path, b: Path, max_period: int) -> int |
         lens = store.lengths(s)
         if sum(lens[d >> 1] for d in a) - m1 != sum(lens[d >> 1] for d in b) - m2:
             continue
-        fa = tuple(extend_reduced([], (store.dart_image(d, s) for d in a)))
-        fb = tuple(extend_reduced([], (store.dart_image(d, s) for d in b)))
-        if fa[:m1] == a and fb[:m2] == b and fa[m1:] == fb[m2:]:
+        fa, fb = _image_darts(f, a, s), _image_darts(f, b, s)
+        # the two rests have one length, so map stops at the end of both
+        if tuple(islice(fa, m1)) == a and tuple(islice(fb, m2)) == b and all(map(eq, fa, fb)):
             return s
     return None
 

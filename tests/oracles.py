@@ -8,6 +8,7 @@ every shift, whole-path iteration.
 """
 
 import functools
+import os
 
 import numpy as np
 
@@ -138,6 +139,40 @@ def illegal_turn_count(f, path, assigned):
         for a, b in zip(path, path[1:])
         if assigned[a ^ 1] == assigned[b]
     )
+
+
+def cancellation_bound_all_pairs(f):
+    """C(f) from its definition: twice the longest common prefix of the
+    images of two distinct darts at one vertex, over every such pair, with
+    each backward dart's image reversed by hand."""
+    g = f.graph
+
+    def image(d):
+        img = f.edge_image[d >> 1]
+        return tuple(x ^ 1 for x in reversed(img)) if d & 1 else img
+
+    pairs = [
+        (d1, d2)
+        for d1 in range(g.num_darts)
+        for d2 in range(d1 + 1, g.num_darts)
+        if g.dart_origin[d1] == g.dart_origin[d2]
+    ]
+    return 2 * max((len(os.path.commonprefix([image(d1), image(d2)])) for d1, d2 in pairs), default=0)
+
+
+def chopped_ilt_series(f, word, steps, chop):
+    """The chopped illegal-turn series of a word, from its definition: the
+    reduced word's count, then `steps` times apply_map, drop chop darts from
+    each end (all of a word of at most 2 chop darts), and count the illegal
+    turns in the Df-orbit gates.  Every step applies f, legal word or not."""
+    _, assigned = derivative_orbit_gates(f)
+    w = reduce_word(word)
+    series = [illegal_turn_count(f, w, assigned)]
+    for _ in range(steps):
+        w = apply_map(f, w)
+        w = w[chop : len(w) - chop] if len(w) > 2 * chop else ()
+        series.append(illegal_turn_count(f, w, assigned))
+    return tuple(series)
 
 
 def brute_force_inps(f, max_len, max_period=4):

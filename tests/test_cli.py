@@ -4,6 +4,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given
 
 from ttlam import cli
 from ttlam.cli import run_command
@@ -20,8 +21,9 @@ from ttlam.errors import (
     SubdivisionError,
     TtError,
 )
+from ttlam.mapfile import MapFile, serialize_map_file
 
-from conftest import RECORDED, THREE_VERTEX_TT, fixture_argv
+from conftest import RECORDED, THREE_VERTEX_TT, fixture_argv, positive_rose_maps
 
 
 def _run(fixture_dir, *args):
@@ -325,6 +327,36 @@ def test_fixture_commands_match_reference_text_reports():
     assert sorted(reference) == sorted(json.loads(REFERENCE.read_text()))
     for key, want in sorted(reference.items()):
         assert run_command(fixture_argv(key)) == (want["exit"], want["report"]), key
+
+
+def _floats(report):
+    if isinstance(report, float):
+        yield report
+    elif isinstance(report, (dict, list)):
+        for value in report.values() if isinstance(report, dict) else report:
+            yield from _floats(value)
+
+
+def _assert_rounded(text):
+    # every float of a report is given to 12 significant digits
+    floats = list(_floats(json.loads(text)))
+    assert all(x == float(f"{x:.12g}") for x in floats), floats
+    return floats
+
+
+def test_only_pf_reports_hold_floats():
+    holding = {key.split()[0] for key in json.loads(REFERENCE.read_text())
+               if _assert_rounded(run_command(fixture_argv(key) + ["--json"])[1])}
+    assert holding == {"pf"}
+
+
+@given(positive_rose_maps())
+def test_pf_floats_are_rounded(tmp_path_factory, f):
+    path = tmp_path_factory.mktemp("pf") / "map.tt"
+    path.write_text(serialize_map_file(MapFile("random", f, ())))
+    code, text = run_command(["pf", str(path), "--json"])
+    assert code == 0
+    assert _assert_rounded(text)
 
 
 def test_derived_data_built_once_per_map(monkeypatch, fixture_dir):

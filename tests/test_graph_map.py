@@ -5,11 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ttlam import Graph, GraphSelfMap, MapError, NotExpandingError
+from ttlam import Graph, GraphSelfMap, MapError, NotExpandingError, detect_inps
 from ttlam.graph_map import compose, is_inner
 
 from conftest import positive_rose_maps, reduced_rose_maps
-from oracles import apply_map, random_reduced_word, reduce_word
+from oracles import apply_map, cancellation_bound_all_pairs, random_reduced_word, reduce_word
 
 import random
 
@@ -87,6 +87,26 @@ def test_cancellation_bound_values(fib, trib, trib_inv, reducible):
     assert trib.cancellation_bound == 2
     assert reducible.cancellation_bound == 4
     assert trib_inv.cancellation_bound >= 0
+
+
+@given(st.one_of(reduced_rose_maps(), positive_rose_maps()))
+def test_cancellation_bound_matches_all_pairs(f):
+    assert f.cancellation_bound == cancellation_bound_all_pairs(f)
+
+
+def test_cancellation_bound_matches_all_pairs_subdivided_fixtures(all_maps):
+    for f in all_maps.values():
+        sub = detect_inps(f).subdivision.map
+        assert sub.graph.num_vertices > 1
+        assert sub.cancellation_bound == cancellation_bound_all_pairs(sub)
+
+
+@given(positive_rose_maps(moves_per_rank=1))
+def test_cancellation_bound_matches_all_pairs_subdivided(f):
+    rep = detect_inps(f, max_period=2)
+    if rep.subdivision is not None:  # the subdivided maps have two or more vertices
+        sub = rep.subdivision.map
+        assert sub.cancellation_bound == cancellation_bound_all_pairs(sub)
 
 
 def test_cancellation_inequality(all_maps):

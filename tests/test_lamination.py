@@ -1,5 +1,7 @@
 """Leaf languages, recurrence, equivalence classes, singular leaves, duality."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -20,6 +22,7 @@ from ttlam import (
     transition_matrix,
     uniform_recurrence_check,
 )
+from ttlam import lamination
 from ttlam.graph import is_reduced
 from ttlam.graph_map import EdgeIterates
 from ttlam.lamination import contraction_block, illegality_profile
@@ -33,12 +36,14 @@ from conftest import (
 )
 from oracles import (
     apply_map,
+    chopped_ilt_series,
     derivative_orbit_gates,
     first_power_over,
     harvest_factors,
     illegal_turn_count,
     leaf_language_by_closure,
     primitivity_exponent,
+    random_reduced_word,
 )
 
 
@@ -359,16 +364,56 @@ def test_contraction_legal_word_stays_zero(trib):
     assert set(rep.series) == {0}
 
 
+@given(positive_rose_maps(), st.integers(0, 3), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_contraction_series_matches_reference_loop(f, chop, steps, rng):
+    word = random_reduced_word(f.graph, rng.randint(2 * chop + 1, 2 * chop + 12), rng)
+    assert ilt_contraction(f, word, steps=steps, chop=chop).series == chopped_ilt_series(f, word, steps, chop)
+
+
+def test_contraction_series_matches_reference_loop_through_inps():
+    # signed automorphisms and their subdivisions (two or more vertices),
+    # on random words and on their INPs, whose count stays 1 at chop 0
+    rng = random.Random(16)
+    maps = train_track_automorphisms(2, 3, seed=7) + train_track_automorphisms(3, 3, seed=8)
+    cases = []
+    for f in maps:
+        rep = detect_inps(f)
+        cases.append((f, [p.path for p in rep.inps]))
+        if rep.subdivision is not None:
+            cases.append((rep.subdivision.map, [p.path for p in rep.subdivided_inps]))
+    assert any(f.graph.num_vertices > 1 for f, _ in cases)
+    held_at_one = 0
+    for f, inps in cases:
+        for chop in range(4):
+            words = [w for w in inps if len(w) > 2 * chop]
+            words += [random_reduced_word(f.graph, rng.randint(2 * chop + 1, 2 * chop + 10), rng) for _ in range(3)]
+            for w in words:
+                series = ilt_contraction(f, w, steps=3, chop=chop).series
+                assert series == chopped_ilt_series(f, w, 3, chop), (f.edge_image, w, chop)
+                held_at_one += series == (1, 1, 1, 1)
+    assert held_at_one
+
+
 def test_contraction_stops_applying_at_zero(monkeypatch, rose2):
     # the word's image grows about 2.6x per step while its count stays 0:
-    # the default 39 steps would never end
+    # the default 39 steps would never end.  ilt_contraction applies f by
+    # joining the images of the word's pieces with extend_reduced, so the
+    # darts it joins are those of exactly one application of f
     f = GraphSelfMap.build(rose2, {"a": "a b~ a", "b": "b a~"})
-    calls = []
-    apply = GraphSelfMap.apply
-    monkeypatch.setattr(GraphSelfMap, "apply", lambda self, w: calls.append(len(w)) or apply(self, w))
-    rep = ilt_contraction(f, rose2.parse_path(" ".join(["a b"] * 12)), steps=8)
+    joined = []
+    extend = lamination.extend_reduced
+
+    def counting(stack, blocks):
+        blocks = list(blocks)
+        for b in blocks:
+            joined.extend(b)
+        return extend(stack, blocks)
+
+    monkeypatch.setattr(lamination, "extend_reduced", counting)
+    word = rose2.parse_path(" ".join(["a b"] * 12))
+    rep = ilt_contraction(f, word, steps=8)
     assert rep.series == (11,) + (0,) * 8
-    assert len(calls) == 1
+    assert joined == [x for d in word for x in f.dart_image(d)]
 
 
 def test_contraction_rejects_consumed_word(trib, rose3):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ttlam import ParseError, detect_inps
+from ttlam import ParseError, detect_inps, graph_map
 from ttlam.mapfile import MapFile, parse_map_file, serialize_map_file
 
 from conftest import positive_rose_maps
@@ -64,6 +64,11 @@ c -> c
 
 @pytest.mark.parametrize("lineno, text, error", [
     pytest.param(9, "b -> z", "line 9: unknown edge 'z'", id="unknown-edge"),
+    # a token names an edge, then at most one `~`
+    pytest.param(9, "b -> z~", "line 9: unknown edge 'z'", id="unknown-reversed-edge"),
+    pytest.param(9, "b -> a~~", "line 9: unknown edge 'a~'", id="double-tilde"),
+    pytest.param(9, "b -> ~", "line 9: unknown edge ''", id="bare-tilde"),
+    pytest.param(8, "a~ -> a b c", "line 8: image for unknown edge 'a~'", id="image-of-a-reversed-dart"),
     pytest.param(8, "a -> a c", "line 8: image of edge 'a' is not an edge path: a c", id="not-a-path"),
     # the line of the later of the two images
     pytest.param(9, "b -> a", "line 10: vertex w gets conflicting images", id="conflict"),
@@ -119,6 +124,28 @@ def test_parse_rejects_unreduced_image():
     with pytest.raises(ParseError) as err:
         parse_map_file(bad)
     assert "line" in str(err.value)
+
+
+def test_conflict_is_named_on_the_later_line_in_file_order():
+    # the images come in reverse edge order; read in edge order, c's image
+    # would be the one that conflicts, but in the file b's comes later
+    lines = LINES[:7] + ["c -> c", "b -> a", "a -> a b c"]
+    with pytest.raises(ParseError) as err:
+        parse_map_file("\n".join(lines) + "\n")
+    assert str(err.value) == "line 9: vertex w gets conflicting images"
+
+
+def test_each_image_is_checked_once_per_parse(monkeypatch):
+    checked = []
+    check = graph_map.check_image
+
+    def counting(graph, e, img, vertex_image):
+        checked.append(e)
+        check(graph, e, img, vertex_image)
+
+    monkeypatch.setattr(graph_map, "check_image", counting)
+    parse_map_file("\n".join(LINES) + "\n")
+    assert sorted(checked) == [0, 1, 2]
 
 
 def test_roundtrip_fixture_files(map_files):

@@ -470,6 +470,26 @@ def test_detection_stops_at_first_interior_period(monkeypatch, images):
     assert rep.conclusive
 
 
+def test_period_check_builds_no_whole_image(monkeypatch):
+    # lambda ~ 22.7: |f^6(e)| runs to 1.7 * 10^8 darts, and building the
+    # f^s-blocks of each candidate's halves up to s = 6 took over 2.5 GB.
+    # Detection reads only f itself from the store
+    f = rose_map([
+        "b a c a b a c b a c b a c a b a c b a c b a c a b a c",
+        "b a c b a c a b a c c",
+        "c b a c a b a c b a c b a c a b a c b a c b a c a b a c",
+    ])
+    image = EdgeIterates.image
+
+    def level_one(self, e, t):
+        assert t <= 1, f"f^{t}(e) built"
+        return image(self, e, t)
+
+    monkeypatch.setattr(EdgeIterates, "image", level_one)
+    rep = detect_inps(f)
+    assert (rep.inps, rep.notes, rep.conclusive) == ((), (), True)
+
+
 def _candidate_stems(r1, r2, min_agree):
     return _tail_stems(r1, r2, _encode(r1), _encode(r2), min_agree)
 

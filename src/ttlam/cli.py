@@ -30,7 +30,7 @@ from .lamination import (
 from .mapfile import MapFile, parse_map_path
 from .nielsen import detect_inps, eigenray_prefix, periodic_structures, stability_verdict
 from .spectral import charpoly_coefficients, is_primitive, pf_data, transition_matrix
-from .train_track import gates, is_legal_turn, is_train_track, two_gates_everywhere, used_turns
+from .train_track import gates, is_train_track, two_gates_everywhere, used_illegal_turns, used_turns
 
 OK, VIOLATION, INCONCLUSIVE, INPUT_ERROR = 0, 1, 2, 3
 _EXIT_OF_KIND = {"input": INPUT_ERROR, "property": VIOLATION, "inconclusive": INCONCLUSIVE}
@@ -100,9 +100,7 @@ def _cmd_check(mf: MapFile, args, data: dict) -> int:
     tt = is_train_track(f)
     data["train_track"] = tt
     data["num_gates"] = len(gates(f).members)
-    data["used_illegal"] = sorted(
-        _turn_names(g, t) for t in used_turns(f) if not is_legal_turn(f, t)
-    )
+    data["used_illegal"] = sorted(_turn_names(g, t) for t in used_illegal_turns(f))
     data["two_gates"] = two_gates_everywhere(f)
     prim = is_primitive(transition_matrix(f))
     data["primitive"] = prim

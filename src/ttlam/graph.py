@@ -99,12 +99,6 @@ class Graph:
         table.update((name + "~", 2 * i + 1) for i, name in enumerate(self.edge_names))
         return table
 
-    def dart_by_name(self, token: str) -> Dart:
-        try:
-            return self.darts_by_name[token]
-        except KeyError:
-            raise _unknown_token(token) from None
-
     def path_str(self, path: Iterable[int]) -> str:
         return " ".join(self.dart_name(d) for d in path)
 

@@ -14,14 +14,14 @@ tuples, and every reported structure can be re-checked by direct iteration.
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import IncompatibleGraphsError, MapError
 from .graph import Path, equivalence_classes, extend_reduced, path_reduce, reverse_path
 from .graph_map import GraphSelfMap
 from .nielsen import detect_inps, eigenray_prefix, periodic_structures
 from .spectral import pf_data
-from .train_track import gates, legal_segments, require_train_track, used_turns
+from .train_track import gates, illegal_positions, legal_segments, require_train_track, used_turns
 
 
 # -- factor languages ------------------------------------------------------------
@@ -44,6 +44,43 @@ def _flip_closed(words: Iterable[Path]) -> frozenset[Path]:
     return frozenset(out)
 
 
+def _clipped_levels(f: GraphSelfMap, n: int) -> Iterator[tuple[list[set[Path]], list[tuple[Path, ...]]]]:
+    """For t = 1, 2, ...: the length-n windows of the runs of each f^t(e),
+    by edge, and the clip of each f^t(d), by dart, for a train track map.
+
+    No whole image is built: on a map whose strata grow at different rates,
+    a fast edge's image can be far longer than n.  Write m = n - 1.  The
+    clip of f^t(d) is f^t(d) itself while it has fewer than m darts, and
+    otherwise the pair of its first and last m darts.  f^t(e) is the
+    concatenation of the blocks f^(t-1)(d) over the darts d of f(e), so
+    joining the clips of those blocks gives runs of f^t(e), split at each
+    pair.  A window meeting two or more blocks cannot run past both ends of
+    a cut block, which takes m + 2 darts, so it meets each cut block in at
+    most m darts at one end, and lies in one run.  Any other window lies
+    inside one block, where it is a window of f^(t-1) of an edge or of its
+    flip; at t = 1 no clip is a pair, and the one run is f(e).  The
+    generator never ends; each reader stops it.
+    """
+    m = n - 1
+    clips = [((d,),) for d in range(f.graph.num_darts)]
+    while True:
+        windows: list[set[Path]] = []
+        level = []
+        for img in f.edge_image:
+            runs = [()]
+            for d in img:
+                runs[-1] += clips[d][0]
+                runs += clips[d][1:]
+            windows.append(set().union(*(_windows(r, n) for r in runs)))
+            if len(runs) == 1 and len(runs[0]) < m:
+                clip = (runs[0],)
+            else:
+                clip = (runs[0][:m], runs[-1][len(runs[-1]) - m :])
+            level += [clip, tuple(reverse_path(r) for r in reversed(clip))]
+        clips = level
+        yield windows, clips
+
+
 # -- leaf language --------------------------------------------------------------
 
 def leaf_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
@@ -51,8 +88,9 @@ def leaf_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
     closed under reversal.  Raises NotTrainTrackError for a map that is not
     a train track map.
 
-    Let k >= 1 be the least level with every |f^k(e)| >= n - 1.  The
-    language is the flip closure of
+    Let k >= 1 be the least level with every |f^k(e)| >= n - 1, the first
+    level of `_clipped_levels` at which every clip is a pair.  The language
+    is the flip closure of
       (A) the length-n windows of f^t(e), for every edge e and 1 <= t <= k;
       (B) for n > 1 and each used turn {x, y}, the windows of
           f^k(x~ y) = tail(f^k(x~)) + head(f^k(y)), both n - 1 darts long.
@@ -66,6 +104,8 @@ def leaf_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
     is a window of f^k(x~ y) for the turn {x, y} that f^(t-k)(e) crosses
     there, which is used.  The terms of (A) with t < k matter for a map
     that is not primitive, where f^t(e) may hold a word no later image does.
+    The windows of the runs over 1 <= t <= k are (A) up to flips, and the
+    first parts of the clips at level k are the heads that (B) needs.
 
     k exists.  The lengths never shrink: |f^(t+1)(e)| is the sum of
     |f^t(d)| over the darts d of f(e), and |f^t(e)| of |f^(t-1)(d)|, so
@@ -73,44 +113,16 @@ def leaf_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
     An expanding map sends each edge e over two darts at some first level;
     at the largest of these levels, T, every |f^T(e)| >= 2, and then
     |f^(t+T)(e)| >= 2|f^t(e)|.
-
-    No whole image is built: on a map whose strata grow at different rates,
-    a fast edge's image at level k can be far longer than n.  Write
-    m = n - 1.  The clip of f^t(d) is f^t(d) itself while it has fewer than
-    m darts, and otherwise the pair of its first and last m darts.  f^t(e)
-    is the concatenation of the blocks f^(t-1)(d) over the darts d of f(e),
-    so joining the clips of those blocks gives runs of f^t(e), split at each
-    pair.  A window meeting two or more blocks cannot run past both ends of
-    a cut block, which takes m + 2 darts, so it meets each cut block in at
-    most m darts at one end, and lies in one run.  Any other window lies
-    inside one block, where it is a window of f^(t-1) of an edge or of its
-    flip; at t = 1 no clip is a pair, and the one run is f(e).  The windows
-    of the runs over 1 <= t <= k are then (A) up to flips.  At level k
-    every clip is a pair, and its first parts are the heads that (B) needs.
     """
     if n < 1:
         raise MapError("window length must be >= 1")
     f.require_expanding()
     require_train_track(f)
-    k = f.edge_iterates.first_level_over(n - 2)
-    m = n - 1
     words: set[Path] = set()
-    clips = [((d,),) for d in range(f.graph.num_darts)]
-    for _ in range(k):
-        level = []
-        for img in f.edge_image:
-            runs = [()]
-            for d in img:
-                runs[-1] += clips[d][0]
-                runs += clips[d][1:]
-            for r in runs:
-                words |= _windows(r, n)
-            if len(runs) == 1 and len(runs[0]) < m:
-                clip = (runs[0],)
-            else:
-                clip = (runs[0][:m], runs[-1][len(runs[-1]) - m :])
-            level += [clip, tuple(reverse_path(r) for r in reversed(clip))]
-        clips = level
+    for windows, clips in _clipped_levels(f, n):
+        words.update(*windows)
+        if all(len(clip) == 2 for clip in clips):
+            break
     if n > 1:
         for x, y in used_turns(f):
             words |= _windows(reverse_path(clips[x][0]) + clips[y][0], n)
@@ -137,41 +149,33 @@ def uniform_recurrence_check(f: GraphSelfMap, m: int) -> RecurrenceReport:
     """Find the iterate from which every edge image carries the full language.
 
     A flip of a factor counts as an occurrence: leaves are unoriented.  The
-    factor sets S_t(e) = F_<=m(f^t(e)) follow S_{t+1}(e) = union of
-    F_<=m(f(u)) over u in S_t(e), a deterministic system on finitely many
-    states, so it is run until the tuple (S_t(e))_e repeats; from then on
-    it cycles, and the witness is exact.  The length-m words met on the way
-    are exactly the leaf language.  Raises NotTrainTrackError for a map
-    that is not a train track map.
+    language is `leaf_language(f, m)`, so a map that is not a train track
+    map raises NotTrainTrackError.  held_t(e), the flip-closed length-m
+    windows of f^t(e), is read off `_clipped_levels`: the windows of the
+    level's runs and held_(t-1) of the darts of f(e), as a window of f^t(e)
+    lies in one run or in one block f^(t-1)(d); held_0 is empty.
+
+    The witness is the first t at which every edge holds the language.
+    f^(t+1)(e) is the blocks f^t(d) over the darts d of f(e) laid end to
+    end, with nothing cancelled, so held_(t+1)(e) contains each held_t(d),
+    and once every edge holds the language it always will.  Level t + 1 is
+    a function of the state (clips, held) at level t, on finitely many
+    states; when a state repeats first, the levels cycle without the
+    language, and the witness is -1.
     """
-    if m < 1:
-        raise MapError("window length must be >= 1")
-    f.require_expanding()
-    require_train_track(f)
-    step: dict[Path, frozenset[Path]] = {}
-
-    def factors(p: Path) -> frozenset[Path]:
-        return frozenset().union(*(_windows(p, k) for k in range(1, m + 1)))
-
-    def advance(s: frozenset[Path]) -> frozenset[Path]:
-        for u in s - step.keys():
-            step[u] = factors(f.apply(u))
-        return frozenset().union(*(step[u] for u in s))
-
-    # history[t - 1] is the tuple (S_t(e))_e
-    history: list[tuple[frozenset[Path], ...]] = []
-    state = tuple(factors(f.apply((2 * e,))) for e in range(f.graph.num_edges))
-    while state not in history:
-        history.append(state)
-        state = tuple(advance(s) for s in state)
-    lang = _flip_closed(w for states in history for s in states for w in s if len(w) == m)
-    bad = [
-        t for t, states in enumerate(history, 1)
-        if not all(w in s or reverse_path(w) in s for s in states for w in lang)
-    ]
-    witness = bad[-1] + 1 if bad else 1
-    if witness > history.index(state) + 1:  # a failing state recurs forever
-        witness = -1
+    lang = leaf_language(f, m)
+    held: list[frozenset[Path]] = [frozenset()] * f.graph.num_edges
+    seen: set[tuple] = set()
+    witness = -1
+    for t, (windows, clips) in enumerate(_clipped_levels(f, m), 1):
+        held = [_flip_closed(ws).union(*(held[d >> 1] for d in img)) for ws, img in zip(windows, f.edge_image)]
+        if all(h == lang for h in held):
+            witness = t
+            break
+        state = (tuple(clips), tuple(held))
+        if state in seen:
+            break
+        seen.add(state)
     return RecurrenceReport(m=m, witness=witness, conclusive=witness > 0, factors=len(lang))
 
 
@@ -412,8 +416,7 @@ def ilt_contraction(
     block = contraction_block(f)
     gate_of = gates(f).gate_of
     images = f.dart_images
-    # the positions i of w with an illegal turn between w[i - 1] and w[i]
-    cuts = [i for i in range(1, len(w)) if gate_of[w[i - 1] ^ 1] == gate_of[w[i]]]
+    cuts = illegal_positions(f, w)
     series = [len(cuts)]
     if steps is None:
         steps = block * (series[0] + 2)

@@ -74,27 +74,23 @@ def turn_image(f: GraphSelfMap, t: Turn) -> Turn:
     return turn(df[t[0]], df[t[1]])
 
 
+def illegal_positions(f: GraphSelfMap, path: Sequence[int]) -> list[int]:
+    """The positions i, ascending, where the turn between path[i - 1] and
+    path[i] is illegal: the one scan of a path's turns against the gates."""
+    gate_of = gates(f).gate_of
+    return [i for i in range(1, len(path)) if gate_of[path[i - 1] ^ 1] == gate_of[path[i]]]
+
+
 def ilt_count(f: GraphSelfMap, path: Sequence[int]) -> int:
     """Number of illegal turns crossed by the path, with multiplicity."""
-    gate_of = gates(f).gate_of
-    return sum(1 for a, b in zip(path, path[1:]) if gate_of[a ^ 1] == gate_of[b])
+    return len(illegal_positions(f, path))
 
 
 def legal_segments(f: GraphSelfMap, path: Sequence[int]) -> list[int]:
-    """Lengths (in darts) of the maximal legal subpaths, in order."""
-    gate_of = gates(f).gate_of
-    if not path:
-        return []
-    runs = []
-    cur = 1
-    for a, b in zip(path, path[1:]):
-        if gate_of[a ^ 1] == gate_of[b]:
-            runs.append(cur)
-            cur = 1
-        else:
-            cur += 1
-    runs.append(cur)
-    return runs
+    """Lengths (in darts) of the maximal legal subpaths, in order: the gaps
+    between the illegal turns."""
+    cuts = illegal_positions(f, path)
+    return [b - a for a, b in zip([0] + cuts, cuts + [len(path)])] if path else []
 
 
 @per_map
@@ -122,14 +118,20 @@ def used_turns(f: GraphSelfMap) -> frozenset[Turn]:
     return frozenset(closed)
 
 
+@per_map
+def used_illegal_turns(f: GraphSelfMap) -> tuple[Turn, ...]:
+    """The used turns that are illegal, sorted; none for a train track map."""
+    return tuple(sorted(t for t in used_turns(f) if not is_legal_turn(f, t)))
+
+
 def is_train_track(f: GraphSelfMap) -> bool:
     """Every used turn is legal (equivalently, all [f^n(e)] stay reduced)."""
-    return all(is_legal_turn(f, t) for t in used_turns(f))
+    return not used_illegal_turns(f)
 
 
 def require_train_track(f: GraphSelfMap) -> None:
-    if not is_train_track(f):
-        bad = sorted(t for t in used_turns(f) if not is_legal_turn(f, t))
+    bad = used_illegal_turns(f)
+    if bad:
         names = [f"({f.graph.dart_name(a)}, {f.graph.dart_name(b)})" for a, b in bad[:4]]
         raise NotTrainTrackError(f"used turns are degenerate under Df iterates: {', '.join(names)}")
 

@@ -474,3 +474,48 @@ def leaf_language_by_closure(f, n):
         words |= new
         todo += new
     return words | {tuple(x ^ 1 for x in reversed(w)) for w in words}
+
+
+def recurrence_by_closure(f, m):
+    """(witness, conclusive, factors) of the uniform recurrence check, for a
+    train track map f, by closing factor sets under f.
+
+    S_t(e) is the set of factors of f^t(e) of length at most m.  Nothing
+    cancels on a legal word, so a factor of f^(t+1)(e) of length at most m
+    lies in apply_map(f, u) for some u in S_t(e), and S_(t+1)(e) is the
+    union of the factors of those images.  The tuple (S_t(e))_e is iterated
+    until it repeats; the levels from its first occurrence on cycle forever.
+    The language is the length-m words met on the way, flip closed.  Level t
+    holds when every edge's S_t(e) has each language word or its flip; the
+    witness is the least T with every level t >= T holding, -1 when a level
+    of the cycle fails."""
+
+    def flip(w):
+        return tuple(x ^ 1 for x in reversed(w))
+
+    def factors(p):
+        return frozenset(p[i : i + k] for k in range(1, m + 1) for i in range(len(p) - k + 1))
+
+    images = {}
+
+    def advance(s):
+        out = set()
+        for u in s:
+            if u not in images:
+                images[u] = factors(apply_map(f, u))
+            out |= images[u]
+        return frozenset(out)
+
+    history = []
+    state = tuple(factors(apply_map(f, (2 * e,))) for e in range(f.graph.num_edges))
+    while state not in history:
+        history.append(state)
+        state = tuple(advance(s) for s in state)
+    lang = {w for states in history for s in states for w in s if len(w) == m}
+    lang |= {flip(w) for w in lang}
+    holds = [all(w in s or flip(w) in s for s in states for w in lang) for states in history]
+    if not all(holds[history.index(state) :]):
+        witness = -1
+    else:
+        witness = 1 + max((t for t, ok in enumerate(holds, 1) if not ok), default=0)
+    return witness, witness > 0, len(lang)

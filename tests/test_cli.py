@@ -21,7 +21,8 @@ from ttlam.errors import (
     SubdivisionError,
     TtError,
 )
-from ttlam.mapfile import MapFile, serialize_map_file
+from ttlam.mapfile import MapFile, parse_map_path, serialize_map_file
+from ttlam.train_track import require_train_track
 
 from conftest import RECORDED, THREE_VERTEX_TT, fixture_argv, positive_rose_maps
 
@@ -401,10 +402,11 @@ def test_derived_data_lives_on_the_map(fixture_dir):
     import gc
     import weakref
 
-    from ttlam import gates, parse_map_path, periodic_structures, used_turns
+    from ttlam import gates, periodic_structures, used_turns
+    from ttlam.train_track import used_illegal_turns
 
     f = parse_map_path(str(fixture_dir / "tribonacci.tt")).map
-    for compute in (gates, used_turns, periodic_structures):
+    for compute in (gates, used_turns, used_illegal_turns, periodic_structures):
         assert compute(f) is compute(f)
     # no cache outside the map keeps it alive
     ref = weakref.ref(f)
@@ -446,6 +448,8 @@ def test_check_of_a_non_train_track_map_lists_used_illegal_rows(tmp_path):
     assert data["train_track"] is False
     assert data["used_illegal"] == [r["turn"] for r in rows if r["used"] and not r["legal"]]
     assert data["used_illegal"] == [["a~", "b"]]
+    with pytest.raises(NotTrainTrackError, match=r"^used turns are degenerate under Df iterates: \(a~, b\)$"):
+        require_train_track(parse_map_path(str(mf)).map)
 
 
 @pytest.mark.parametrize("image", ["a", "a~"])

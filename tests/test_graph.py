@@ -52,7 +52,7 @@ def test_dart_names(rose2):
     assert rose2.dart_name(0) == "a"
     assert rose2.dart_name(1) == "a~"
     assert rose2.dart_name(2) == "b"
-    assert rose2.dart_by_name("b~") == 3
+    assert rose2.darts_by_name["b~"] == 3
     assert rose2.path_str((1, 3, 0, 2)) == "a~ b~ a b"
     assert rose2.parse_path("a~ b~ a b") == (1, 3, 0, 2)
 

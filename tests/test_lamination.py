@@ -44,6 +44,7 @@ from oracles import (
     leaf_language_by_closure,
     primitivity_exponent,
     random_reduced_word,
+    recurrence_by_closure,
 )
 
 
@@ -142,13 +143,62 @@ def test_leaf_language_work_is_bounded_by_the_window(monkeypatch):
         assert leaf_language(f, n) == leaf_language_by_closure(f, n)
 
 
+def _recurrence(f, m):
+    rep = uniform_recurrence_check(f, m)
+    return rep.witness, rep.conclusive, rep.factors
+
+
 def test_recurrence_counts_the_leaf_language(map_files):
-    # two independent computations of the same language
+    # the count is the leaf language's by construction; the factor-set
+    # closure of the oracle, on apply_map, computes all three independently
     maps = [mf.map for mf in map_files.values()]
     maps += [f for rank in (2, 3, 4) for f in train_track_automorphisms(rank, 6, seed=9)]
     for f in maps:
         for m in (1, 2, 3):
             assert uniform_recurrence_check(f, m).factors == len(leaf_language(f, m))
+            assert _recurrence(f, m) == recurrence_by_closure(f, m)
+
+
+@given(st.one_of(
+    positive_rose_maps(),
+    st.builds(lambda rank, seed: train_track_automorphisms(rank, 1, seed)[0], st.integers(2, 4), st.integers(0, 10**6)),
+))
+def test_recurrence_matches_closure_random(f):
+    for m in (1, 2, 3, 4):
+        assert _recurrence(f, m) == recurrence_by_closure(f, m)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_recurrence_of_block_maps_never_holds(k):
+    # x1 -> x2^N, ..., xk -> x1^N: a train track map whose transition matrix
+    # is N times a k-cycle, not primitive: f^t(e) is one letter repeated
+    for n in (2, 3):
+        f = rose_map([" ".join([chr(ord("a") + (i + 1) % k)] * n) for i in range(k)])
+        for m in (1, 2, 3, 4):
+            assert _recurrence(f, m)[:2] == (-1, False)
+            assert _recurrence(f, m) == recurrence_by_closure(f, m)
+
+
+def test_recurrence_work_is_bounded_by_the_window(monkeypatch):
+    # the leaf language's map: f^7(a) = a^(10^7), and b c grows like the
+    # Fibonacci words; the levels come from clipped images, so f is never
+    # applied and no stored image above level 1 is read
+    f = rose_map(["a a a a a a a a a a", "b c", "b"])
+    expected = {m: recurrence_by_closure(f, m) for m in (3, 16)}
+    image = EdgeIterates.image
+
+    def applied(self, path):
+        raise AssertionError("f applied to a path")
+
+    def shallow_image(self, e, t):
+        if t > 1:
+            raise AssertionError(f"image f^{t}(edge {e}) read")
+        return image(self, e, t)
+
+    monkeypatch.setattr(GraphSelfMap, "apply", applied)
+    monkeypatch.setattr(EdgeIterates, "image", shallow_image)
+    for m, want in expected.items():
+        assert _recurrence(f, m) == want
 
 
 def test_collapsing_map_is_not_train_track(rose2):

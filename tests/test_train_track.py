@@ -17,7 +17,7 @@ from ttlam import (
     two_gates_everywhere,
     used_turns,
 )
-from ttlam.train_track import legal_segments, require_train_track
+from ttlam.train_track import illegal_positions, legal_segments, require_train_track
 from ttlam.nielsen import detect_inps
 from ttlam.train_track import turn_image
 
@@ -173,6 +173,21 @@ def test_ilt_count_matches_oracle(all_maps):
         for _ in range(100):
             w = random_reduced_word(f.graph, rng.randrange(1, 50), rng)
             assert ilt_count(f, w) == illegal_turn_count(f, w, assigned)
+
+
+@given(reduced_rose_maps(), st.randoms(use_true_random=False))
+def test_illegal_turn_scan_matches_oracle_random(f, rng):
+    # one scan: its positions are the oracle's illegal turns, ilt_count
+    # counts them, and legal_segments are the legal gaps between them
+    _, assigned = derivative_orbit_gates(f)
+    w = random_reduced_word(f.graph, rng.randint(1, 30), rng)
+    cuts = [i for i in range(1, len(w)) if illegal_turn_count(f, w[i - 1 : i + 1], assigned)]
+    assert illegal_positions(f, w) == cuts
+    assert ilt_count(f, w) == illegal_turn_count(f, w, assigned) == len(cuts)
+    runs = legal_segments(f, w)
+    starts = [sum(runs[:i]) for i in range(len(runs))]
+    assert sum(runs) == len(w) and starts[1:] == cuts
+    assert all(illegal_turn_count(f, w[s : s + r], assigned) == 0 for s, r in zip(starts, runs))
 
 
 def test_ilt_monotone_under_map(all_maps):

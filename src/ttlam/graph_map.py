@@ -205,7 +205,9 @@ def per_map(compute: Callable[[GraphSelfMap], T]) -> Callable[[GraphSelfMap], T]
     The value is kept in the map's ``__dict__``, as `cached_property` keeps
     `dart_images`, so it lives exactly as long as the map; a module-level
     cache would keep every map alive.  Every caller shares the one value,
-    so `compute` must return an immutable one.
+    so `compute` must return an immutable one.  ``cached.known(f)`` is the
+    value if it has been computed for f, and None otherwise; it computes
+    nothing.
     """
     key = f"{compute.__module__}.{compute.__qualname__}"
 
@@ -216,6 +218,7 @@ def per_map(compute: Callable[[GraphSelfMap], T]) -> Callable[[GraphSelfMap], T]
             memo[key] = compute(f)
         return memo[key]
 
+    cached.known = lambda f: f.__dict__.get(key)
     return cached
 
 

@@ -21,7 +21,7 @@ as are the periodic data (`graph_map.per_map`).
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import eq
 from types import MappingProxyType
 
@@ -33,8 +33,8 @@ from .errors import (
 )
 from .graph import Graph, Path, extend_reduced, reverse_path, turn
 from .graph_map import GraphSelfMap, per_map
-from .spectral import PFData, pf_data
-from .train_track import is_legal_turn, require_train_track
+from .spectral import PFData, _pf_data_from, pf_data
+from .train_track import is_legal_turn, known_train_track, require_train_track
 
 
 # -- periodic vertices and darts ---------------------------------------------
@@ -81,6 +81,27 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
     one-dart path then yields nested prefixes p_0 = (dart,),
     p_(j+1) = [f^k(p_j)] of the ray.
 
+    On a map already shown to be a train track map (`known_train_track`:
+    every map that INP detection, `singular` and `dual` see), the ray is
+    read from the map's eigenray store, block by block (`_EigenrayStore`),
+    and a longer prefix continues the stream instead of rebuilding it.  On
+    any other map `_eigenray_by_rounds` runs afresh on every call.
+    """
+    if n < 1:
+        raise MapError("prefix length must be >= 1")
+    k = periodic_structures(f).dart_period.get(dart)
+    if k is None:
+        raise MapError(f"dart {f.graph.dart_name(dart)} is not Df-periodic; no eigenray")
+    f.require_expanding()
+    if known_train_track(f):
+        return _eigenray_store(f).prefix(dart, k, n)
+    return _eigenray_by_rounds(f, dart, k, n)
+
+
+def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
+    """First n darts of the eigenray of `dart`, of Df-period k, on any
+    expanding map, by the rounds p_(j+1) = [f^k(p_j)].
+
     The iterates are streamed, not recomputed.  Once p_j is known to be a
     prefix of p_(j+1), write p_(j+1) = p_j s; free reduction is confluent, so
 
@@ -94,12 +115,6 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
     do more than num_darts rounds in a row without growth.  Every other
     round grows the prefix, so the loop ends.
     """
-    if n < 1:
-        raise MapError("prefix length must be >= 1")
-    k = periodic_structures(f).dart_period.get(dart)
-    if k is None:
-        raise MapError(f"dart {f.graph.dart_name(dart)} is not Df-periodic; no eigenray")
-    f.require_expanding()
     store = f.edge_iterates
     blocks: dict[int, Path] = {}  # dart -> [f^k(dart)]
     image: list[int] = []  # [f^k(p[:done])], reduced as a stack
@@ -122,6 +137,72 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
             stalls = 0
         p = q
     return p[:n]
+
+
+class _EigenrayStore:
+    """The eigenrays of one expanding train track map, each kept as far as
+    it has been asked for.
+
+    The eigenray R of a dart of Df-period k is fixed by f^k, and on a train
+    track map it is legal, as every f^j(d) is and Df keeps legal turns
+    legal, so f^k(R) is the blocks f^k(R[i]) laid end to end with nothing
+    cancelled:
+
+        R = f^k(R[0]) f^k(R[1]) f^k(R[2]) ...,   R[0] = the dart.
+
+    Block 0 starts with the dart, as Df^k fixes it, and has at least two
+    darts, since a block of one dart would repeat forever and the map would
+    not expand.  So block i starts inside the prefix that blocks 0 .. i - 1
+    have already written, and the ray streams from itself.  Each ray keeps
+    its prefix, the block it is reading and the offset inside it; a call
+    reads on from there and stops inside the block that reaches the length
+    asked, so a ray holds no more darts than the longest prefix asked for.
+    Whole blocks are appended m at a time, where m blocks of the longest
+    length max_e |f^k(e)| still fit; the block that reaches the length is
+    cut.  A block f^k(d) is read once from the map's store `edge_iterates`.
+    """
+
+    def __init__(self, f: GraphSelfMap):
+        self._iterates = f.edge_iterates
+        self._rays: dict[int, list] = {}  # dart -> [prefix, block index, offset in block]
+        self._blocks: dict[int, dict[int, Path]] = {}  # k -> dart -> f^k(dart)
+
+    def prefix(self, dart: int, k: int, n: int) -> Path:
+        state = self._rays.get(dart)
+        if state is None:
+            state = self._rays[dart] = [[dart], 0, 1]
+        ray, i, off = state
+        blocks = self._blocks.setdefault(k, {})
+        longest = max(self._iterates.lengths(k))
+        while len(ray) < n:
+            # m whole blocks fit in what is left, however long each one is
+            m = 0 if off else min(len(ray) - i, (n - len(ray)) // longest)
+            if m:
+                run = ray[i : i + m]
+                for x in set(run).difference(blocks):
+                    blocks[x] = self._iterates.dart_image(x, k)
+                ray += chain.from_iterable(map(blocks.__getitem__, run))
+                i += m
+                continue
+            x = ray[i]
+            if x not in blocks:
+                blocks[x] = self._iterates.dart_image(x, k)
+            block = blocks[x]
+            part = block[off : off + n - len(ray)]
+            ray += part
+            off += len(part)
+            if off == len(block):
+                i, off = i + 1, 0
+        state[1:] = i, off
+        return tuple(ray[:n])
+
+
+@per_map
+def _eigenray_store(f: GraphSelfMap) -> _EigenrayStore:
+    """The map's one eigenray store.  Unlike other per-map values it grows,
+    but only by reading further along rays that are fixed, so every caller
+    gets the answer a fresh store would give."""
+    return _EigenrayStore(f)
 
 
 # -- interior periodic points --------------------------------------------------
@@ -358,6 +439,41 @@ def _pf_or_none(f: GraphSelfMap) -> PFData | None:
         return None
 
 
+def _refined_pf(f: GraphSelfMap, pf: PFData | None, sub: SubdivisionResult) -> PFData | None:
+    """PF data of the subdivided map, its power iteration started from the
+    PF vector read off f's, or None when it is not primitive.
+
+    Lemma.  The orbit point (e, t, i), the fixed point of the branch of f^t
+    through the forward occurrence P[i] = e, P = f^t(e), sits at PF
+    distance x = L / (lam^t - 1) from the origin of e, where L is the PF
+    length of P[:i].  In the PF metric f stretches every edge uniformly by
+    lam, so f^t carries the point at distance x along e to distance lam^t x
+    along P, which is x along the dart P[i] = e, after P[:i]: lam^t x = L + x.
+
+    Each edge's pieces between its orbit points then have the PF lengths of
+    the refined map, whose pieces f stretches by the same lam, so the start
+    is its PF vector, of volume 1 as f's is, up to rounding and up to the
+    error of f's own vector, which settled to 1e-12.  So `pf_data`'s
+    settling and Collatz-Wielandt tests pass at the first step, or now and
+    then at the second, where a cold start takes tens of steps.  Without
+    f's PF data (f not primitive) the iteration starts cold.
+    """
+    if pf is None:
+        return _pf_or_none(sub.map)
+    cuts: list[list[float]] = [[] for _ in f.edge_image]
+    for p in sub.orbit:
+        head = f.edge_iterates.image(p.edge, p.exponent)[: p.index]
+        cuts[p.edge].append(pf.pf_length(head) / (pf.lam**p.exponent - 1.0))
+    start: list[float] = []
+    for length, xs in zip(pf.pf_lengths, cuts):
+        ends = [0.0, *sorted(xs), length]
+        start += (b - a for a, b in zip(ends, ends[1:]))
+    try:
+        return _pf_data_from(sub.map, start)
+    except NotPrimitiveError:
+        return None
+
+
 def _default_window(pf: PFData | None, max_pf_len: float | None) -> int:
     if pf is None:
         return 64
@@ -469,21 +585,30 @@ def _nielsen_period(f: GraphSelfMap, a: Path, b: Path, max_period: int) -> int |
     return None
 
 
+def _render_notes(f: GraphSelfMap, window: int, notes: list[tuple[str, Path]]) -> list[str]:
+    """The report's text of the notes of a scan at this window."""
+    return [f"{kind} at window {window}: {f.graph.path_str(eta)}" for kind, eta in notes]
+
+
 def _scan_ray_pairs(
     f: GraphSelfMap,
     window: int,
     max_period: int,
     pf: PFData | None,
-) -> tuple[dict[Path, tuple[int, int]], list[str]]:
+    periods: dict[tuple[Path, Path], int | None],
+) -> tuple[dict[Path, tuple[int, int]], list[tuple[str, Path]]]:
     """One pass of eigenray tail matching at a fixed window size.
 
-    Returns (verified INPs as {path: (period, tip)}, notes), one note for
-    each candidate that failed.  Candidates come from `_tail_stems`: tails
-    agree to the window end, the preceding darts differ, both stems are
-    nonempty; the junction turn must be illegal, and verification is the
-    exact identity [f^s(eta)] = eta at the least s <= max_period where it
-    holds (`_nielsen_period`, which rules most periods out by an integer
-    length test before building anything).
+    Returns (verified INPs as {path: (period, tip)}, notes), one note
+    (kind, path) for each candidate that failed; `_render_notes` words
+    them.  Candidates come from `_tail_stems`: tails agree to the window
+    end, the preceding darts differ, both stems are nonempty; the junction
+    turn must be illegal, and verification is the exact identity
+    [f^s(eta)] = eta at the least s <= max_period where it holds
+    (`_nielsen_period`, which rules most periods out by an integer length
+    test before building anything).  `periods` holds the verdicts
+    of `_nielsen_period` by stem pair, read and filled here, so a scan at a
+    wider window re-verifies no candidate that an earlier one settled.
     A genuine INP expands both halves by the same overflow, forcing equal
     PF-lengths; unequal-stem coincidences are discarded as impossible rather
     than held against conclusiveness.
@@ -493,7 +618,7 @@ def _scan_ray_pairs(
     codes = {d: _encode(r) for d, r in rays.items()}
     min_agree = max(16, window // 2)
     verified: dict[Path, tuple[int, int]] = {}
-    notes: list[str] = []
+    notes: list[tuple[str, Path]] = []
     seen: set[Path] = set()
     for a in range(len(eigen)):
         for b in range(a + 1, len(eigen)):
@@ -509,18 +634,16 @@ def _scan_ray_pairs(
                     if abs(l1 - l2) > 1e-6 * max(l1, l2):
                         continue
                 if is_legal_turn(f, turn(r1[m1 - 1] ^ 1, r2[m2 - 1] ^ 1)):
-                    notes.append(
-                        f"tail coincidence with legal junction at window {window}: "
-                        f"{f.graph.path_str(eta)}"
-                    )
+                    notes.append(("tail coincidence with legal junction", eta))
                     continue
-                period = _nielsen_period(f, r1[:m1], r2[:m2], max_period)
+                stems = r1[:m1], r2[:m2]
+                if stems not in periods:
+                    periods[stems] = _nielsen_period(f, *stems, max_period)
+                period = periods[stems]
                 if period is not None:
                     verified[eta] = (period, m1)
                 else:
-                    notes.append(
-                        f"unverified tail candidate at window {window}: {f.graph.path_str(eta)}"
-                    )
+                    notes.append(("unverified tail candidate", eta))
     return verified, notes
 
 
@@ -531,9 +654,18 @@ def _detect_on(
     pf: PFData | None,
 ) -> tuple[tuple[NielsenPath, ...], list[str]]:
     """Scan at the window, then at twice and four times it, until a scan
-    leaves no note; the notes are those of the last scan."""
+    leaves no note; the notes are those of the last scan.
+
+    The scans share one memo of period verdicts by stem pair: a verdict
+    depends on f, the two stems and max_period only, all fixed here, and a
+    candidate that leaves a note at one window tends to come back at the
+    next.  Each wider scan reads its rays on from where the last one
+    stopped (`_EigenrayStore`), and only the reported scan's notes are
+    rendered as text.
+    """
+    periods: dict[tuple[Path, Path], int | None] = {}
     for w in (window, 2 * window, 4 * window):
-        verified, notes = _scan_ray_pairs(f, w, max_period, pf)
+        verified, notes = _scan_ray_pairs(f, w, max_period, pf, periods)
         if not notes:
             break
     inps = tuple(
@@ -545,7 +677,7 @@ def _detect_on(
         )
         for path, (s, tip) in sorted(verified.items())
     )
-    return inps, notes
+    return inps, _render_notes(f, w, notes)
 
 
 @dataclass(frozen=True)
@@ -588,6 +720,14 @@ def detect_inps(
     a point of period t first occurs at exponent t.  Among the points of
     that period, `_first_interior_point` explains why the first occurrence
     is the one on the smallest edge, leftmost along it.
+
+    Each piece of work is done once per map.  Both f and the subdivided map
+    are train track maps, shown so before any ray is read, so their rays
+    come from the map's eigenray store, and the wider windows of a scan
+    and `leaf_window` read on from where the last call stopped
+    (`_EigenrayStore`).  The period verdicts are kept by stem pair across
+    the windows of one scan (`_detect_on`).  The subdivided map's power
+    iteration starts from its PF vector read off f's (`_refined_pf`).
     """
     require_train_track(f)
     f.require_expanding()
@@ -603,7 +743,7 @@ def detect_inps(
     point = _first_interior_point(f, max_period)
     if point is not None:
         sub = subdivide_at(f, point)
-        sub_pf = _pf_or_none(sub.map)
+        sub_pf = _refined_pf(f, pf, sub)
         sub_inps, sub_notes = _detect_on(sub.map, _default_window(sub_pf, max_pf_len), max_period, sub_pf)
         notes = notes + sub_notes
     return InpReport(

@@ -106,6 +106,9 @@ class PFData:
 # |lam - rho| bound that pf_data certifies
 _LAM_TOL = 1e-8
 
+# pf_data's default settling tolerance
+_SETTLE_TOL = 1e-12
+
 # power iteration steps pf_data takes before it gives up
 _MAX_ITER = 200_000
 
@@ -135,24 +138,38 @@ def _collatz_wielandt_certified(rows: list[list[int]], lam: float, w: np.ndarray
     return True
 
 
-def pf_data(f: GraphSelfMap, tol: float = 1e-12) -> PFData:
+def pf_data(f: GraphSelfMap, tol: float = _SETTLE_TOL) -> PFData:
     """Power iteration on M^T for the left eigenvector, with a certified lam.
 
-    Requires a primitive transition matrix.  The iteration stops at the
-    first iterate that has settled (every entry moved by less than tol) and
-    whose Collatz-Wielandt bracket pins the dominant eigenvalue to within
-    _LAM_TOL of the estimate, checked in exact integer arithmetic at
-    every size.  The settling tolerance tol must be > 0.
+    Requires a primitive transition matrix.  The iteration starts from the
+    uniform vector and stops at the first iterate that has settled (every
+    entry moved by less than tol) and whose Collatz-Wielandt bracket pins
+    the dominant eigenvalue to within _LAM_TOL of the estimate, checked in
+    exact integer arithmetic at every size.  The settling tolerance tol
+    must be > 0.
     """
     if not tol > 0:
         raise MapError("tolerance must be > 0")
+    return _pf_data_from(f, None, tol)
+
+
+def _pf_data_from(f: GraphSelfMap, start: list[float] | None, tol: float = _SETTLE_TOL) -> PFData:
+    """`pf_data` with the power iteration started from `start`, a positive
+    vector of edge lengths, or from the uniform vector when it is None.
+
+    The stopping tests do not depend on the start, so a start near the PF
+    vector certifies the same lam to the same bound in fewer steps.  INP
+    detection starts a subdivided map from the PF vector it reads off the
+    map it subdivided (`nielsen._refined_pf`); `pf_data` keeps its cold
+    start, so its iteration count reports on the map alone.
+    """
     m = transition_matrix(f)
     if not is_primitive(m):
         raise NotPrimitiveError("transition matrix is not primitive")
     n = m.shape[0]
     rows = m.T.tolist()
     mt = m.T.astype(np.float64)
-    v = np.ones(n) / n
+    v = np.ones(n) / n if start is None else np.array(start, dtype=np.float64)
     lam = 0.0
     it = 0
     for it in range(1, _MAX_ITER + 1):

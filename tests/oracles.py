@@ -62,40 +62,25 @@ def edge_iterate(f, e, t):
     return (2 * e,) if t == 0 else apply_map(f, edge_iterate(f, e, t - 1))
 
 
-@functools.lru_cache(maxsize=64)
-def _offsets_at_multiple(f, e, t, factor):
-    """offsets[i] = sum over 0 < k < factor of |f^(kt)(P[:i])|, P = f^t(e),
-    for every i: a prefix sum of P weighted by the column sums of M^(kt),
-    computed in numpy's object dtype (Python ints)."""
-    n = f.graph.num_edges
-    m = np.zeros((n, n), dtype=object)
-    for j, img in enumerate(f.edge_image):
-        for d in img:
-            m[d >> 1, j] += 1
-    step = np.linalg.matrix_power(m, t)
-    lengths, weight = np.ones(n, dtype=object), np.zeros(n, dtype=object)
-    for _ in range(1, factor):
-        lengths = lengths.dot(step)  # |f^(kt)(edge)|: column sums of M^(kt)
-        weight = weight + lengths
-    weight = weight.tolist()
-    offsets = [0]
-    for d in edge_iterate(f, e, t):
-        offsets.append(offsets[-1] + weight[d >> 1])
-    return offsets
-
-
 def index_at_multiple(f, e, t, i, factor):
-    """Index in f^(factor t)(e) of the point that the forward occurrence
-    P[i] = e, P = f^t(e), carries, for a train track map f.
+    """Index in f^(factor t)(e) of the point that the occurrence P[i] of e
+    or e~, P = f^t(e), carries, for a train track map f.
 
     f^((k+1)t)(e) = f^(kt)(P) holds the point inside its block f^(kt)(P[i]),
-    which starts after |f^(kt)(P[:i])| darts, so the index is i plus the sum
-    of |f^(kt)(P[:i])| over 0 < k < factor.  P is built by `edge_iterate`;
-    nothing cancels between the blocks of a train track map, so each length
-    is a column sum of M^(kt).
+    which starts after |f^(kt)(P[:i])| darts and reads f^(kt)(e) forward
+    when P[i] = e, reversed when P[i] = e~.  Inside the block the point
+    sits where it sits in f^(kt)(e), mirrored in a reversed block.  Nothing
+    cancels between the blocks of a train track map, so each length is that
+    of an `edge_iterate`.
     """
-    assert edge_iterate(f, e, t)[i] == 2 * e, "not a forward occurrence"
-    return i + _offsets_at_multiple(f, e, t, factor)[i]
+    p = edge_iterate(f, e, t)
+    assert p[i] >> 1 == e, "not an occurrence of the edge"
+    index = i
+    for k in range(1, factor):
+        lens = [len(edge_iterate(f, x, k * t)) for x in range(f.graph.num_edges)]
+        inside = lens[e] - 1 - index if p[i] & 1 else index
+        index = sum(lens[d >> 1] for d in p[:i]) + inside
+    return index
 
 
 def derivative_orbit_gates(f):
@@ -388,6 +373,45 @@ def scan_ray_pairs_by_iteration(f, window, max_period, pf_lengths):
                 else:
                     notes.append(f"unverified tail candidate at window {window}: {g.path_str(canon)}")
     return verified, notes
+
+
+def detect_inps_cold(f, max_period, max_pf_len=None):
+    """The InpReport of ``nielsen.detect_inps(f, max_period, max_pf_len)``
+    without the work it does once per map: every scan by
+    `scan_ray_pairs_by_iteration`, which rebuilds each eigenray from its
+    dart by whole-path iteration at every window and verifies every
+    candidate afresh, its notes rendered at every window; and the PF data
+    of f and of the subdivided map by a cold `pf_data`.  The window rule,
+    the first interior orbit and the subdivision are the library's, which
+    other tests check against their own references."""
+    from ttlam.errors import NotPrimitiveError
+    from ttlam.nielsen import InpReport, NielsenPath, _default_window, _first_interior_point, subdivide_at
+    from ttlam.spectral import pf_data
+
+    def pf_or_none(g):
+        try:
+            return pf_data(g)
+        except NotPrimitiveError:
+            return None
+
+    def detect_on(g):
+        pf = pf_or_none(g)
+        window = _default_window(pf, max_pf_len)
+        for w in (window, 2 * window, 4 * window):
+            verified, notes = scan_ray_pairs_by_iteration(g, w, max_period, pf.pf_lengths if pf else None)
+            if not notes:
+                break
+        inps = tuple(NielsenPath(p, s, tip, g.graph.is_closed(p)) for p, (s, tip) in sorted(verified.items()))
+        return window, inps, notes
+
+    window, inps, notes = detect_on(f)
+    sub, sub_inps = None, ()
+    point = _first_interior_point(f, max_period)
+    if point is not None:
+        sub = subdivide_at(f, point)
+        _, sub_inps, sub_notes = detect_on(sub.map)
+        notes = notes + sub_notes
+    return InpReport(inps, not notes, window, tuple(notes), sub, sub_inps)
 
 
 def quadratic_tail_stems(r1, r2, min_agree):

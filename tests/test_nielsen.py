@@ -1,19 +1,23 @@
 """Periodic structures, eigenrays, interior points, subdivision, INPs."""
 
 import dataclasses
-from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttlam import GraphSelfMap, detect_inps, eigenray_prefix, periodic_structures, subdivide_at
+from ttlam import GraphSelfMap, detect_inps, eigenray_prefix, is_train_track, pf_data, periodic_structures, subdivide_at
 from ttlam.errors import TtError
+from ttlam.spectral import _LAM_TOL
 from ttlam.nielsen import (
     NielsenPath,
+    _default_window,
+    _eigenray_store,
     _encode,
     _first_interior_point,
     _pf_or_none,
+    _refined_pf,
+    _render_notes,
     _scan_ray_pairs,
     _tail_stems,
     PeriodicPoint,
@@ -29,6 +33,7 @@ from oracles import (
     apply_map,
     brute_force_inps,
     derivative_orbit_gates,
+    detect_inps_cold,
     edge_iterate,
     index_at_multiple,
     iterated_eigenray_prefix,
@@ -124,6 +129,47 @@ def test_eigenray_streaming_matches_iteration_any_rose_map(f):
     _check_eigenrays_against_iteration(f, (1, 6, 40))
 
 
+def _check_store_in_any_order(f, lengths, rng):
+    """Prefixes asked of one map object in a shuffled order, the eigenray
+    store's when f is a train track map, equal those of a fresh copy of the
+    map, which reads each by rounds, and of whole-path iteration, errors
+    included."""
+    is_train_track(f)  # a map shown to be a train track map reads its rays from the store
+    asked = [(d, n) for d in f.graph.darts() for n in lengths]
+    rng.shuffle(asked)
+    for d, n in asked:
+        fresh = GraphSelfMap(f.graph, f.vertex_image, f.edge_image)
+        got = _outcome(eigenray_prefix, f, d, n)
+        assert got == _outcome(eigenray_prefix, fresh, d, n) == _outcome(iterated_eigenray_prefix, f, d, n), (
+            f.edge_image, d, n,
+        )
+
+
+@given(positive_rose_maps(), st.randoms(use_true_random=False))
+def test_eigenray_store_any_order_positive(f, rng):
+    _check_store_in_any_order(f, (1, 5, 40, 2, 17, 64), rng)
+
+
+@settings(max_examples=150)
+@given(reduced_rose_maps(), st.randoms(use_true_random=False))
+def test_eigenray_store_any_order_any_rose_map(f, rng):
+    _check_store_in_any_order(f, (1, 6, 40, 3, 17), rng)
+
+
+def test_eigenray_store_keeps_no_more_than_asked():
+    # Df-period 6: f^6(d) = d^4096 for every dart d, so the ray of d is d d
+    # d ..., and the rounds kept a whole [f^6(p)] however short the prefix
+    f = rose_map(["b b b b", "c c c c", "d d d d", "e e e e", "f f f f", "a a a a"])
+    assert is_train_track(f)
+    store = _eigenray_store(f)
+    longest = 0
+    for n in (5, 300, 17, 1000, 2, 9000, 64, 4096):
+        longest = max(longest, n)
+        for d in f.graph.darts():
+            assert eigenray_prefix(f, d, n) == (d,) * n
+        assert {len(ray) for ray, _, _ in store._rays.values()} == {longest}
+
+
 def interior_descriptors(f, t):
     """Descriptors (edge, exponent, index) of the interior points fixed by
     f^t, read off `edge_iterate`: a forward occurrence of e at
@@ -148,26 +194,34 @@ def test_occurrences_fib(fib):
 
 
 def interior_periodic_points(f, max_period=6):
-    """All interior points of period <= max_period, deduplicated exactly:
-    the full enumeration that `detect_inps` picks the first orbit of.
+    """All interior points of period <= max_period, each once, in the order
+    (period, edge, place along the edge): the full enumeration that
+    `detect_inps` picks the first orbit of.
 
-    Orientation-preserving occurrences are found at their period; reversed
-    ones at twice it.  Every discovered descriptor is moved to the common
-    exponent 2*lcm(1..max_period) by `index_at_multiple` for duplicate
-    elimination.  A point fixed by f^t occurs at exponent t, and one of
-    minimal period p at no exponent below p, so its period is the first t
-    at which it occurs.  It costs O(points x |f^t(e)|), so it stays a test
-    reference.
+    A point of minimal period p is fixed by f^t exactly when p divides t,
+    and then it carries one occurrence of e or e~ in f^t(e).  So the points
+    of period t are the occurrences at exponent t, interior when forward,
+    that are not the occurrence of a point of period p < t dividing t,
+    which `index_at_multiple` carries from exponent p to t.  Each point is
+    keyed by its occurrence at its own period, where the occurrences on one
+    edge follow the order along it, and stored as `_first_interior_point`
+    stores it: a forward one at exponent t, a reversed one at 2t, where
+    `doubled_index` moves it.  It costs O(points x |f^t(e)|), t <=
+    max_period, so it stays a test reference.
     """
-    t_canon = 2 * lcm(*range(1, max_period + 1))
-    found = {}
+    found = {}  # (period t, edge, index in f^t(e)) -> point
     for t in range(1, max_period + 1):
-        for e, texp, i in interior_descriptors(f, t):
-            key = (e, index_at_multiple(f, e, texp, i, t_canon // texp))
-            if key not in found:
-                found[key] = PeriodicPoint(e, texp, i, t)
-    pts = sorted(found.items(), key=lambda kv: (kv[1].period, kv[0]))
-    return tuple(p for _, p in pts)
+        old = {(e, index_at_multiple(f, e, p, i, t // p)) for p, e, i in found if t % p == 0}
+        for e in range(f.graph.num_edges):
+            img = edge_iterate(f, e, t)
+            for i, d in enumerate(img):
+                if (e, i) in old:
+                    continue
+                if d == 2 * e + 1:
+                    found[t, e, i] = PeriodicPoint(e, 2 * t, doubled_index(f, e, t, i), t)
+                elif d == 2 * e and 0 < i < len(img) - 1:
+                    found[t, e, i] = PeriodicPoint(e, t, i, t)
+    return tuple(found[key] for key in sorted(found))
 
 
 def test_interior_points_fib_minimal_orbit(fib, rose2):
@@ -306,6 +360,40 @@ def test_subdivision_refines_the_map_fixtures(all_maps):
 @given(positive_rose_maps())
 def test_subdivision_refines_the_map_random(f):
     _check_subdivision_refines(f)
+
+
+def _check_refined_pf(f, max_period):
+    """The PF data that detection reads for the subdivided map agrees with
+    a cold `pf_data` of a copy of that map: lambda to within twice the
+    certified bound, the pieces of each edge summing to its PF length, and
+    the window and c_illegal equal.  Returns its iteration count, or None
+    when f has no interior point of period <= max_period."""
+    point = _first_interior_point(f, max_period)
+    if point is None:
+        return None
+    sub = subdivide_at(f, point)
+    pf = pf_data(f)
+    warm = _refined_pf(f, pf, sub)
+    cold = pf_data(GraphSelfMap(sub.map.graph, sub.map.vertex_image, sub.map.edge_image))
+    assert abs(warm.lam - pf.lam) <= 2 * _LAM_TOL
+    names = sub.map.graph.edge_names
+    for e, name in enumerate(f.graph.edge_names):
+        pieces = sum(warm.pf_lengths[names.index(piece)] for piece in sub.edge_split[name])
+        assert abs(pieces - pf.pf_lengths[e]) <= 1e-12
+    assert _default_window(warm, None) == _default_window(cold, None)
+    assert warm.c_illegal == cold.c_illegal
+    return warm.iterations
+
+
+def test_refined_pf_fixtures(fib, trib, trib_inv):
+    # the start is f's PF vector, itself settled to 1e-12, so the settling
+    # test can take a second step; on the primitive fixtures it takes one
+    assert [_check_refined_pf(f, 6) for f in (fib, trib, trib_inv)] == [1, 1, 1]
+
+
+@given(positive_rose_maps(), st.integers(1, 6))
+def test_refined_pf_random(f, max_period):
+    _check_refined_pf(f, max_period)
 
 
 def test_detect_inps_fib(fib, rose2):
@@ -518,11 +606,33 @@ def test_tail_matches_agree_with_every_shift_scan_eigenrays(all_maps):
                     assert _candidate_stems(r1, r2, min_agree) == quadratic_tail_stems(r1, r2, min_agree)
 
 
+# -- the whole report against one built without per-map reuse -------------------
+
+@pytest.mark.parametrize("max_period", [1, 2, 3])
+def test_detect_inps_matches_cold_report_fixtures(all_maps, max_period):
+    for f in all_maps.values():
+        assert detect_inps(f, max_period) == detect_inps_cold(f, max_period)
+
+
+@given(positive_rose_maps(), st.integers(1, 3))
+def test_detect_inps_matches_cold_report_random(f, max_period):
+    assert detect_inps(f, max_period) == detect_inps_cold(f, max_period)
+
+
+def test_detect_inps_matches_cold_report_signed():
+    for f in train_track_automorphisms(3, 20, seed=11):
+        for max_period in (1, 2, 3):
+            assert detect_inps(f, max_period) == detect_inps_cold(f, max_period), (f.edge_image, max_period)
+
+
 # -- INP verification: the length test never changes a scan --------------------
 
 def _scan_against_oracle(f, window, max_period):
+    """One scan with a fresh verdict memo, its notes rendered as the report
+    words them, against the oracle's (verified, notes)."""
     pf = _pf_or_none(f)
-    got = _scan_ray_pairs(f, window, max_period, pf)
+    verified, notes = _scan_ray_pairs(f, window, max_period, pf, {})
+    got = verified, _render_notes(f, window, notes)
     oracle = scan_ray_pairs_by_iteration(f, window, max_period, pf.pf_lengths if pf else None)
     assert got == oracle
     return got

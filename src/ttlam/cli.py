@@ -158,7 +158,7 @@ def _cmd_turns(mf: MapFile, args, data: dict) -> int:
     legal = [gate_of[a] != gate_of[b] for a, b in turns]  # all_turns has no (d, d)
     used_set = used_turns(f)
     used = [t in used_set for t in turns]
-    names = [g.dart_name(d) for d in g.darts()]
+    names = g.dart_names
     data["turns"] = [
         {"turn": [names[a], names[b]], "legal": ok, "used": u} for (a, b), ok, u in zip(turns, legal, used)
     ]

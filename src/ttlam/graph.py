@@ -99,8 +99,13 @@ class Graph:
         table.update((name + "~", 2 * i + 1) for i, name in enumerate(self.edge_names))
         return table
 
+    @cached_property
+    def dart_names(self) -> tuple[str, ...]:
+        """`dart_name` of every dart, indexed by dart id."""
+        return tuple(map(self.dart_name, self.darts()))
+
     def path_str(self, path: Iterable[int]) -> str:
-        return " ".join(self.dart_name(d) for d in path)
+        return " ".join(map(self.dart_names.__getitem__, path))
 
     def parse_path(self, text: str) -> Path:
         table = self.darts_by_name

@@ -19,10 +19,12 @@ as are the periodic data (`graph_map.per_map`).
 """
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import eq
+from itertools import accumulate, islice
+from operator import eq, mul
 from types import MappingProxyType
 
 from .errors import (
@@ -31,7 +33,7 @@ from .errors import (
     NotPrimitiveError,
     SubdivisionError,
 )
-from .graph import Graph, Path, extend_reduced, reverse_path, turn
+from .graph import Graph, Path, extend_reduced, turn
 from .graph_map import GraphSelfMap, per_map
 from .spectral import PFData, _pf_data_from, pf_data
 from .train_track import is_legal_turn, known_train_track, require_train_track
@@ -94,7 +96,7 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
         raise MapError(f"dart {f.graph.dart_name(dart)} is not Df-periodic; no eigenray")
     f.require_expanding()
     if known_train_track(f):
-        return _eigenray_store(f).prefix(dart, k, n)
+        return tuple(map(ord, _eigenray_store(f).prefix(dart, k, n)))
     return _eigenray_by_rounds(f, dart, k, n)
 
 
@@ -141,7 +143,7 @@ def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
 
 class _EigenrayStore:
     """The eigenrays of one expanding train track map, each kept as far as
-    it has been asked for.
+    it has been asked for, coded one character per dart: dart d is chr(d).
 
     The eigenray R of a dart of Df-period k is fixed by f^k, and on a train
     track map it is legal, as every f^j(d) is and Df keeps legal turns
@@ -157,44 +159,73 @@ class _EigenrayStore:
     its prefix, the block it is reading and the offset inside it; a call
     reads on from there and stops inside the block that reaches the length
     asked, so a ray holds no more darts than the longest prefix asked for.
-    Whole blocks are appended m at a time, where m blocks of the longest
-    length max_e |f^k(e)| still fit; the block that reaches the length is
-    cut.  A block f^k(d) is read once from the map's store `edge_iterates`.
+    Whole blocks are appended m at a time, m the most that still fit, found
+    by bisection in the running sums of their lengths |f^k(d)|, which the
+    map's store `edge_iterates.lengths` gives, unless even blocks of the
+    longest length would all fit; the m darts become their blocks by one
+    `str.translate` through the table d -> f^k(d).  The block that reaches
+    the length is cut.  As nothing cancels, a block f^k(d) is the code of d
+    translated k times through the table d -> f(d) (`_Blocks`), made once
+    per dart and level from the map's dart images, never from the tuples
+    of `edge_iterates`.
     """
 
     def __init__(self, f: GraphSelfMap):
-        self._iterates = f.edge_iterates
-        self._rays: dict[int, list] = {}  # dart -> [prefix, block index, offset in block]
-        self._blocks: dict[int, dict[int, Path]] = {}  # k -> dart -> f^k(dart)
+        self._lengths = f.edge_iterates.lengths
+        self._images = {d: "".join(map(chr, img)) for d, img in enumerate(f.dart_images)}
+        self._rays: dict[int, tuple[str, int, int]] = {}  # dart -> (prefix, block index, offset in block)
+        self._blocks: dict[int, _Blocks] = {}  # k -> the table d -> f^k(d)
 
-    def prefix(self, dart: int, k: int, n: int) -> Path:
-        state = self._rays.get(dart)
-        if state is None:
-            state = self._rays[dart] = [[dart], 0, 1]
-        ray, i, off = state
-        blocks = self._blocks.setdefault(k, {})
-        longest = max(self._iterates.lengths(k))
+    def prefix(self, dart: int, k: int, n: int) -> str:
+        """The first n darts of the eigenray of `dart`, of Df-period k."""
+        ray, i, off = self._rays.pop(dart, (chr(dart), 0, 1))  # popped, so += can grow it in place
+        blocks = self._blocks.get(k)
+        if blocks is None:
+            blocks = self._blocks[k] = _Blocks(self._images, k, self._lengths(k))
         while len(ray) < n:
-            # m whole blocks fit in what is left, however long each one is
-            m = 0 if off else min(len(ray) - i, (n - len(ray)) // longest)
-            if m:
-                run = ray[i : i + m]
-                for x in set(run).difference(blocks):
-                    blocks[x] = self._iterates.dart_image(x, k)
-                ray += chain.from_iterable(map(blocks.__getitem__, run))
-                i += m
-                continue
-            x = ray[i]
-            if x not in blocks:
-                blocks[x] = self._iterates.dart_image(x, k)
-            block = blocks[x]
-            part = block[off : off + n - len(ray)]
+            need = n - len(ray)
+            if not off:
+                # no more than need // shortest blocks fit, and all of these
+                # do if even blocks of the longest length would
+                run = ray[i : i + need // blocks.shortest]
+                if len(run) * blocks.longest <= need:
+                    m = len(run)
+                else:
+                    m = bisect_right(list(accumulate(map(blocks.sizes.__getitem__, run))), need)
+                if m:
+                    ray += run[:m].translate(blocks)
+                    i += m
+                    continue
+            block = blocks[ord(ray[i])]
+            part = block[off : off + need]
             ray += part
             off += len(part)
             if off == len(block):
                 i, off = i + 1, 0
-        state[1:] = i, off
-        return tuple(ray[:n])
+        self._rays[dart] = ray, i, off
+        return ray[:n]
+
+
+class _Blocks(dict):
+    """The table d -> f^k(d), coded, of a train track map, each block made
+    on first use as the code of d translated k times through the table
+    d -> f(d).  It is a `str.translate` table, so a run of darts becomes
+    its f^k-blocks in one call, which makes the missing ones."""
+
+    def __init__(self, images: dict[int, str], k: int, lengths: tuple[int, ...]):
+        super().__init__()
+        self._images = images
+        self._k = k
+        self.sizes = {chr(d): lengths[d >> 1] for d in images}  # |f^k(d)| by code
+        self.shortest = min(lengths)
+        self.longest = max(lengths)
+
+    def __missing__(self, d: int) -> str:
+        block = chr(d)
+        for _ in range(self._k):
+            block = block.translate(self._images)
+        self[d] = block
+        return block
 
 
 @per_map
@@ -493,19 +524,37 @@ def _occurrences_of(pattern: str, text: str) -> list[int]:
     return out
 
 
-def _encode(path: Path) -> str:
-    """A path as a string, one character per dart, for substring search."""
-    return "".join(map(chr, path))
+def _last_mismatch(s1: str, s2: str, lo: int, end: int, delta: int) -> int:
+    """The largest i in [lo, end) with s1[i] != s2[i - delta], or -1.
+
+    The whole range is compared first, as one slice.  If it differs, tails
+    s1[end - j : end] are compared with their partners, j = 1, 2, 4, ...
+    until one differs, and then the last agreeing length is found by
+    bisection, so a mismatch j darts before the end costs O(j log j)
+    character comparisons in C, not j steps in Python.
+    """
+    if s1[lo:end] == s2[lo - delta : end - delta]:
+        return -1
+    good, j = 0, 1  # s1[end - good : end] agrees with its partner
+    while s1[end - j : end] == s2[end - j - delta : end - delta]:
+        good, j = j, min(2 * j, end - lo)
+    while j - good > 1:  # the tail of length j differs, the one of length good agrees
+        mid = (good + j) // 2
+        if s1[end - mid : end] == s2[end - mid - delta : end - delta]:
+            good = mid
+        else:
+            j = mid
+    return end - j
 
 
-def _tail_stems(r1: Path, r2: Path, s1: str, s2: str, min_agree: int) -> list[tuple[int, int]]:
-    """Stem lengths (m1, m2) of the tail candidates of rays r1, r2 (encoded
-    by `_encode` as s1, s2), in ascending order of the shift delta.
+def _tail_stems(s1: str, s2: str, min_agree: int) -> list[tuple[int, int]]:
+    """Stem lengths (m1, m2) of the tail candidates of two rays, coded one
+    character per dart as s1, s2, in ascending order of the shift delta.
 
-    A shift aligns r1[i] with r2[i - delta] on the overlap [lo, hi),
-    lo = max(0, delta), hi = min(len(r1), len(r2) + delta).  It is a
+    A shift aligns s1[i] with s2[i - delta] on the overlap [lo, hi),
+    lo = max(0, delta), hi = min(len(s1), len(s2) + delta).  It is a
     candidate when the last min_agree darts of the overlap agree and an
-    earlier one does not; the last mismatch is r1[m1 - 1] != r2[m2 - 1].
+    earlier one does not; the last mismatch is s1[m1 - 1] != s2[m2 - 1].
     The overlap ends where one ray ends, so its last min_agree darts are
     that ray's tail found in the other ray, and every such occurrence is a
     shift: a substring search for both tails visits exactly these shifts,
@@ -513,24 +562,25 @@ def _tail_stems(r1: Path, r2: Path, s1: str, s2: str, min_agree: int) -> list[tu
     of a scan over every shift.
 
     The overlap of a shift found holds at least min_agree darts, the last
-    min_agree agreeing, so the mismatch scan starts at hi - min_agree - 1.
-    A mismatch there gives lo + 1 <= m1 <= hi - min_agree, hence m1 >= 1,
-    m2 = m1 - delta >= lo + 1 - delta >= 1, and min_agree agreeing darts
-    after it; an overlap that agrees throughout gives no candidate.
+    min_agree agreeing, so the mismatch is sought before hi - min_agree
+    (`_last_mismatch`).  A mismatch there gives lo + 1 <= m1 <= hi - min_agree,
+    hence m1 >= 1, m2 = m1 - delta >= lo + 1 - delta >= 1, and min_agree
+    agreeing darts after it; an overlap that agrees throughout gives no
+    candidate.
     """
     n1, n2 = len(s1), len(s2)
     if min(n1, n2) < min_agree:
         return []
-    shifts = {n1 - min_agree - pos for pos in _occurrences_of(s1[n1 - min_agree :], s2)}
-    shifts.update(pos + min_agree - n2 for pos in _occurrences_of(s2[n2 - min_agree :], s1))
+    t1, t2 = s1[n1 - min_agree :], s2[n2 - min_agree :]
+    if t1 not in s2 and t2 not in s1:  # most pairs: no shift at all
+        return []
+    shifts = {n1 - min_agree - pos for pos in _occurrences_of(t1, s2)}
+    shifts.update(pos + min_agree - n2 for pos in _occurrences_of(t2, s1))
     out = []
     for delta in sorted(shifts):
-        lo = max(0, delta)
-        hi = min(n1, n2 + delta)
-        for i in range(hi - min_agree - 1, lo - 1, -1):
-            if r1[i] != r2[i - delta]:
-                out.append((i + 1, i + 1 - delta))
-                break
+        i = _last_mismatch(s1, s2, max(0, delta), min(n1, n2 + delta) - min_agree, delta)
+        if i >= 0:
+            out.append((i + 1, i + 1 - delta))
     return out
 
 
@@ -561,7 +611,10 @@ def _nielsen_period(f: GraphSelfMap, a: Path, b: Path, max_period: int) -> int |
     nothing cancels, |fa| is the sum of |f^s(d)| over the darts d of a, read
     from `edge_iterates.lengths(s)`, so every period satisfies
 
-        sum_a |f^s(d)| - |a| = |w| = sum_b |f^s(d)| - |b|.
+        sum_a |f^s(d)| - |a| = |w| = sum_b |f^s(d)| - |b|,
+
+    which is tested as one sum over the edges: |f^s(e)| times how often a
+    crosses e, less how often b does, equals |a| - |b|.
 
     Periods are tried in order, and only at periods that pass this integer
     test are fa and fb compared: fa[:|a|] = a, fb[:|b|] = b and
@@ -574,9 +627,12 @@ def _nielsen_period(f: GraphSelfMap, a: Path, b: Path, max_period: int) -> int |
     """
     store = f.edge_iterates
     m1, m2 = len(a), len(b)
+    surplus = [0] * f.graph.num_edges  # how often a crosses each edge, less how often b does
+    for path, sign in ((a, 1), (b, -1)):
+        for d, c in Counter(path).items():
+            surplus[d >> 1] += sign * c
     for s in range(1, max_period + 1):
-        lens = store.lengths(s)
-        if sum(lens[d >> 1] for d in a) - m1 != sum(lens[d >> 1] for d in b) - m2:
+        if sum(map(mul, surplus, store.lengths(s))) != m1 - m2:
             continue
         fa, fb = _image_darts(f, a, s), _image_darts(f, b, s)
         # the two rests have one length, so map stops at the end of both
@@ -595,9 +651,10 @@ def _scan_ray_pairs(
     window: int,
     max_period: int,
     pf: PFData | None,
-    periods: dict[tuple[Path, Path], int | None],
+    periods: dict[tuple[str, str], int | None],
 ) -> tuple[dict[Path, tuple[int, int]], list[tuple[str, Path]]]:
-    """One pass of eigenray tail matching at a fixed window size.
+    """One pass of eigenray tail matching at a fixed window size, for a map
+    already shown to be an expanding train track map.
 
     Returns (verified INPs as {path: (period, tip)}, notes), one note
     (kind, path) for each candidate that failed; `_render_notes` words
@@ -607,38 +664,46 @@ def _scan_ray_pairs(
     [f^s(eta)] = eta at the least s <= max_period where it holds
     (`_nielsen_period`, which rules most periods out by an integer length
     test before building anything).  `periods` holds the verdicts
-    of `_nielsen_period` by stem pair, read and filled here, so a scan at a
-    wider window re-verifies no candidate that an earlier one settled.
+    of `_nielsen_period` by coded stem pair, read and filled here, so a scan
+    at a wider window re-verifies no candidate that an earlier one settled.
     A genuine INP expands both halves by the same overflow, forcing equal
     PF-lengths; unequal-stem coincidences are discarded as impossible rather
     than held against conclusiveness.
+
+    The rays are read coded from the map's store (`_EigenrayStore`), and a
+    candidate stays coded, one character per dart, until it is verified
+    or noted: `seen` holds the code of eta, and a PF length sums a table
+    over the characters in the order `PFData.pf_length` sums its darts, so
+    the sums are the same floats.
     """
-    eigen = list(periodic_structures(f).dart_period)
-    rays = {d: eigenray_prefix(f, d, window) for d in eigen}
-    codes = {d: _encode(r) for d, r in rays.items()}
+    store = _eigenray_store(f)
+    eigen = periodic_structures(f).dart_period
+    rays = [store.prefix(d, k, window) for d, k in eigen.items()]
+    flip = {d: d ^ 1 for d in f.graph.darts()}
+    pf_len = None if pf is None else {chr(d): pf.pf_lengths[d >> 1] for d in f.graph.darts()}
     min_agree = max(16, window // 2)
     verified: dict[Path, tuple[int, int]] = {}
     notes: list[tuple[str, Path]] = []
-    seen: set[Path] = set()
-    for a in range(len(eigen)):
-        for b in range(a + 1, len(eigen)):
-            r1, r2 = rays[eigen[a]], rays[eigen[b]]
-            for m1, m2 in _tail_stems(r1, r2, codes[eigen[a]], codes[eigen[b]], min_agree):
-                eta = r1[:m1] + reverse_path(r2[:m2])
-                if eta in seen:
+    seen: set[str] = set()
+    for a, r1 in enumerate(rays):
+        for r2 in rays[a + 1 :]:
+            for m1, m2 in _tail_stems(r1, r2, min_agree):
+                stems = h1, h2 = r1[:m1], r2[:m2]
+                code = h1 + h2[::-1].translate(flip)
+                if code in seen:
                     continue
-                seen.add(eta)
-                if pf is not None:
-                    l1 = pf.pf_length(r1[:m1])
-                    l2 = pf.pf_length(r2[:m2])
+                seen.add(code)
+                if pf_len is not None:
+                    l1 = sum(map(pf_len.__getitem__, h1))
+                    l2 = sum(map(pf_len.__getitem__, h2))
                     if abs(l1 - l2) > 1e-6 * max(l1, l2):
                         continue
-                if is_legal_turn(f, turn(r1[m1 - 1] ^ 1, r2[m2 - 1] ^ 1)):
+                eta = tuple(map(ord, code))
+                if is_legal_turn(f, turn(ord(h1[-1]) ^ 1, ord(h2[-1]) ^ 1)):
                     notes.append(("tail coincidence with legal junction", eta))
                     continue
-                stems = r1[:m1], r2[:m2]
                 if stems not in periods:
-                    periods[stems] = _nielsen_period(f, *stems, max_period)
+                    periods[stems] = _nielsen_period(f, eta[:m1], tuple(map(ord, h2)), max_period)
                 period = periods[stems]
                 if period is not None:
                     verified[eta] = (period, m1)
@@ -663,7 +728,7 @@ def _detect_on(
     stopped (`_EigenrayStore`), and only the reported scan's notes are
     rendered as text.
     """
-    periods: dict[tuple[Path, Path], int | None] = {}
+    periods: dict[tuple[str, str], int | None] = {}
     for w in (window, 2 * window, 4 * window):
         verified, notes = _scan_ray_pairs(f, w, max_period, pf, periods)
         if not notes:

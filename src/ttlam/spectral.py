@@ -15,6 +15,7 @@ recurrence in Python integers.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,13 +25,17 @@ from .graph_map import GraphSelfMap
 
 
 def transition_matrix(f: GraphSelfMap) -> np.ndarray:
-    """Nonnegative integer matrix; column j counts edges crossed by image of j."""
+    """Nonnegative integer matrix; column j counts edges crossed by image of j.
+
+    Each dart d of the image of j counts once in the cell (d >> 1, j), whose
+    flat index in the n x n matrix is (d >> 1) * n + j, so one `bincount`
+    over those indices fills the matrix.
+    """
     n = f.graph.num_edges
-    m = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        for d in f.edge_image[j]:
-            m[d >> 1, j] += 1
-    return m
+    sizes = [len(img) for img in f.edge_image]
+    darts = np.fromiter(chain.from_iterable(f.edge_image), dtype=np.int64, count=sum(sizes))
+    cells = (darts >> 1) * n + np.repeat(np.arange(n, dtype=np.int64), sizes)
+    return np.bincount(cells, minlength=n * n).astype(np.int64, copy=False).reshape(n, n)
 
 
 def is_primitive(m: np.ndarray) -> bool:

@@ -9,6 +9,7 @@ every shift, whole-path iteration.
 
 import functools
 import os
+from collections import Counter
 
 import numpy as np
 
@@ -81,6 +82,14 @@ def index_at_multiple(f, e, t, i, factor):
         inside = lens[e] - 1 - index if p[i] & 1 else index
         index = sum(lens[d >> 1] for d in p[:i]) + inside
     return index
+
+
+def counted_transition_matrix(f):
+    """M as nested lists: M[i][j] is how often the image of edge j crosses
+    edge i, counted by a Counter over the (edge, image) pairs."""
+    n = f.graph.num_edges
+    counts = Counter((d >> 1, j) for j, img in enumerate(f.edge_image) for d in img)
+    return [[counts[i, j] for j in range(n)] for i in range(n)]
 
 
 def derivative_orbit_gates(f):
@@ -165,36 +174,42 @@ def brute_force_inps(f, max_len, max_period=4):
 
     Exhaustive DFS over reduced edge paths of simplicial length <= max_len,
     pruned to at most one illegal turn; flip-deduplicated canonical forms.
+    Each node carries [f^s(path)] for s = 1 .. max_period.  A step to the
+    path extended by a dart d lays the reduced block [f^s(d)] after each:
+    both are reduced, so darts cancel only where they meet, and a walk
+    inwards from the junction finds how many.
     """
     g = f.graph
     _, assigned = derivative_orbit_gates(f)
     nexts = reduced_successors(g)
+    blocks = [[(d,) for d in range(g.num_darts)]]  # blocks[s][d] = [f^s(d)]
+    for _ in range(max_period):
+        blocks.append([apply_map(f, b) for b in blocks[-1]])
 
     def flip(path):
         return tuple(x ^ 1 for x in reversed(path))
 
+    def join(w, block):
+        k = 0
+        while k < len(w) and k < len(block) and w[-1 - k] == block[k] ^ 1:
+            k += 1
+        return w[: len(w) - k] + block[k:]
+
     found = set()
 
-    def is_periodic(p):
-        w = p
-        for _ in range(max_period):
-            w = apply_map(f, w)
-            if w == p:
-                return True
-        return False
-
-    def dfs(path, ilt):
-        if len(path) >= 2 and ilt == 1 and is_periodic(path):
+    def dfs(path, images, ilt):
+        if len(path) >= 2 and ilt == 1 and path in images:
             found.add(min(path, flip(path)))
         if len(path) == max_len:
             return
         for nd in nexts[path[-1]]:
             extra = 1 if assigned[path[-1] ^ 1] == assigned[nd] else 0
             if ilt + extra <= 1:
-                dfs(path + (nd,), ilt + extra)
+                step = [join(w, blocks[s][nd]) for s, w in enumerate(images, start=1)]
+                dfs(path + (nd,), step, ilt + extra)
 
     for d in range(g.num_darts):
-        dfs((d,), 0)
+        dfs((d,), [blocks[s][d] for s in range(1, max_period + 1)], 0)
     return found
 
 

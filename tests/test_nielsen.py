@@ -13,7 +13,6 @@ from ttlam.nielsen import (
     NielsenPath,
     _default_window,
     _eigenray_store,
-    _encode,
     _first_interior_point,
     _pf_or_none,
     _refined_pf,
@@ -168,6 +167,23 @@ def test_eigenray_store_keeps_no_more_than_asked():
         for d in f.graph.darts():
             assert eigenray_prefix(f, d, n) == (d,) * n
         assert {len(ray) for ray, _, _ in store._rays.values()} == {longest}
+
+
+def test_eigenray_store_reads_no_iterate_above_level_one(monkeypatch):
+    # Df-period 6 again: each block f^6(d) = d^4096 is made from the coded
+    # dart images, so the store builds no f^t(e) tuple with t > 1
+    f = rose_map(["b b b b", "c c c c", "d d d d", "e e e e", "f f f f", "a a a a"])
+    assert is_train_track(f)
+    image = EdgeIterates.image
+
+    def level_one(self, e, t):
+        assert t <= 1, f"f^{t}(e) built"
+        return image(self, e, t)
+
+    monkeypatch.setattr(EdgeIterates, "image", level_one)
+    for n in (5, 300, 4096, 9000):
+        for d in f.graph.darts():
+            assert eigenray_prefix(f, d, n) == (d,) * n
 
 
 def interior_descriptors(f, t):
@@ -579,7 +595,7 @@ def test_period_check_builds_no_whole_image(monkeypatch):
 
 
 def _candidate_stems(r1, r2, min_agree):
-    return _tail_stems(r1, r2, _encode(r1), _encode(r2), min_agree)
+    return _tail_stems("".join(map(chr, r1)), "".join(map(chr, r2)), min_agree)
 
 
 # rays over two or three darts repeat a lot, so one tail occurs many times

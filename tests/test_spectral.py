@@ -10,14 +10,15 @@ from hypothesis import given, strategies as st
 from ttlam import (
     NotPrimitiveError,
     charpoly_coefficients,
+    detect_inps,
     is_primitive,
     pf_data,
     transition_matrix,
 )
 from ttlam.spectral import _collatz_wielandt_certified
 
-from conftest import positive_rose_maps, rose_map
-from oracles import numpy_spectral
+from conftest import positive_rose_maps, reduced_rose_maps, rose_map
+from oracles import counted_transition_matrix, numpy_spectral
 
 
 def test_transition_matrices(fib, trib, trib_inv, reducible):
@@ -25,6 +26,24 @@ def test_transition_matrices(fib, trib, trib_inv, reducible):
     assert transition_matrix(trib).tolist() == [[0, 0, 1], [1, 0, 1], [0, 1, 0]]
     assert transition_matrix(trib_inv).tolist() == [[1, 1, 0], [0, 0, 1], [1, 0, 0]]
     assert transition_matrix(reducible).tolist() == [[1, 1, 1], [1, 0, 1], [0, 0, 1]]
+
+
+def _assert_transition_matrix_counts(f):
+    m = transition_matrix(f)
+    assert m.dtype == np.int64
+    assert m.tolist() == counted_transition_matrix(f)
+
+
+@given(reduced_rose_maps())
+def test_transition_matrix_matches_counter_random(f):
+    _assert_transition_matrix_counts(f)
+
+
+@given(positive_rose_maps(moves_per_rank=1))
+def test_transition_matrix_matches_counter_subdivided(f):
+    rep = detect_inps(f, max_period=2)
+    if rep.subdivision is not None:
+        _assert_transition_matrix_counts(rep.subdivision.map)
 
 
 def test_primitivity(fib, trib, trib_inv, reducible):

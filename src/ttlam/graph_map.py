@@ -112,7 +112,7 @@ class GraphSelfMap:
 
     @cached_property
     def edge_iterates(self) -> "EdgeIterates":
-        """This map's store of f^t(e) and |f^t(e)|, filled on demand."""
+        """This map's store of the lengths |f^t(e)|, filled on demand."""
         return EdgeIterates(self)
 
     # -- basic properties -----------------------------------------------------
@@ -223,37 +223,17 @@ def per_map(compute: Callable[[GraphSelfMap], T]) -> Callable[[GraphSelfMap], T]
 
 
 class EdgeIterates:
-    """f^t(e) for the forward dart of each edge and the column sums of M^t,
-    each computed once per map.
+    """The exact lengths |f^t(e)| of one map, each level computed once.
 
-    ``image(e, t)`` extends the chain f(e), f^2(e), ... of edge e as far as
-    asked; ``dart_image(d, t)`` reads it for either dart of the edge.
     ``lengths(t)[e]`` is the column sum of M^t, advanced exactly by
     |f^t(e)| = sum of |f^(t-1)(d)| over the darts d of f(e); for a train
-    track map it is the length of f^t(e).
+    track map it is the length of f^t(e).  The images f^t(d) themselves
+    are kept only for train track maps, coded, in `nielsen._CodedStore`.
     """
 
     def __init__(self, f: GraphSelfMap):
         self._f = f
-        self._images = [[(2 * e,)] for e in range(f.graph.num_edges)]
-        self._reversed: dict[tuple[int, int], Path] = {}
         self._lengths = [(1,) * f.graph.num_edges]
-
-    def image(self, e: int, t: int) -> Path:
-        chain = self._images[e]
-        while len(chain) <= t:
-            chain.append(self._f.apply(chain[-1]))
-        return chain[t]
-
-    def dart_image(self, d: int, t: int) -> Path:
-        """f^t(d) for a dart: f^t of its edge, reversed once and kept for a
-        backward dart."""
-        if not d & 1:
-            return self.image(d >> 1, t)
-        img = self._reversed.get((d, t))
-        if img is None:
-            img = self._reversed[d, t] = reverse_path(self.image(d >> 1, t))
-        return img
 
     def lengths(self, t: int) -> tuple[int, ...]:
         table = self._lengths

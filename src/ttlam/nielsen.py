@@ -13,9 +13,12 @@ fixed by f^T on edge e "at index i" is the unique fixed point of the inverse
 branch of f^T through the i-th dart of f^T(e).  All comparisons, orbit steps
 and refinements stay in exact integer arithmetic (occurrence indices plus
 the exact lengths |f^t(e)|), so no floating point enters the subdivision.
-The iterated edge images f^t(e) and the lengths |f^t(e)| are read from the
-map's own store (`GraphSelfMap.edge_iterates`), so each is built once per map,
-as are the periodic data (`graph_map.per_map`).
+On a train track map nothing cancels, so f^t(d) is f^(t-1)(d) with each
+dart replaced by its image.  The map's one coded store (`_CodedStore`) builds
+each f^t(d) that way, once per map, as a string with one character per dart;
+the eigenrays and the interior-point scan both read it.  The lengths
+|f^t(e)| come from `GraphSelfMap.edge_iterates`, and the periodic data are
+kept once per map too (`graph_map.per_map`).
 """
 
 import math
@@ -85,9 +88,9 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
 
     On a map already shown to be a train track map (`known_train_track`:
     every map that INP detection, `singular` and `dual` see), the ray is
-    read from the map's eigenray store, block by block (`_EigenrayStore`),
-    and a longer prefix continues the stream instead of rebuilding it.  On
-    any other map `_eigenray_by_rounds` runs afresh on every call.
+    read from the map's coded store, block by block (`_CodedStore`), and a
+    longer prefix continues the stream instead of rebuilding it.  On any
+    other map `_eigenray_by_rounds` runs afresh on every call.
     """
     if n < 1:
         raise MapError("prefix length must be >= 1")
@@ -96,7 +99,7 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
         raise MapError(f"dart {f.graph.dart_name(dart)} is not Df-periodic; no eigenray")
     f.require_expanding()
     if known_train_track(f):
-        return tuple(map(ord, _eigenray_store(f).prefix(dart, k, n)))
+        return tuple(map(ord, _coded_store(f).prefix(dart, k, n)))
     return _eigenray_by_rounds(f, dart, k, n)
 
 
@@ -111,13 +114,12 @@ def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
 
     Each round therefore reduces only the f^k-blocks of the new suffix s onto
     a stack that already holds p_(j+1), with `extend_reduced`.  A block
-    [f^k(d)] is read from the map's store `edge_iterates`.  This holds for
-    any expanding map, train track or not.
+    [f^k(d)] is made by `GraphSelfMap.iterate` once per dart and call, and
+    this holds for any expanding map, train track or not.
     A round that loses the prefix property raises ConvergenceError, and so
     do more than num_darts rounds in a row without growth.  Every other
     round grows the prefix, so the loop ends.
     """
-    store = f.edge_iterates
     blocks: dict[int, Path] = {}  # dart -> [f^k(dart)]
     image: list[int] = []  # [f^k(p[:done])], reduced as a stack
     p: Path = (dart,)
@@ -125,7 +127,7 @@ def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
     stalls = 0
     while len(p) < n:
         for d in set(p[done:]).difference(blocks):
-            blocks[d] = store.dart_image(d, k)
+            blocks[d] = f.iterate((d,), k)
         extend_reduced(image, map(blocks.__getitem__, p[done:]))
         done = len(p)
         q = tuple(image)
@@ -141,47 +143,49 @@ def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
     return p[:n]
 
 
-class _EigenrayStore:
-    """The eigenrays of one expanding train track map, each kept as far as
-    it has been asked for, coded one character per dart: dart d is chr(d).
+class _CodedStore:
+    """The iterated images f^t(d) of one train track map, coded one
+    character per dart (dart d is chr(d)), and its eigenrays as far as each
+    has been asked for.  `level(t)` is the table d -> f^t(d) (`_Blocks`),
+    the map's only f^t(d) for t >= 1: the eigenrays, the interior-point
+    scan, `doubled_index`, `point_image` and `_refined_pf` all read it.
 
-    The eigenray R of a dart of Df-period k is fixed by f^k, and on a train
-    track map it is legal, as every f^j(d) is and Df keeps legal turns
-    legal, so f^k(R) is the blocks f^k(R[i]) laid end to end with nothing
-    cancelled:
+    The eigenray R of a dart of Df-period k is fixed by f^k, and legal like
+    every f^j(d), so f^k(R) is the blocks f^k(R[i]) laid end to end:
 
         R = f^k(R[0]) f^k(R[1]) f^k(R[2]) ...,   R[0] = the dart.
 
     Block 0 starts with the dart, as Df^k fixes it, and has at least two
-    darts, since a block of one dart would repeat forever and the map would
-    not expand.  So block i starts inside the prefix that blocks 0 .. i - 1
+    darts on an expanding map, since a block of one dart would repeat
+    forever.  So block i starts inside the prefix that blocks 0 .. i - 1
     have already written, and the ray streams from itself.  Each ray keeps
     its prefix, the block it is reading and the offset inside it; a call
     reads on from there and stops inside the block that reaches the length
     asked, so a ray holds no more darts than the longest prefix asked for.
     Whole blocks are appended m at a time, m the most that still fit, found
-    by bisection in the running sums of their lengths |f^k(d)|, which the
-    map's store `edge_iterates.lengths` gives, unless even blocks of the
-    longest length would all fit; the m darts become their blocks by one
-    `str.translate` through the table d -> f^k(d).  The block that reaches
-    the length is cut.  As nothing cancels, a block f^k(d) is the code of d
-    translated k times through the table d -> f(d) (`_Blocks`), made once
-    per dart and level from the map's dart images, never from the tuples
-    of `edge_iterates`.
+    by bisection in the running sums of their lengths |f^k(d)|, unless even
+    blocks of the longest length would all fit; the m darts become their
+    blocks by one `str.translate` through `level(k)`.  The block that
+    reaches the length is cut.
     """
 
     def __init__(self, f: GraphSelfMap):
         self._lengths = f.edge_iterates.lengths
         self._images = {d: "".join(map(chr, img)) for d, img in enumerate(f.dart_images)}
+        self._levels: list[Mapping[int, str]] = [{d: chr(d) for d in self._images}]  # levels[t]: d -> f^t(d)
         self._rays: dict[int, tuple[str, int, int]] = {}  # dart -> (prefix, block index, offset in block)
-        self._blocks: dict[int, _Blocks] = {}  # k -> the table d -> f^k(d)
+
+    def level(self, t: int) -> "_Blocks":
+        """The table d -> f^t(d), t >= 1, with the tables below it."""
+        levels = self._levels
+        while len(levels) <= t:
+            levels.append(_Blocks(levels[-1], self._images, self._lengths(len(levels))))
+        return levels[t]
 
     def prefix(self, dart: int, k: int, n: int) -> str:
         """The first n darts of the eigenray of `dart`, of Df-period k."""
         ray, i, off = self._rays.pop(dart, (chr(dart), 0, 1))  # popped, so += can grow it in place
-        blocks = self._blocks.get(k)
-        if blocks is None:
-            blocks = self._blocks[k] = _Blocks(self._images, k, self._lengths(k))
+        blocks = self.level(k)
         while len(ray) < n:
             need = n - len(ray)
             if not off:
@@ -207,33 +211,34 @@ class _EigenrayStore:
 
 
 class _Blocks(dict):
-    """The table d -> f^k(d), coded, of a train track map, each block made
-    on first use as the code of d translated k times through the table
-    d -> f(d).  It is a `str.translate` table, so a run of darts becomes
-    its f^k-blocks in one call, which makes the missing ones."""
+    """The table d -> f^t(d), coded, of a train track map, each block made
+    on first use as the block f^(t-1)(d) of the table below translated
+    through the table d -> f(d).  It is a `str.translate` table, so a run
+    of darts becomes its f^t-blocks in one call, which makes the missing
+    ones.  `sizes` gives |f^t(d)| by the code of d."""
 
-    def __init__(self, images: dict[int, str], k: int, lengths: tuple[int, ...]):
+    def __init__(self, below: Mapping[int, str], images: dict[int, str], lengths: tuple[int, ...]):
         super().__init__()
+        self._below = below
         self._images = images
-        self._k = k
-        self.sizes = {chr(d): lengths[d >> 1] for d in images}  # |f^k(d)| by code
+        self.sizes = {chr(d): lengths[d >> 1] for d in images}
         self.shortest = min(lengths)
         self.longest = max(lengths)
 
     def __missing__(self, d: int) -> str:
-        block = chr(d)
-        for _ in range(self._k):
-            block = block.translate(self._images)
-        self[d] = block
+        block = self[d] = self._below[d].translate(self._images)
         return block
 
 
 @per_map
-def _eigenray_store(f: GraphSelfMap) -> _EigenrayStore:
-    """The map's one eigenray store.  Unlike other per-map values it grows,
-    but only by reading further along rays that are fixed, so every caller
-    gets the answer a fresh store would give."""
-    return _EigenrayStore(f)
+def _coded_store(f: GraphSelfMap) -> _CodedStore:
+    """The map's one coded store, for a train track map only, since the
+    translation is exact only when nothing cancels.  Unlike other per-map
+    values it grows, but only by reading further along images and rays
+    that are fixed, so every caller gets the answer a fresh store would
+    give."""
+    require_train_track(f)
+    return _CodedStore(f)
 
 
 # -- interior periodic points --------------------------------------------------
@@ -260,13 +265,13 @@ def doubled_index(f: GraphSelfMap, e: int, t: int, i: int) -> int:
     f^(2t)(e) = f^t(P), whose block f^t(P[i]) starts at ell = |f^t(P[:i])|
     and reads P forward when P[i] = e, P reversed when P[i] = e~.  Either
     way the dart e of that block, the one holding the point, sits at ell + i
-    or at ell + |P| - 1 - i.
+    or at ell + |P| - 1 - i.  No two blocks may cancel, so f must be a train
+    track map: the coded store it reads raises NotTrainTrackError otherwise.
     """
-    store = f.edge_iterates
-    p = store.image(e, t)
-    lens = store.lengths(t)
-    ell = sum(lens[d >> 1] for d in p[:i])
-    return ell + (len(p) - 1 - i if p[i] & 1 else i)
+    blocks = _coded_store(f).level(t)
+    p = blocks[2 * e]
+    ell = sum(map(blocks.sizes.__getitem__, p[:i]))
+    return ell + (len(p) - 1 - i if ord(p[i]) & 1 else i)
 
 
 def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]:
@@ -279,14 +284,16 @@ def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]
     Writing P = f^t(e), Q = f(e) and ell = |f(P[:i])|, the image point sits
     on the unique dart Q[k] whose f^t-block [C_k, C_k + L_k) inside f^t(Q)
     contains position ell + k; reversed darts mirror the in-block index.
+    Like `doubled_index` it needs a train track map.
     """
-    store = f.edge_iterates
-    p = store.image(e, t)
-    if p[i] != 2 * e:
+    store = _coded_store(f)
+    blocks = store.level(t)
+    p = blocks[2 * e]
+    if p[i] != chr(2 * e):
         raise MapError("descriptor is not an orientation-preserving occurrence")
-    ell = sum(len(f.edge_image[d >> 1]) for d in p[:i])
+    ell = sum(map(store.level(1).sizes.__getitem__, p[:i]))
     q = f.edge_image[e]
-    lens = store.lengths(t)
+    lens = f.edge_iterates.lengths(t)
     cum = 0
     for k, g in enumerate(q):
         ge = g >> 1
@@ -297,7 +304,7 @@ def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]
             new_index = (lk - 1 - rel) if (g & 1) else rel
             if not (0 < new_index < lk - 1):
                 raise MapError("image of an interior fixed point landed on a vertex")
-            if store.image(ge, t)[new_index] != 2 * ge:
+            if blocks[2 * ge][new_index] != chr(2 * ge):
                 raise MapError("point image descriptor failed verification")
             return ge, new_index, k
         cum += lk
@@ -308,13 +315,14 @@ def _first_interior_point(f: GraphSelfMap, max_period: int) -> PeriodicPoint | N
     """The first interior point in the order (period, edge, place along the
     edge) among those of period <= max_period, or None when there is none.
 
-    Exponents t = 1, 2, ... are walked in turn, then edges e ascending, then
-    the darts P[i] of P = f^t(e) in order, and the first occurrence met is
-    returned.  A forward occurrence P[i] = e carries an interior point only
-    for 0 < i < |P| - 1, since at the first (last) index the fixed point is
-    the initial (terminal) vertex; it is stored at exponent t.  A reversed
-    occurrence P[i] = e~ always carries one, since an orientation-reversing
-    branch fixes no endpoint; it is stored at exponent 2t (`doubled_index`).
+    Exponents t = 1, 2, ... are walked in turn, then edges e ascending, and
+    the first occurrence in the coded P = f^t(e) is returned, found by one
+    `str.find` for e~ and one for e.  A forward occurrence P[i] = e carries
+    an interior point only for 0 < i < |P| - 1, since at the first (last)
+    index the fixed point is the initial (terminal) vertex; it is stored at
+    exponent t.  A reversed occurrence P[i] = e~ always carries one, since
+    an orientation-reversing branch fixes no endpoint; it is stored at
+    exponent 2t (`doubled_index`).
     `detect_inps` says why the first t with an occurrence gives the points
     of smallest period.
 
@@ -326,14 +334,17 @@ def _first_interior_point(f: GraphSelfMap, max_period: int) -> PeriodicPoint | N
     i of f^t(P), which is where `doubled_index` puts it, so ordering by
     index at the common exponent 2t picks the same point as ordering by i.
     """
+    level = _coded_store(f).level
     for t in range(1, max_period + 1):
+        blocks = level(t)
         for e in range(f.graph.num_edges):
-            p = f.edge_iterates.image(e, t)
-            for i, d in enumerate(p):
-                if d == 2 * e + 1:
-                    return PeriodicPoint(e, 2 * t, doubled_index(f, e, t, i), t)
-                if d == 2 * e and 0 < i < len(p) - 1:
-                    return PeriodicPoint(e, t, i, t)
+            p = blocks[2 * e]
+            back = p.find(chr(2 * e + 1))
+            forth = p.find(chr(2 * e), 1, len(p) - 1)
+            if back >= 0 and not 0 <= forth < back:
+                return PeriodicPoint(e, 2 * t, doubled_index(f, e, t, back), t)
+            if forth >= 0:
+                return PeriodicPoint(e, t, forth, t)
     return None
 
 
@@ -361,9 +372,11 @@ def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
     r + 1 edges with consecutive ids.  Names are
     made only for `Graph.build` and the report: the pieces of edge e are
     e.1 .. e.(r+1), the orbit point that is the j-th along e is e*j, and an
-    edge holding no orbit point keeps its name.  The rebuilt map is checked
-    to stay an expanding train track map.
+    edge holding no orbit point keeps its name.  f must be a train track
+    map, as `point_image` needs (NotTrainTrackError otherwise), and the
+    rebuilt map is checked to stay an expanding train track map.
     """
+    require_train_track(f)
     g = f.graph
     t = point.exponent
     walk = [(point.edge, point.index)]  # orbit point j as (edge, index) at exponent t
@@ -491,9 +504,10 @@ def _refined_pf(f: GraphSelfMap, pf: PFData | None, sub: SubdivisionResult) -> P
     """
     if pf is None:
         return _pf_or_none(sub.map)
+    level = _coded_store(f).level
     cuts: list[list[float]] = [[] for _ in f.edge_image]
     for p in sub.orbit:
-        head = f.edge_iterates.image(p.edge, p.exponent)[: p.index]
+        head = tuple(map(ord, level(p.exponent)[2 * p.edge][: p.index]))
         cuts[p.edge].append(pf.pf_length(head) / (pf.lam**p.exponent - 1.0))
     start: list[float] = []
     for length, xs in zip(pf.pf_lengths, cuts):
@@ -670,13 +684,13 @@ def _scan_ray_pairs(
     PF-lengths; unequal-stem coincidences are discarded as impossible rather
     than held against conclusiveness.
 
-    The rays are read coded from the map's store (`_EigenrayStore`), and a
+    The rays are read coded from the map's store (`_CodedStore`), and a
     candidate stays coded, one character per dart, until it is verified
     or noted: `seen` holds the code of eta, and a PF length sums a table
     over the characters in the order `PFData.pf_length` sums its darts, so
     the sums are the same floats.
     """
-    store = _eigenray_store(f)
+    store = _coded_store(f)
     eigen = periodic_structures(f).dart_period
     rays = [store.prefix(d, k, window) for d, k in eigen.items()]
     flip = {d: d ^ 1 for d in f.graph.darts()}
@@ -725,7 +739,7 @@ def _detect_on(
     depends on f, the two stems and max_period only, all fixed here, and a
     candidate that leaves a note at one window tends to come back at the
     next.  Each wider scan reads its rays on from where the last one
-    stopped (`_EigenrayStore`), and only the reported scan's notes are
+    stopped (`_CodedStore`), and only the reported scan's notes are
     rendered as text.
     """
     periods: dict[tuple[str, str], int | None] = {}
@@ -790,7 +804,7 @@ def detect_inps(
     are train track maps, shown so before any ray is read, so their rays
     come from the map's eigenray store, and the wider windows of a scan
     and `leaf_window` read on from where the last call stopped
-    (`_EigenrayStore`).  The period verdicts are kept by stem pair across
+    (`_CodedStore`).  The period verdicts are kept by stem pair across
     the windows of one scan (`_detect_on`).  The subdivided map's power
     iteration starts from its PF vector read off f's (`_refined_pf`).
     """

@@ -24,7 +24,7 @@ from ttlam import (
 )
 from ttlam import lamination
 from ttlam.graph import is_reduced
-from ttlam.graph_map import EdgeIterates
+from ttlam.nielsen import _CodedStore
 from ttlam.lamination import contraction_block, illegality_profile
 
 from conftest import (
@@ -135,10 +135,10 @@ def test_leaf_language_work_is_bounded_by_the_window(monkeypatch):
     f = rose_map(["a a a a a a a a a a", "b c", "b"])
     assert f.edge_iterates.first_level_over(14) == 7
 
-    def whole_image(self, e, t):
-        raise AssertionError(f"whole image f^{t}(edge {e}) built")
+    def whole_image(self, t):
+        raise AssertionError(f"whole images f^{t}(d) built")
 
-    monkeypatch.setattr(EdgeIterates, "image", whole_image)
+    monkeypatch.setattr(_CodedStore, "level", whole_image)
     for n in (16, 24):
         assert leaf_language(f, n) == leaf_language_by_closure(f, n)
 
@@ -185,18 +185,18 @@ def test_recurrence_work_is_bounded_by_the_window(monkeypatch):
     # applied and no stored image above level 1 is read
     f = rose_map(["a a a a a a a a a a", "b c", "b"])
     expected = {m: recurrence_by_closure(f, m) for m in (3, 16)}
-    image = EdgeIterates.image
+    level = _CodedStore.level
 
     def applied(self, path):
         raise AssertionError("f applied to a path")
 
-    def shallow_image(self, e, t):
+    def shallow_image(self, t):
         if t > 1:
-            raise AssertionError(f"image f^{t}(edge {e}) read")
-        return image(self, e, t)
+            raise AssertionError(f"images f^{t}(d) read")
+        return level(self, t)
 
     monkeypatch.setattr(GraphSelfMap, "apply", applied)
-    monkeypatch.setattr(EdgeIterates, "image", shallow_image)
+    monkeypatch.setattr(_CodedStore, "level", shallow_image)
     for m, want in expected.items():
         assert _recurrence(f, m) == want
 

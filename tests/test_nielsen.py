@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttlam import GraphSelfMap, detect_inps, eigenray_prefix, is_train_track, pf_data, periodic_structures, subdivide_at
-from ttlam.errors import TtError
+from ttlam.errors import NotTrainTrackError, TtError
 from ttlam.spectral import _LAM_TOL
 from ttlam.nielsen import (
     NielsenPath,
+    _Blocks,
+    _CodedStore,
+    _coded_store,
     _default_window,
-    _eigenray_store,
     _first_interior_point,
     _pf_or_none,
     _refined_pf,
@@ -24,8 +26,6 @@ from ttlam.nielsen import (
     point_image,
     stability_verdict,
 )
-
-from ttlam.graph_map import EdgeIterates
 
 from conftest import positive_rose_maps, reduced_rose_maps, rose_map, train_track_automorphisms
 from oracles import (
@@ -160,7 +160,7 @@ def test_eigenray_store_keeps_no_more_than_asked():
     # d ..., and the rounds kept a whole [f^6(p)] however short the prefix
     f = rose_map(["b b b b", "c c c c", "d d d d", "e e e e", "f f f f", "a a a a"])
     assert is_train_track(f)
-    store = _eigenray_store(f)
+    store = _coded_store(f)
     longest = 0
     for n in (5, 300, 17, 1000, 2, 9000, 64, 4096):
         longest = max(longest, n)
@@ -169,21 +169,50 @@ def test_eigenray_store_keeps_no_more_than_asked():
         assert {len(ray) for ray, _, _ in store._rays.values()} == {longest}
 
 
-def test_eigenray_store_reads_no_iterate_above_level_one(monkeypatch):
-    # Df-period 6 again: each block f^6(d) = d^4096 is made from the coded
-    # dart images, so the store builds no f^t(e) tuple with t > 1
+def test_interior_scan_reads_the_eigenray_blocks(monkeypatch):
+    # Df-period 6 again: the eigenray of a is read off the block
+    # f^6(a) = a^4096, and the first interior point, of period 6, sits in
+    # that same block, which the map's coded store makes once for both
     f = rose_map(["b b b b", "c c c c", "d d d d", "e e e e", "f f f f", "a a a a"])
-    assert is_train_track(f)
-    image = EdgeIterates.image
+    made = []  # every block any store makes
+    missing = _Blocks.__missing__
 
-    def level_one(self, e, t):
-        assert t <= 1, f"f^{t}(e) built"
-        return image(self, e, t)
+    def recorded(self, d):
+        made.append(missing(self, d))
+        return made[-1]
 
-    monkeypatch.setattr(EdgeIterates, "image", level_one)
-    for n in (5, 300, 4096, 9000):
-        for d in f.graph.darts():
-            assert eigenray_prefix(f, d, n) == (d,) * n
+    monkeypatch.setattr(_Blocks, "__missing__", recorded)
+    rep = detect_inps(f)
+    assert rep.subdivision.orbit[0] == PeriodicPoint(0, 6, 1, 6)
+    (block,) = [b for b in made if b == chr(0) * 4096]
+    assert _coded_store(f).level(6)[0] is block
+
+
+def _check_coded_images(f):
+    """The coded store's f^t(d), t <= 3, decoded, is the `apply_map` chain
+    `edge_iterate` for a forward dart and its reversal for a backward one."""
+    store = _coded_store(f)
+    for t in (1, 2, 3):
+        for e in range(f.graph.num_edges):
+            p = edge_iterate(f, e, t)
+            assert tuple(map(ord, store.level(t)[2 * e])) == p, (f.edge_image, e, t)
+            assert tuple(map(ord, store.level(t)[2 * e + 1])) == tuple(d ^ 1 for d in reversed(p)), (f.edge_image, e, t)
+
+
+def test_coded_images_match_iteration_fixtures(all_maps):
+    for f in all_maps.values():
+        _check_coded_images(f)
+
+
+@given(positive_rose_maps())
+def test_coded_images_match_iteration_positive(f):
+    _check_coded_images(f)
+
+
+def test_coded_images_match_iteration_backward_darts():
+    # legal images with backward darts, so reversed occurrences too
+    for f in train_track_automorphisms(3, 20, seed=4):
+        _check_coded_images(f)
 
 
 def interior_descriptors(f, t):
@@ -378,6 +407,16 @@ def test_subdivision_refines_the_map_random(f):
     _check_subdivision_refines(f)
 
 
+def test_subdivide_at_refuses_a_map_that_is_not_train_track():
+    # f(a) = b a~ holds a~, which moves to (a, 2, 2) if nothing cancels;
+    # but f(b) f(a~) = b~ a~ a b~ does, and [f^2(a)] = b~ b~ has two darts
+    f = rose_map(["b a~", "b~ a~"])
+    with pytest.raises(NotTrainTrackError):
+        subdivide_at(f, PeriodicPoint(0, 2, 2, 1))
+    with pytest.raises(NotTrainTrackError):
+        _first_interior_point(f, 3)
+
+
 def _check_refined_pf(f, max_period):
     """The PF data that detection reads for the subdivided map agrees with
     a cold `pf_data` of a copy of that map: lambda to within twice the
@@ -564,8 +603,8 @@ def test_detection_stops_at_first_interior_period(monkeypatch, images):
     f = rose_map(images)
     asked = []  # every exponent t of an f^t(e) the scan reads
 
-    image = EdgeIterates.image
-    monkeypatch.setattr(EdgeIterates, "image", lambda self, e, t: asked.append(t) or image(self, e, t))
+    level = _CodedStore.level
+    monkeypatch.setattr(_CodedStore, "level", lambda self, t: asked.append(t) or level(self, t))
     point = _first_interior_point(f, 6)
     monkeypatch.undo()
     assert sorted(set(asked)) == list(range(1, point.period + 1))
@@ -583,13 +622,13 @@ def test_period_check_builds_no_whole_image(monkeypatch):
         "b a c b a c a b a c c",
         "c b a c a b a c b a c b a c a b a c b a c b a c a b a c",
     ])
-    image = EdgeIterates.image
+    level = _CodedStore.level
 
-    def level_one(self, e, t):
-        assert t <= 1, f"f^{t}(e) built"
-        return image(self, e, t)
+    def level_one(self, t):
+        assert t <= 1, f"f^{t}(d) built"
+        return level(self, t)
 
-    monkeypatch.setattr(EdgeIterates, "image", level_one)
+    monkeypatch.setattr(_CodedStore, "level", level_one)
     rep = detect_inps(f)
     assert (rep.inps, rep.notes, rep.conclusive) == ((), (), True)
 

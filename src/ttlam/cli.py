@@ -19,12 +19,12 @@ from .errors import MapError, ParseError, TtError
 from .graph import all_turns, validate_graph
 from .graph_map import compose, is_inner
 from .lamination import (
+    dual_language_names,
     eigenray_equivalence,
     illegality_between,
     ilt_contraction,
-    leaf_language,
+    leaf_language_names,
     leaf_window,
-    singular_language,
     singular_leaves,
 )
 from .mapfile import MapFile, parse_map_path
@@ -257,12 +257,10 @@ def _cmd_eigenrays(mf: MapFile, args, data: dict) -> int:
 
 
 def _cmd_bfh(mf: MapFile, args, data: dict) -> int:
-    f = mf.map
-    g = f.graph
-    lang = leaf_language(f, args.window)
+    words = leaf_language_names(mf.map, args.window)
     data["window"] = args.window
-    data["count"] = len(lang)
-    data["words"] = sorted(g.path_str(w) for w in lang)
+    data["count"] = len(words)
+    data["words"] = words
     return OK
 
 
@@ -283,8 +281,6 @@ def _cmd_singular(mf: MapFile, args, data: dict) -> int:
 
 
 def _cmd_dual(mf: MapFile, args, data: dict) -> int:
-    f = mf.map
-    g = f.graph
     if mf.asserts_inverse_of() is None:
         if not args.assume_inverse:
             data["error"] = (
@@ -292,12 +288,11 @@ def _cmd_dual(mf: MapFile, args, data: dict) -> int:
             )
             return INPUT_ERROR
         data["assumptions"].append("inverse-of (assumed by flag)")
-    base = leaf_language(f, args.window)
-    words = base | singular_language(f, args.window)
+    words, only_leaves = dual_language_names(mf.map, args.window)
     data["window"] = args.window
     data["count"] = len(words)
-    data["words"] = sorted(g.path_str(w) for w in words)
-    data["equals_leaf_language"] = words == base
+    data["words"] = words
+    data["equals_leaf_language"] = only_leaves
     return OK
 
 

@@ -8,8 +8,10 @@ leaves* (eigenray, connector, eigenray: the connector an unused legal turn
 or an indivisible Nielsen path), which close the gap between the leaf
 language and the full dual lamination of the limit tree.
 
-Everything here is window-based and exact: languages are finite sets of dart
-tuples, and every reported structure can be re-checked by direct iteration.
+Everything here is window-based and exact, and every reported structure can
+be re-checked by direct iteration.  A language is worked on coded, dart d as
+chr(d), and decoded to a frozenset of dart tuples at the end; a flip, reverse
+and translate d -> d ^ 1, is of a whole clip or window set, never of a word.
 """
 
 from dataclasses import dataclass
@@ -17,9 +19,9 @@ from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import IncompatibleGraphsError, MapError
-from .graph import Path, equivalence_classes, extend_reduced, path_reduce, reverse_path
+from .graph import Graph, Path, equivalence_classes, extend_reduced, path_reduce
 from .graph_map import GraphSelfMap
-from .nielsen import detect_inps, eigenray_prefix, periodic_structures
+from .nielsen import _coded_store, detect_inps, periodic_structures
 from .spectral import pf_data
 from .train_track import gates, illegal_positions, legal_segments, require_train_track, used_turns
 
@@ -34,49 +36,39 @@ from .train_track import gates, illegal_positions, legal_segments, require_train
 # length budget.  The argument needs the absence of cancellation, so each
 # language first requires a train track map.
 
-def _windows(p: Path, n: int) -> set[Path]:
-    return {p[i : i + n] for i in range(len(p) - n + 1)}
-
-
-def _flip_closed(words: Iterable[Path]) -> frozenset[Path]:
-    out = set(words)
-    out.update([reverse_path(w) for w in out])
-    return frozenset(out)
-
-
-def _clipped_levels(f: GraphSelfMap, n: int) -> Iterator[tuple[list[set[Path]], list[tuple[Path, ...]]]]:
-    """For t = 1, 2, ...: the length-n windows of the runs of each f^t(e),
-    by edge, and the clip of each f^t(d), by dart, for a train track map.
+def _clipped_levels(f: GraphSelfMap, n: int) -> Iterator[tuple[list[set[str]], list[str]]]:
+    """For t = 1, 2, ...: the flip-closed length-n windows of the runs of
+    each f^t(e), by edge, and the clip of each f^t(d), by dart, for a train
+    track map, all coded.
 
     No whole image is built: on a map whose strata grow at different rates,
     a fast edge's image can be far longer than n.  Write m = n - 1.  The
     clip of f^t(d) is f^t(d) itself while it has fewer than m darts, and
-    otherwise the pair of its first and last m darts.  f^t(e) is the
+    otherwise its first and last m darts joined by a cut, chr(num_darts),
+    which codes no dart; so a clip is cut iff longer than m.  f^t(e) is the
     concatenation of the blocks f^(t-1)(d) over the darts d of f(e), so
-    joining the clips of those blocks gives runs of f^t(e), split at each
-    pair.  A window meeting two or more blocks cannot run past both ends of
-    a cut block, which takes m + 2 darts, so it meets each cut block in at
-    most m darts at one end, and lies in one run.  Any other window lies
-    inside one block, where it is a window of f^(t-1) of an edge or of its
-    flip; at t = 1 no clip is a pair, and the one run is f(e).  The
+    joining the clips of those blocks and splitting at the cuts gives runs
+    of f^t(e).  A window meeting two or more blocks cannot run past both
+    ends of a cut block, which takes m + 2 darts, so it meets each cut block
+    in at most m darts at one end, and lies in one run.  Any other window
+    lies inside one block, where it is a window of f^(t-1) of an edge or of
+    its flip; at t = 1 no clip is cut, and the one run is f(e).  The
     generator never ends; each reader stops it.
     """
     m = n - 1
-    clips = [((d,),) for d in range(f.graph.num_darts)]
+    cut = chr(f.graph.num_darts)
+    flip = {d: d ^ 1 for d in f.graph.darts()}
+    clips = [chr(d) for d in f.graph.darts()]
     while True:
-        windows: list[set[Path]] = []
+        windows: list[set[str]] = []
         level = []
         for img in f.edge_image:
-            runs = [()]
-            for d in img:
-                runs[-1] += clips[d][0]
-                runs += clips[d][1:]
-            windows.append(set().union(*(_windows(r, n) for r in runs)))
-            if len(runs) == 1 and len(runs[0]) < m:
-                clip = (runs[0],)
-            else:
-                clip = (runs[0][:m], runs[-1][len(runs[-1]) - m :])
-            level += [clip, tuple(reverse_path(r) for r in reversed(clip))]
+            runs = "".join(map(clips.__getitem__, img)).split(cut)
+            clip = runs[0] if len(runs) == 1 and len(runs[0]) < m else runs[0][:m] + cut + runs[-1][len(runs[-1]) - m :]
+            level += [clip, clip[::-1].translate(flip)]
+            ws = {r[i : i + n] for r in runs for i in range(len(r) - n + 1)}
+            ws.update(cut.join(ws)[::-1].translate(flip).split(cut) if ws else ())
+            windows.append(ws)
         clips = level
         yield windows, clips
 
@@ -104,8 +96,8 @@ def leaf_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
     is a window of f^k(x~ y) for the turn {x, y} that f^(t-k)(e) crosses
     there, which is used.  The terms of (A) with t < k matter for a map
     that is not primitive, where f^t(e) may hold a word no later image does.
-    The windows of the runs over 1 <= t <= k are (A) up to flips, and the
-    first parts of the clips at level k are the heads that (B) needs.
+    The windows of the runs over 1 <= t <= k are (A), flip closed, and the
+    clips at level k give (B) both ways round: f^k(y~ x) is its flip.
 
     k exists.  The lengths never shrink: |f^(t+1)(e)| is the sum of
     |f^t(d)| over the darts d of f(e), and |f^t(e)| of |f^(t-1)(d)|, so
@@ -114,19 +106,25 @@ def leaf_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
     at the largest of these levels, T, every |f^T(e)| >= 2, and then
     |f^(t+T)(e)| >= 2|f^t(e)|.
     """
+    return frozenset(tuple(map(ord, w)) for w in _leaf_codes(f, n))
+
+
+def _leaf_codes(f: GraphSelfMap, n: int) -> set[str]:
+    """`leaf_language(f, n)`, coded."""
     if n < 1:
         raise MapError("window length must be >= 1")
     f.require_expanding()
     require_train_track(f)
-    words: set[Path] = set()
+    m = n - 1
+    words: set[str] = set()
     for windows, clips in _clipped_levels(f, n):
         words.update(*windows)
-        if all(len(clip) == 2 for clip in clips):
+        if all(len(clip) > m for clip in clips):
             break
-    if n > 1:
-        for x, y in used_turns(f):
-            words |= _windows(reverse_path(clips[x][0]) + clips[y][0], n)
-    return _flip_closed(words)
+    # f^k(x~ y) and its flip f^k(y~ x), 2m darts each: tails [m + 1 :] and heads [:m] of pairs
+    joins = [clips[a ^ 1][m + 1 :] + clips[b][:m] for x, y in used_turns(f) for a, b in ((x, y), (y, x))]
+    words |= {w[i : i + n] for w in joins for i in range(m)}
+    return words
 
 
 # -- uniform recurrence -----------------------------------------------------------
@@ -163,12 +161,12 @@ def uniform_recurrence_check(f: GraphSelfMap, m: int) -> RecurrenceReport:
     states; when a state repeats first, the levels cycle without the
     language, and the witness is -1.
     """
-    lang = leaf_language(f, m)
-    held: list[frozenset[Path]] = [frozenset()] * f.graph.num_edges
+    lang = _leaf_codes(f, m)
+    held: list[frozenset[str]] = [frozenset()] * f.graph.num_edges
     seen: set[tuple] = set()
     witness = -1
     for t, (windows, clips) in enumerate(_clipped_levels(f, m), 1):
-        held = [_flip_closed(ws).union(*(held[d >> 1] for d in img)) for ws, img in zip(windows, f.edge_image)]
+        held = [frozenset(ws).union(*(held[d >> 1] for d in img)) for ws, img in zip(windows, f.edge_image)]
         if all(h == lang for h in held):
             witness = t
             break
@@ -261,23 +259,59 @@ def singular_leaves(f: GraphSelfMap) -> SingularReport:
 def leaf_window(f: GraphSelfMap, leaf: SingularLeaf, n: int) -> Path:
     """A 2n-or-longer window of a singular leaf, centered on its connector:
     reverse(ray entry) + connector + ray exit, each ray n darts long."""
+    return tuple(map(ord, _leaf_window_code(f, leaf, n)))
+
+
+def _leaf_window_code(f: GraphSelfMap, leaf: SingularLeaf, n: int) -> str:
+    """`leaf_window(f, leaf, n)`, coded, with the rays read from the map's store."""
+    if n < 1:
+        raise MapError("prefix length must be >= 1")
     entry, connector, exit_ = leaf
-    return reverse_path(eigenray_prefix(f, entry, n)) + connector + eigenray_prefix(f, exit_, n)
+    store, period = _coded_store(f), periodic_structures(f).dart_period
+    head = store.prefix(entry, period[entry], n)[::-1].translate({d: d ^ 1 for d in f.graph.darts()})
+    return head + "".join(map(chr, connector)) + store.prefix(exit_, period[exit_], n)
 
 
 # -- dual language ---------------------------------------------------------------------
 
 def singular_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
     """Length-n factors of the singular leaves' windows, flip closed."""
-    leaves = singular_leaves(f).leaves
-    return _flip_closed(w for leaf in leaves for w in _windows(leaf_window(f, leaf, n), n))
+    return frozenset(tuple(map(ord, w)) for w in _singular_codes(f, n))
+
+
+def _singular_codes(f: GraphSelfMap, n: int) -> set[str]:
+    """`singular_language(f, n)`, coded."""
+    flip = {d: d ^ 1 for d in f.graph.darts()}
+    lines = [_leaf_window_code(f, leaf, n) for leaf in singular_leaves(f).leaves]
+    lines += [w[::-1].translate(flip) for w in lines]
+    return {w[i : i + n] for w in lines for i in range(len(w) - n + 1)}
 
 
 def dual_language(f_minus: GraphSelfMap, n: int) -> frozenset[Path]:
     """Length-n factor language of the full dual lamination, computed on the
     inverse-direction map: the leaf language plus every factor of the
     singular leaves (flip closed)."""
-    return leaf_language(f_minus, n) | singular_language(f_minus, n)
+    return frozenset(tuple(map(ord, w)) for w in _leaf_codes(f_minus, n) | _singular_codes(f_minus, n))
+
+
+def leaf_language_names(f: GraphSelfMap, n: int) -> list[str]:
+    """The words of `leaf_language(f, n)`, named by `Graph.path_str`, sorted."""
+    return _names(f.graph, _leaf_codes(f, n))
+
+
+def dual_language_names(f_minus: GraphSelfMap, n: int) -> tuple[list[str], bool]:
+    """The words of `dual_language(f_minus, n)`, named by `Graph.path_str`,
+    sorted, and whether they are just the leaf language's."""
+    base = _leaf_codes(f_minus, n)
+    words = base | _singular_codes(f_minus, n)
+    return _names(f_minus.graph, words), len(words) == len(base)
+
+
+def _names(g: Graph, codes: set[str]) -> list[str]:
+    """Coded words named, sorted, by one translate of them all, joined at
+    chr(num_darts), which codes no dart, then cut apart."""
+    names = {d: name + " " for d, name in enumerate(g.dart_names)} | {g.num_darts: "\n"}
+    return sorted(chr(g.num_darts).join(codes).translate(names)[:-1].split(" \n")) if codes else []
 
 
 # -- illegality profile -------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotTrainTrackError
-from .graph import Turn, turn, turns_of_path
+from .graph import Turn, turn
 from .graph_map import GraphSelfMap, per_map
 
 
@@ -104,14 +104,10 @@ def used_turns(f: GraphSelfMap) -> frozenset[Turn]:
     whose image is degenerate is itself illegal, so `is_train_track` reads
     the same either way.
     """
-    seed: set[Turn] = set()
-    for img in f.edge_image:
-        seed |= set(turns_of_path(img))
-    frontier = list(seed)
-    closed = set(seed)
+    closed = {turn(a ^ 1, b) for img in f.edge_image for a, b in zip(img, img[1:])}
+    frontier = list(closed)
     while frontier:
-        t = frontier.pop()
-        ti = turn_image(f, t)
+        ti = turn_image(f, frontier.pop())
         if ti[0] != ti[1] and ti not in closed:
             closed.add(ti)
             frontier.append(ti)

@@ -4,7 +4,7 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from ttlam import cli
 from ttlam.cli import run_command
@@ -21,10 +21,11 @@ from ttlam.errors import (
     SubdivisionError,
     TtError,
 )
+from ttlam.lamination import dual_language, leaf_language
 from ttlam.mapfile import MapFile, parse_map_path, serialize_map_file
 from ttlam.train_track import require_train_track
 
-from conftest import RECORDED, THREE_VERTEX_TT, fixture_argv, positive_rose_maps
+from conftest import RECORDED, THREE_VERTEX_TT, fixture_argv, positive_rose_maps, train_track_automorphisms
 
 
 def _run(fixture_dir, *args):
@@ -566,3 +567,49 @@ def test_error_kind_sets_the_exit_code(monkeypatch, fixture_dir, error, exit_cod
     argv = ["gates", str(fixture_dir / "fibonacci.tt")]
     assert run_command(argv) == (exit_code, f"schema: 1\nerror: stopped\nkind: {kind}\n")
     assert run_command(argv + ["--json"]) == (exit_code, f'{{"error":"stopped","kind":"{kind}","schema":1}}\n')
+
+
+@settings(max_examples=20)
+@given(st.one_of(
+    positive_rose_maps(),
+    st.builds(lambda seed: train_track_automorphisms(3, 1, seed)[0], st.integers(0, 10**6)),
+))
+def test_language_reports_name_the_library_words(tmp_path_factory, f):
+    # bfh and dual name their words from coded strings; the names must be
+    # the library's words through Graph.path_str, sorted, in both formats.
+    # The signed automorphisms have backward darts, named with "~"
+    path = tmp_path_factory.mktemp("words") / "map.tt"
+    path.write_text(serialize_map_file(MapFile("random", f, ())))
+    g = f.graph
+    for n in range(1, 7):
+        for argv, lang in (
+            (["bfh", str(path), "--window", str(n)], leaf_language(f, n)),
+            (["dual", str(path), "--window", str(n), "--assume-inverse"], dual_language(f, n)),
+        ):
+            want = sorted(g.path_str(w) for w in lang)
+            code, text = run_command(argv + ["--json"])
+            data = json.loads(text)
+            assert code == 0 and data["words"] == want
+            assert data.get("equals_leaf_language", True) == (lang == leaf_language(f, n))
+            code, text = run_command(argv)
+            assert code == 0 and f"\nwords: {' '.join(want)}\n" in text
+
+
+def test_language_reports_build_no_word_as_darts(monkeypatch, fixture_dir):
+    # bfh and dual flip and name their words coded: no language is decoded
+    # to dart tuples and no word is named as one, which took the time of a
+    # bfh report
+    import ttlam.lamination as lamination
+    from ttlam.graph import Graph
+
+    def per_word(*args):
+        raise AssertionError("a word built as a tuple of darts")
+
+    for decoded in ("leaf_language", "singular_language", "dual_language", "leaf_window"):
+        monkeypatch.setattr(lamination, decoded, per_word)
+    monkeypatch.setattr(Graph, "path_str", per_word)
+    for name in ("tribonacci", "fibonacci"):
+        path = str(fixture_dir / f"{name}.tt")
+        for argv in (["bfh", path, "--window", "6"], ["dual", path, "--window", "6", "--assume-inverse"]):
+            code, text = run_command(argv + ["--json"])
+            assert code == 0 and json.loads(text)["words"]

@@ -29,6 +29,7 @@ from ttlam.lamination import contraction_block, illegality_profile
 
 from conftest import (
     THREE_VERTEX_TT,
+    automorphism_pairs,
     positive_rose_maps,
     reduced_rose_maps,
     rose_map,
@@ -481,3 +482,45 @@ def test_contraction_rejects_a_word_that_is_not_an_edge_path():
     with pytest.raises(MapError, match="not an edge path"):
         ilt_contraction(f, f.graph.parse_path("e0 e0"), steps=3, chop=0)
     assert ilt_contraction(f, f.graph.parse_path("e0 e1"), steps=3, chop=0).series == (0, 0, 0, 0)
+
+
+# -- (phi, phi^-1) pairs: the paper's dual-lamination laws off the fixtures ------
+#
+# Every rank-2 automorphism is geometric, so the pairs are drawn at rank 3 and
+# 4.  f is the forward map and g = f^-1, read off the Nielsen moves that built
+# f; the dual lamination of f's tree is carried by g's dual language.
+
+automorphism_pair = st.builds(
+    lambda rank, seed: automorphism_pairs(rank, 1, seed)[0], st.integers(3, 4), st.integers(0, 10**6)
+)
+
+
+@given(automorphism_pair)
+def test_pairs_are_inverse(pair):
+    f, g = pair
+    for e in range(f.graph.num_edges):
+        assert apply_map(f, g.edge_image[e]) == (2 * e,)
+        assert apply_map(g, f.edge_image[e]) == (2 * e,)
+
+
+@given(automorphism_pair)
+def test_pair_dual_words_are_totally_illegal(pair):
+    # acceptance criterion 9: each word of g's dual language has legal runs
+    # in f's gates below f's illegality constant
+    f, g = pair
+    for n in (4, 8, 16):
+        prof = illegality_between(f, g, n)
+        assert prof.words == len(dual_language(g, n))
+        assert prof.all_below, (f.edge_image, g.edge_image, n, prof.max_run, prof.c_illegal)
+
+
+@given(automorphism_pair)
+def test_pair_dual_words_contract_monotonically(pair):
+    # acceptance criterion 10: f never raises the chopped illegal-turn count
+    # of a dual word of g.  Few steps: a word through an INP keeps its count
+    # and its images grow like lambda^step
+    f, g = pair
+    words = sorted(dual_language(g, 2 * f.cancellation_bound + 8))
+    for w in words[:: max(1, len(words) // 6)]:
+        series = ilt_contraction(f, w, steps=4).series
+        assert all(x >= y for x, y in zip(series, series[1:])), (f.edge_image, g.edge_image, w, series)

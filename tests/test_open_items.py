@@ -1,0 +1,121 @@
+"""One witness per known failure, each named after its ROADMAP open item.
+
+Each test states what the item's fix must make true, and is marked
+xfail(strict=True): it fails today, and the change that fixes its item makes
+it pass, which a strict xfail reports as a failure until that change turns
+the witness into a plain test.  Each takes under 2 s.
+"""
+
+import json
+import signal
+import subprocess
+import sys
+
+import pytest
+
+from ttlam import Graph, GraphSelfMap, detect_inps, ilt_contraction
+from ttlam.cli import run_command
+from ttlam.graph import path_reduce
+from ttlam.mapfile import MapFile, serialize_map_file
+
+from conftest import FIXTURES, demo_env, rose_map
+
+
+def open_item(raises=AssertionError):
+    """Mark a witness that fails today, by `raises` only."""
+    return pytest.mark.xfail(strict=True, raises=raises, reason="open ROADMAP item")
+
+
+def _map_file(tmp_path, f, name="witness"):
+    path = tmp_path / f"{name}.tt"
+    path.write_text(serialize_map_file(MapFile(name, f, ())))
+    return str(path)
+
+
+@open_item()
+def test_item_01_cancellation_within_the_bound():
+    # f(a~ b) f(c~ b a) cancels 11 darts on each side, but C(f) = 8
+    f = rose_map(["a b a a b a a", "c a b a", "c c a b a"])
+    alpha, beta = f.graph.parse_path("a~ b"), f.graph.parse_path("c~ b a")
+    left, right = f.apply(alpha), f.apply(beta)
+    cancelled = (len(left) + len(right) - len(path_reduce(left + right))) // 2
+    assert cancelled <= f.cancellation_bound
+
+
+@open_item()
+def test_item_02_commutator_map_is_not_conclusively_inp_free():
+    # f maps the commutator a b a~ b~ to a cyclic rotation of itself, so a
+    # complete search finds an INP; the one-orbit pass finds none
+    rep = detect_inps(rose_map(["a b~", "b a~ b b a~"]))
+    assert not (rep.conclusive and not rep.inps and not rep.subdivided_inps)
+
+
+@open_item()
+def test_item_04_singular_lists_an_inp_leaf(tmp_path):
+    # the subdivision pass verifies two INPs, a b.2~ and b.1~ a~ b.1 b.2,
+    # which no singular leaf goes through
+    path = _map_file(tmp_path, rose_map(["a b", "a b b"]))
+    code, text = run_command(["singular", path, "--json"])
+    assert code == 0 and json.loads(text)["inp_triples"]
+
+
+@open_item(raises=TimeoutError)
+def test_item_05_contract_without_chop_ends():
+    # each commutator holds an INP, so the count stays 5 for the default 42
+    # steps while the word grows like the golden ratio per step.  Item 5's
+    # gate is under 1 s; the alarm keeps the witness under 2 s
+    f = rose_map(["a b", "a"])
+    word = f.graph.parse_path(" ".join(["a b a~ b~"] * 6))
+
+    def stop(signum, frame):
+        raise TimeoutError("contract --chop 0 still running after 1.5 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.5)
+    try:
+        ilt_contraction(f, word, chop=0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@open_item()
+def test_item_09_check_fails_a_map_that_is_not_an_automorphism(tmp_path):
+    # the images a b, a b generate a cyclic subgroup
+    code, text = run_command(["check", _map_file(tmp_path, rose_map(["a b", "a b"])), "--json"])
+    assert code == 1 and json.loads(text)["pass"] is False
+
+
+@open_item()
+def test_item_10_subdivided_tribonacci_inv_passes_check(tmp_path):
+    # subdividing does not change the outer automorphism, but the per-graph
+    # certificate sees one class per periodic vertex
+    sub = detect_inps(rose_map(["c a~", "a", "b"])).subdivision.map
+    g = sub.graph
+    assert g.num_vertices == 2
+    names = [f"e{i}" for i in range(g.num_edges)]
+    vertices = ["u", "w"]
+    renamed = Graph.build(vertices, [(names[i], vertices[g.origin(2 * i)], vertices[g.terminus(2 * i)])
+                                     for i in range(g.num_edges)])
+    f = GraphSelfMap(renamed, sub.vertex_image, sub.edge_image)
+    code, text = run_command(["check", _map_file(tmp_path, f), "--json"])
+    assert code == 0 and json.loads(text)["pass"] is True
+
+
+@open_item()
+def test_item_12_inps_on_the_period_6_rose_fits_300_mb(tmp_path):
+    # a -> b^24, ..., f -> a^24 has Df-period 6: the coded store builds each
+    # block f^6(d), of 24^6 darts, whole
+    f = rose_map([" ".join([chr(ord("a") + (i + 1) % 6)] * 24) for i in range(6)])
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+        "from ttlam.cli import main\n"
+        "sys.argv[1:] = ['inps', sys.argv[1], '--json']\n"
+        "main()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, _map_file(tmp_path, f)],
+        cwd=FIXTURES, env=demo_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode in (0, 2) and "inps" in json.loads(proc.stdout), proc.stderr[-300:]

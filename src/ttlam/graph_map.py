@@ -205,9 +205,7 @@ def per_map(compute: Callable[[GraphSelfMap], T]) -> Callable[[GraphSelfMap], T]
     The value is kept in the map's ``__dict__``, as `cached_property` keeps
     `dart_images`, so it lives exactly as long as the map; a module-level
     cache would keep every map alive.  Every caller shares the one value,
-    so `compute` must return an immutable one.  ``cached.known(f)`` is the
-    value if it has been computed for f, and None otherwise; it computes
-    nothing.
+    so `compute` must return an immutable one.
     """
     key = f"{compute.__module__}.{compute.__qualname__}"
 
@@ -218,7 +216,6 @@ def per_map(compute: Callable[[GraphSelfMap], T]) -> Callable[[GraphSelfMap], T]
             memo[key] = compute(f)
         return memo[key]
 
-    cached.known = lambda f: f.__dict__.get(key)
     return cached
 
 
@@ -228,7 +225,8 @@ class EdgeIterates:
     ``lengths(t)[e]`` is the column sum of M^t, advanced exactly by
     |f^t(e)| = sum of |f^(t-1)(d)| over the darts d of f(e); for a train
     track map it is the length of f^t(e).  The images f^t(d) themselves
-    are kept only for train track maps, coded, in `nielsen._CodedStore`.
+    are never kept: the INP search reads a dart or a place in f^t(e) by
+    descent through these lengths (`nielsen._descend`).
     """
 
     def __init__(self, f: GraphSelfMap):

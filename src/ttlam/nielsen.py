@@ -13,21 +13,24 @@ fixed by f^T on edge e "at index i" is the unique fixed point of the inverse
 branch of f^T through the i-th dart of f^T(e).  All comparisons, orbit steps
 and refinements stay in exact integer arithmetic (occurrence indices plus
 the exact lengths |f^t(e)|), so no floating point enters the subdivision.
-On a train track map nothing cancels, so f^t(d) is f^(t-1)(d) with each
-dart replaced by its image.  The map's one coded store (`_CodedStore`) builds
-each f^t(d) that way, once per map, as a string with one character per dart;
-the eigenrays and the interior-point scan both read it.  The lengths
-|f^t(e)| come from `GraphSelfMap.edge_iterates`, and the periodic data are
-kept once per map too (`graph_map.per_map`).
+On a train track map nothing cancels, so every fact the search needs is
+read with work bounded by its window, and no f^t(d) is built whole.  An
+eigenray is streamed from its predecessor's on its Df-cycle, one f-step
+at a time, coded one character per dart (`_coded_ray`).  A dart of f^t(e),
+its place, and the first place of a given dart are found by descent through
+the blocks f^r(c) of f^t(e), skipping whole blocks by their lengths
+|f^r(c)| (`_descend`, `_first_index`).  The lengths come from
+`GraphSelfMap.edge_iterates`, and the rays and the periodic data are kept
+once per map (`graph_map.per_map`).
 """
 
 import math
-from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from operator import eq, mul
+from functools import reduce
+from itertools import islice
+from operator import eq, mul, or_
 from types import MappingProxyType
 
 from .errors import (
@@ -39,7 +42,7 @@ from .errors import (
 from .graph import Graph, Path, extend_reduced, turn
 from .graph_map import GraphSelfMap, per_map
 from .spectral import PFData, _pf_data_from, pf_data
-from .train_track import is_legal_turn, known_train_track, require_train_track
+from .train_track import is_legal_turn, is_train_track, require_train_track
 
 
 # -- periodic vertices and darts ---------------------------------------------
@@ -86,11 +89,10 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
     one-dart path then yields nested prefixes p_0 = (dart,),
     p_(j+1) = [f^k(p_j)] of the ray.
 
-    On a map already shown to be a train track map (`known_train_track`:
-    every map that INP detection, `singular` and `dual` see), the ray is
-    read from the map's coded store, block by block (`_CodedStore`), and a
-    longer prefix continues the stream instead of rebuilding it.  On any
-    other map `_eigenray_by_rounds` runs afresh on every call.
+    On a train track map the ray is streamed along its Df-cycle
+    (`_coded_ray`), and a longer prefix continues the stream instead of
+    rebuilding it.  On any other map `_eigenray_by_rounds` runs afresh on
+    every call.
     """
     if n < 1:
         raise MapError("prefix length must be >= 1")
@@ -98,8 +100,8 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
     if k is None:
         raise MapError(f"dart {f.graph.dart_name(dart)} is not Df-periodic; no eigenray")
     f.require_expanding()
-    if known_train_track(f):
-        return tuple(map(ord, _coded_store(f).prefix(dart, k, n)))
+    if is_train_track(f):
+        return tuple(map(ord, _coded_ray(f, dart, n)))
     return _eigenray_by_rounds(f, dart, k, n)
 
 
@@ -143,102 +145,54 @@ def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
     return p[:n]
 
 
-class _CodedStore:
-    """The iterated images f^t(d) of one train track map, coded one
-    character per dart (dart d is chr(d)), and its eigenrays as far as each
-    has been asked for.  `level(t)` is the table d -> f^t(d) (`_Blocks`),
-    the map's only f^t(d) for t >= 1: the eigenrays, the interior-point
-    scan, `doubled_index`, `point_image` and `_refined_pf` all read it.
-
-    The eigenray R of a dart of Df-period k is fixed by f^k, and legal like
-    every f^j(d), so f^k(R) is the blocks f^k(R[i]) laid end to end:
-
-        R = f^k(R[0]) f^k(R[1]) f^k(R[2]) ...,   R[0] = the dart.
-
-    Block 0 starts with the dart, as Df^k fixes it, and has at least two
-    darts on an expanding map, since a block of one dart would repeat
-    forever.  So block i starts inside the prefix that blocks 0 .. i - 1
-    have already written, and the ray streams from itself.  Each ray keeps
-    its prefix, the block it is reading and the offset inside it; a call
-    reads on from there and stops inside the block that reaches the length
-    asked, so a ray holds no more darts than the longest prefix asked for.
-    Whole blocks are appended m at a time, m the most that still fit, found
-    by bisection in the running sums of their lengths |f^k(d)|, unless even
-    blocks of the longest length would all fit; the m darts become their
-    blocks by one `str.translate` through `level(k)`.  The block that
-    reaches the length is cut.
-    """
-
-    def __init__(self, f: GraphSelfMap):
-        self._lengths = f.edge_iterates.lengths
-        self._images = {d: "".join(map(chr, img)) for d, img in enumerate(f.dart_images)}
-        self._levels: list[Mapping[int, str]] = [{d: chr(d) for d in self._images}]  # levels[t]: d -> f^t(d)
-        self._rays: dict[int, tuple[str, int, int]] = {}  # dart -> (prefix, block index, offset in block)
-
-    def level(self, t: int) -> "_Blocks":
-        """The table d -> f^t(d), t >= 1, with the tables below it."""
-        levels = self._levels
-        while len(levels) <= t:
-            levels.append(_Blocks(levels[-1], self._images, self._lengths(len(levels))))
-        return levels[t]
-
-    def prefix(self, dart: int, k: int, n: int) -> str:
-        """The first n darts of the eigenray of `dart`, of Df-period k."""
-        ray, i, off = self._rays.pop(dart, (chr(dart), 0, 1))  # popped, so += can grow it in place
-        blocks = self.level(k)
-        while len(ray) < n:
-            need = n - len(ray)
-            if not off:
-                # no more than need // shortest blocks fit, and all of these
-                # do if even blocks of the longest length would
-                run = ray[i : i + need // blocks.shortest]
-                if len(run) * blocks.longest <= need:
-                    m = len(run)
-                else:
-                    m = bisect_right(list(accumulate(map(blocks.sizes.__getitem__, run))), need)
-                if m:
-                    ray += run[:m].translate(blocks)
-                    i += m
-                    continue
-            block = blocks[ord(ray[i])]
-            part = block[off : off + need]
-            ray += part
-            off += len(part)
-            if off == len(block):
-                i, off = i + 1, 0
-        self._rays[dart] = ray, i, off
-        return ray[:n]
-
-
-class _Blocks(dict):
-    """The table d -> f^t(d), coded, of a train track map, each block made
-    on first use as the block f^(t-1)(d) of the table below translated
-    through the table d -> f(d).  It is a `str.translate` table, so a run
-    of darts becomes its f^t-blocks in one call, which makes the missing
-    ones.  `sizes` gives |f^t(d)| by the code of d."""
-
-    def __init__(self, below: Mapping[int, str], images: dict[int, str], lengths: tuple[int, ...]):
-        super().__init__()
-        self._below = below
-        self._images = images
-        self.sizes = {chr(d): lengths[d >> 1] for d in images}
-        self.shortest = min(lengths)
-        self.longest = max(lengths)
-
-    def __missing__(self, d: int) -> str:
-        block = self[d] = self._below[d].translate(self._images)
-        return block
-
-
 @per_map
-def _coded_store(f: GraphSelfMap) -> _CodedStore:
-    """The map's one coded store, for a train track map only, since the
-    translation is exact only when nothing cancels.  Unlike other per-map
-    values it grows, but only by reading further along images and rays
-    that are fixed, so every caller gets the answer a fresh store would
-    give."""
+def _eigenrays(f: GraphSelfMap) -> tuple[dict[int, str], dict[int, tuple[str, int]]]:
+    """The `str.translate` table d -> f(d), coded one character per dart
+    (dart d is chr(d)), and the eigenrays as far as `_coded_ray` has
+    streamed them: dart -> (the ray, coded, and how many darts of its
+    predecessor's ray it has read).  Unlike other per-map values the rays
+    grow, but only by reading further along rays that are fixed, so every
+    caller gets the answer a fresh table would give."""
+    return {d: "".join(map(chr, img)) for d, img in enumerate(f.dart_images)}, {}
+
+
+def _coded_ray(f: GraphSelfMap, dart: int, n: int) -> str:
+    """The first n darts of the eigenray of `dart`, coded, on an expanding
+    train track map.
+
+    Let p be a dart of the Df-cycle of `dart`, and R(p) its eigenray.  Then
+    f(R(p)) is legal, so nothing cancels; it starts with Df(p), and f^k
+    fixes it, so it is the eigenray of Df(p):
+
+        R(Df(p)) = f(R(p)[0]) f(R(p)[1]) f(R(p)[2]) ...
+
+    So each ray of the cycle streams from its predecessor's, starting as
+    f(p).  Rounds go once around the cycle, the ray of `dart` last, until
+    it holds n darts.  In a round each ray shorter than n reads on in its
+    predecessor's, at most as many darts as it lacks, since each gives at
+    least one, and translates them to their images.  So no ray holds more
+    than n * max|f(e)| darts, for n the longest prefix asked.  A round that
+    added nothing would leave every ray having read all of its
+    predecessor's and as long, starting with the ray of `dart`; so every
+    dart in them would have an image of one dart, and f^k(dart) = dart,
+    which an expanding map rules out.
+    """
     require_train_track(f)
-    return _CodedStore(f)
+    f.require_expanding()
+    df, (images, rays) = f.derivative_table, _eigenrays(f)
+    cycle = [dart]
+    for _ in range(periodic_structures(f).dart_period[dart] - 1):
+        cycle.append(df[cycle[-1]])
+    steps = list(zip(cycle, cycle[1:] + cycle[:1]))  # (p, Df(p)), the ray of `dart` made last
+    for p, q in steps:
+        rays.setdefault(q, (images[p], 1))
+    while len(rays[dart][0]) < n:
+        for p, q in steps:
+            ray, read = rays[q]
+            if len(ray) < n:
+                run = rays[p][0][read : read + n - len(ray)]
+                rays[q] = ray + run.translate(images), read + len(run)
+    return rays[dart][0][:n]
 
 
 # -- interior periodic points --------------------------------------------------
@@ -258,6 +212,61 @@ class PeriodicPoint:
     period: int
 
 
+def _descend(f: GraphSelfMap, d: int, t: int, i: int, weight: Callable[[int], Sequence[float]]) -> tuple[int, float]:
+    """The dart P[i] of P = f^t(d), and the sum over P[:i] of a weight,
+    given for whole blocks: weight(r)[e] is that of f^r(c), c a dart of e.
+
+    On a train track map nothing cancels, so f^r(c) is the blocks
+    f^(r-1)(c') over the darts c' of f(c), laid end to end.  From r = t
+    down, the blocks before the one holding the index are skipped by their
+    lengths, their weights added, and the descent goes on inside that
+    block: t images f(c) are read, never P.  Weighing f^r(e) by |f^(r+s)(e)|
+    gives |f^s(P[:i])|; by its PF length, the PF length of P[:i].  A map
+    that is not a train track map raises NotTrainTrackError.
+    """
+    require_train_track(f)
+    lengths, images = f.edge_iterates.lengths, f.dart_images
+    total = 0
+    for r in range(t - 1, -1, -1):
+        sizes, weights = lengths(r), weight(r)
+        for c in images[d]:
+            if i < sizes[c >> 1]:
+                break
+            i -= sizes[c >> 1]
+            total += weights[c >> 1]
+        d = c
+    return d, total
+
+
+def _first_index(f: GraphSelfMap, d: int, t: int, x: int, lo: int, occurs: list[list[int]]) -> int | None:
+    """The first index >= lo, lo 0 or 1, of the dart x in f^t(d), or None,
+    for a train track map; occurs[r][c], r < t, is the bit mask of the
+    darts of f^r(c).
+
+    A depth-first descent through the blocks of `_descend` that enters
+    only blocks holding x which end after lo.  Such a block holds x at an
+    index >= lo unless it starts at 0 and holds x only there, so at most
+    one block per level is entered in vain: O(t * max|f(e)|) work.
+    """
+    require_train_track(f)
+    lengths, images = f.edge_iterates.lengths, f.dart_images
+    stack = [(d, t, 0)]  # (dart c, level r, index in f^t(d) where f^r(c) starts)
+    while stack:
+        d, r, pos = stack.pop()
+        if not r:  # d = x, by the masks
+            if pos >= lo:
+                return pos
+            continue
+        sizes, holds = lengths(r - 1), occurs[r - 1]
+        blocks = []
+        for c in images[d]:
+            if holds[c] >> x & 1 and pos + sizes[c >> 1] > lo:
+                blocks.append((c, r - 1, pos))
+            pos += sizes[c >> 1]
+        stack += reversed(blocks)
+    return None
+
+
 def doubled_index(f: GraphSelfMap, e: int, t: int, i: int) -> int:
     """Index in f^(2t)(e) of the point that the occurrence P[i] = e or e~,
     P = f^t(e), carries.
@@ -266,12 +275,11 @@ def doubled_index(f: GraphSelfMap, e: int, t: int, i: int) -> int:
     and reads P forward when P[i] = e, P reversed when P[i] = e~.  Either
     way the dart e of that block, the one holding the point, sits at ell + i
     or at ell + |P| - 1 - i.  No two blocks may cancel, so f must be a train
-    track map: the coded store it reads raises NotTrainTrackError otherwise.
+    track map (`_descend`).
     """
-    blocks = _coded_store(f).level(t)
-    p = blocks[2 * e]
-    ell = sum(map(blocks.sizes.__getitem__, p[:i]))
-    return ell + (len(p) - 1 - i if ord(p[i]) & 1 else i)
+    lengths = f.edge_iterates.lengths
+    d, ell = _descend(f, 2 * e, t, i, lambda r: lengths(r + t))
+    return ell + (lengths(t)[e] - 1 - i if d & 1 else i)
 
 
 def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]:
@@ -286,25 +294,19 @@ def point_image(f: GraphSelfMap, e: int, t: int, i: int) -> tuple[int, int, int]
     contains position ell + k; reversed darts mirror the in-block index.
     Like `doubled_index` it needs a train track map.
     """
-    store = _coded_store(f)
-    blocks = store.level(t)
-    p = blocks[2 * e]
-    if p[i] != chr(2 * e):
+    lengths = f.edge_iterates.lengths
+    d, ell = _descend(f, 2 * e, t, i, lambda r: lengths(r + 1))
+    if d != 2 * e:
         raise MapError("descriptor is not an orientation-preserving occurrence")
-    ell = sum(map(store.level(1).sizes.__getitem__, p[:i]))
-    q = f.edge_image[e]
-    lens = f.edge_iterates.lengths(t)
-    cum = 0
-    for k, g in enumerate(q):
-        ge = g >> 1
+    lens, cum = lengths(t), 0  # cum <= ell + k holds at every k reached
+    for k, g in enumerate(f.edge_image[e]):
+        ge, rel = g >> 1, ell + k - cum
         lk = lens[ge]
-        pos = ell + k
-        if cum <= pos < cum + lk:
-            rel = pos - cum
+        if rel < lk:
             new_index = (lk - 1 - rel) if (g & 1) else rel
             if not (0 < new_index < lk - 1):
                 raise MapError("image of an interior fixed point landed on a vertex")
-            if blocks[2 * ge][new_index] != chr(2 * ge):
+            if _descend(f, 2 * ge, t, new_index, lengths)[0] != 2 * ge:
                 raise MapError("point image descriptor failed verification")
             return ge, new_index, k
         cum += lk
@@ -316,13 +318,14 @@ def _first_interior_point(f: GraphSelfMap, max_period: int) -> PeriodicPoint | N
     edge) among those of period <= max_period, or None when there is none.
 
     Exponents t = 1, 2, ... are walked in turn, then edges e ascending, and
-    the first occurrence in the coded P = f^t(e) is returned, found by one
-    `str.find` for e~ and one for e.  A forward occurrence P[i] = e carries
-    an interior point only for 0 < i < |P| - 1, since at the first (last)
-    index the fixed point is the initial (terminal) vertex; it is stored at
-    exponent t.  A reversed occurrence P[i] = e~ always carries one, since
-    an orientation-reversing branch fixes no endpoint; it is stored at
-    exponent 2t (`doubled_index`).
+    the first occurrence in P = f^t(e) is returned, found by one descent
+    (`_first_index`) for e~ and one for e, with the sets of the darts of
+    each f^r(d), r < t, made one level at a time.  A forward occurrence
+    P[i] = e carries an interior point only for 0 < i < |P| - 1, since at
+    the first (last) index the fixed point is the initial (terminal)
+    vertex; it is stored at exponent t.  A reversed occurrence P[i] = e~
+    always carries one, since an orientation-reversing branch fixes no
+    endpoint; it is stored at exponent 2t (`doubled_index`).
     `detect_inps` says why the first t with an occurrence gives the points
     of smallest period.
 
@@ -334,17 +337,18 @@ def _first_interior_point(f: GraphSelfMap, max_period: int) -> PeriodicPoint | N
     i of f^t(P), which is where `doubled_index` puts it, so ordering by
     index at the common exponent 2t picks the same point as ordering by i.
     """
-    level = _coded_store(f).level
+    occurs = [[1 << d for d in f.graph.darts()]]  # occurs[r][d]: the darts of f^r(d)
     for t in range(1, max_period + 1):
-        blocks = level(t)
+        last = f.edge_iterates.lengths(t)
         for e in range(f.graph.num_edges):
-            p = blocks[2 * e]
-            back = p.find(chr(2 * e + 1))
-            forth = p.find(chr(2 * e), 1, len(p) - 1)
-            if back >= 0 and not 0 <= forth < back:
-                return PeriodicPoint(e, 2 * t, doubled_index(f, e, t, back), t)
-            if forth >= 0:
+            back = _first_index(f, 2 * e, t, 2 * e + 1, 0, occurs)
+            forth = _first_index(f, 2 * e, t, 2 * e, 1, occurs)
+            if forth is not None and forth < last[e] - 1 and (back is None or forth < back):
                 return PeriodicPoint(e, t, forth, t)
+            if back is not None:
+                return PeriodicPoint(e, 2 * t, doubled_index(f, e, t, back), t)
+        below = occurs[-1]
+        occurs.append([reduce(or_, map(below.__getitem__, img)) for img in f.dart_images])
     return None
 
 
@@ -493,6 +497,9 @@ def _refined_pf(f: GraphSelfMap, pf: PFData | None, sub: SubdivisionResult) -> P
     length of P[:i].  In the PF metric f stretches every edge uniformly by
     lam, so f^t carries the point at distance x along e to distance lam^t x
     along P, which is x along the dart P[i] = e, after P[:i]: lam^t x = L + x.
+    L is read by `_descend`, with the PF lengths of the blocks f^r(e)
+    summed level by level, not taken as lam^r times f's, whose error lam^r
+    would scale.
 
     Each edge's pieces between its orbit points then have the PF lengths of
     the refined map, whose pieces f stretches by the same lam, so the start
@@ -504,11 +511,13 @@ def _refined_pf(f: GraphSelfMap, pf: PFData | None, sub: SubdivisionResult) -> P
     """
     if pf is None:
         return _pf_or_none(sub.map)
-    level = _coded_store(f).level
+    blocks = [pf.pf_lengths]  # blocks[r][e]: the PF length of f^r(e)
+    for _ in range(1, sub.orbit[0].exponent):
+        blocks.append([sum(blocks[-1][d >> 1] for d in img) for img in f.edge_image])
     cuts: list[list[float]] = [[] for _ in f.edge_image]
     for p in sub.orbit:
-        head = tuple(map(ord, level(p.exponent)[2 * p.edge][: p.index]))
-        cuts[p.edge].append(pf.pf_length(head) / (pf.lam**p.exponent - 1.0))
+        _, head = _descend(f, 2 * p.edge, p.exponent, p.index, blocks.__getitem__)
+        cuts[p.edge].append(head / (pf.lam**p.exponent - 1.0))
     start: list[float] = []
     for length, xs in zip(pf.pf_lengths, cuts):
         ends = [0.0, *sorted(xs), length]
@@ -684,15 +693,13 @@ def _scan_ray_pairs(
     PF-lengths; unequal-stem coincidences are discarded as impossible rather
     than held against conclusiveness.
 
-    The rays are read coded from the map's store (`_CodedStore`), and a
-    candidate stays coded, one character per dart, until it is verified
-    or noted: `seen` holds the code of eta, and a PF length sums a table
-    over the characters in the order `PFData.pf_length` sums its darts, so
-    the sums are the same floats.
+    The rays are read coded (`_coded_ray`), and a candidate stays coded,
+    one character per dart, until it is verified or noted: `seen` holds
+    the code of eta, and a PF length sums a table over the characters in
+    the order `PFData.pf_length` sums its darts, so the sums are the same
+    floats.
     """
-    store = _coded_store(f)
-    eigen = periodic_structures(f).dart_period
-    rays = [store.prefix(d, k, window) for d, k in eigen.items()]
+    rays = [_coded_ray(f, d, window) for d in periodic_structures(f).dart_period]
     flip = {d: d ^ 1 for d in f.graph.darts()}
     pf_len = None if pf is None else {chr(d): pf.pf_lengths[d >> 1] for d in f.graph.darts()}
     min_agree = max(16, window // 2)
@@ -739,7 +746,7 @@ def _detect_on(
     depends on f, the two stems and max_period only, all fixed here, and a
     candidate that leaves a note at one window tends to come back at the
     next.  Each wider scan reads its rays on from where the last one
-    stopped (`_CodedStore`), and only the reported scan's notes are
+    stopped (`_coded_ray`), and only the reported scan's notes are
     rendered as text.
     """
     periods: dict[tuple[str, str], int | None] = {}
@@ -800,13 +807,14 @@ def detect_inps(
     that period, `_first_interior_point` explains why the first occurrence
     is the one on the smallest edge, leftmost along it.
 
-    Each piece of work is done once per map.  Both f and the subdivided map
-    are train track maps, shown so before any ray is read, so their rays
-    come from the map's eigenray store, and the wider windows of a scan
-    and `leaf_window` read on from where the last call stopped
-    (`_CodedStore`).  The period verdicts are kept by stem pair across
-    the windows of one scan (`_detect_on`).  The subdivided map's power
-    iteration starts from its PF vector read off f's (`_refined_pf`).
+    Each piece of work is done once per map, and bounded by the window:
+    the rays of f and of the subdivided map, both shown to be train track
+    maps first, are streamed along their Df-cycles, a wider window reading
+    on where the last stopped (`_coded_ray`), and the orbit is found by
+    descent through f^t(e), never built (`_descend`).  The period verdicts
+    are kept by stem pair across the windows of one scan (`_detect_on`).
+    The subdivided map's power iteration starts from its PF vector read
+    off f's (`_refined_pf`).
     """
     require_train_track(f)
     f.require_expanding()

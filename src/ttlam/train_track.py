@@ -125,13 +125,6 @@ def is_train_track(f: GraphSelfMap) -> bool:
     return not used_illegal_turns(f)
 
 
-def known_train_track(f: GraphSelfMap) -> bool:
-    """Whether f has already been shown to be a train track map: its used
-    illegal turns are computed and there are none.  Runs no closure, so a
-    caller that merely could use the property pays nothing for asking."""
-    return used_illegal_turns.known(f) == ()
-
-
 def require_train_track(f: GraphSelfMap) -> None:
     bad = used_illegal_turns(f)
     if bad:

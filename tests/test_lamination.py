@@ -22,9 +22,8 @@ from ttlam import (
     transition_matrix,
     uniform_recurrence_check,
 )
-from ttlam import lamination
+from ttlam import lamination, nielsen
 from ttlam.graph import is_reduced
-from ttlam.nielsen import _CodedStore
 from ttlam.lamination import contraction_block, illegality_profile
 
 from conftest import (
@@ -129,6 +128,15 @@ def test_leaf_language_keeps_words_of_early_images():
     assert f.graph.parse_path("a b b") in leaf_language(f, 3)
 
 
+def _refuse_ray_and_descent_reads(monkeypatch):
+    """Make every read of an eigenray or of a place in f^t(d) fail."""
+    for module, name in ((nielsen, "_coded_ray"), (lamination, "_coded_ray"), (nielsen, "_descend"), (nielsen, "_first_index")):
+        def refused(*args, name=name):
+            raise AssertionError(f"{name} read")
+
+        monkeypatch.setattr(module, name, refused)
+
+
 def test_leaf_language_work_is_bounded_by_the_window(monkeypatch):
     # strata growing at different rates: at n = 16 the level is k = 7, set
     # by the Fibonacci stratum b c, while f^7(a) = a^(10^7); the language
@@ -136,10 +144,7 @@ def test_leaf_language_work_is_bounded_by_the_window(monkeypatch):
     f = rose_map(["a a a a a a a a a a", "b c", "b"])
     assert f.edge_iterates.first_level_over(14) == 7
 
-    def whole_image(self, t):
-        raise AssertionError(f"whole images f^{t}(d) built")
-
-    monkeypatch.setattr(_CodedStore, "level", whole_image)
+    _refuse_ray_and_descent_reads(monkeypatch)
     for n in (16, 24):
         assert leaf_language(f, n) == leaf_language_by_closure(f, n)
 
@@ -186,18 +191,12 @@ def test_recurrence_work_is_bounded_by_the_window(monkeypatch):
     # applied and no stored image above level 1 is read
     f = rose_map(["a a a a a a a a a a", "b c", "b"])
     expected = {m: recurrence_by_closure(f, m) for m in (3, 16)}
-    level = _CodedStore.level
 
     def applied(self, path):
         raise AssertionError("f applied to a path")
 
-    def shallow_image(self, t):
-        if t > 1:
-            raise AssertionError(f"images f^{t}(d) read")
-        return level(self, t)
-
     monkeypatch.setattr(GraphSelfMap, "apply", applied)
-    monkeypatch.setattr(_CodedStore, "level", shallow_image)
+    _refuse_ray_and_descent_reads(monkeypatch)
     for m, want in expected.items():
         assert _recurrence(f, m) == want
 

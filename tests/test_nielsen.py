@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttlam import GraphSelfMap, detect_inps, eigenray_prefix, is_train_track, pf_data, periodic_structures, subdivide_at
+from ttlam import GraphSelfMap, detect_inps, eigenray_prefix, is_train_track, nielsen, pf_data, periodic_structures, subdivide_at
 from ttlam.errors import NotTrainTrackError, TtError
 from ttlam.spectral import _LAM_TOL
 from ttlam.nielsen import (
     NielsenPath,
-    _Blocks,
-    _CodedStore,
-    _coded_store,
     _default_window,
+    _descend,
+    _eigenray_by_rounds,
+    _eigenrays,
+    _first_index,
     _first_interior_point,
     _pf_or_none,
     _refined_pf,
@@ -129,19 +130,18 @@ def test_eigenray_streaming_matches_iteration_any_rose_map(f):
 
 
 def _check_store_in_any_order(f, lengths, rng):
-    """Prefixes asked of one map object in a shuffled order, the eigenray
-    store's when f is a train track map, equal those of a fresh copy of the
-    map, which reads each by rounds, and of whole-path iteration, errors
-    included."""
-    is_train_track(f)  # a map shown to be a train track map reads its rays from the store
+    """Prefixes asked of one map object in a shuffled order, streamed along
+    the Df-cycles when f is a train track map, equal those of whole-path
+    iteration, errors included, and on an expanding map those of the rounds
+    `_eigenray_by_rounds`, the path of a map that is not a train track map."""
+    period = periodic_structures(f).dart_period
     asked = [(d, n) for d in f.graph.darts() for n in lengths]
     rng.shuffle(asked)
     for d, n in asked:
-        fresh = GraphSelfMap(f.graph, f.vertex_image, f.edge_image)
         got = _outcome(eigenray_prefix, f, d, n)
-        assert got == _outcome(eigenray_prefix, fresh, d, n) == _outcome(iterated_eigenray_prefix, f, d, n), (
-            f.edge_image, d, n,
-        )
+        assert got == _outcome(iterated_eigenray_prefix, f, d, n), (f.edge_image, d, n)
+        if d in period and f.is_expanding:
+            assert got == _outcome(_eigenray_by_rounds, f, d, period[d], n), (f.edge_image, d, n)
 
 
 @given(positive_rose_maps(), st.randoms(use_true_random=False))
@@ -155,48 +155,57 @@ def test_eigenray_store_any_order_any_rose_map(f, rng):
     _check_store_in_any_order(f, (1, 6, 40, 3, 17), rng)
 
 
+def _cycle_rose(k, n):
+    """x1 -> x2^n, ..., xk -> x1^n: Df-period k, and f^k(e) = e^(n^k)."""
+    return rose_map([" ".join([chr(ord("a") + (i + 1) % k)] * n) for i in range(k)])
+
+
 def test_eigenray_store_keeps_no_more_than_asked():
     # Df-period 6: f^6(d) = d^4096 for every dart d, so the ray of d is d d
-    # d ..., and the rounds kept a whole [f^6(p)] however short the prefix
-    f = rose_map(["b b b b", "c c c c", "d d d d", "e e e e", "f f f f", "a a a a"])
+    # d ..., and the rounds kept a whole [f^6(p)] however short the prefix;
+    # a ray streamed from its predecessor's reads at most as many darts as
+    # it lacks, each with an image of max|f(e)| = 4 darts
+    f = _cycle_rose(6, 4)
     assert is_train_track(f)
-    store = _coded_store(f)
     longest = 0
     for n in (5, 300, 17, 1000, 2, 9000, 64, 4096):
         longest = max(longest, n)
         for d in f.graph.darts():
             assert eigenray_prefix(f, d, n) == (d,) * n
-        assert {len(ray) for ray, _, _ in store._rays.values()} == {longest}
-
-
-def test_interior_scan_reads_the_eigenray_blocks(monkeypatch):
-    # Df-period 6 again: the eigenray of a is read off the block
-    # f^6(a) = a^4096, and the first interior point, of period 6, sits in
-    # that same block, which the map's coded store makes once for both
-    f = rose_map(["b b b b", "c c c c", "d d d d", "e e e e", "f f f f", "a a a a"])
-    made = []  # every block any store makes
-    missing = _Blocks.__missing__
-
-    def recorded(self, d):
-        made.append(missing(self, d))
-        return made[-1]
-
-    monkeypatch.setattr(_Blocks, "__missing__", recorded)
-    rep = detect_inps(f)
-    assert rep.subdivision.orbit[0] == PeriodicPoint(0, 6, 1, 6)
-    (block,) = [b for b in made if b == chr(0) * 4096]
-    assert _coded_store(f).level(6)[0] is block
+        held = [len(ray) for ray, _ in _eigenrays(f)[1].values()]
+        assert len(held) == f.graph.num_darts and all(longest <= m <= 4 * longest for m in held)
 
 
 def _check_coded_images(f):
-    """The coded store's f^t(d), t <= 3, decoded, is the `apply_map` chain
-    `edge_iterate` for a forward dart and its reversal for a backward one."""
-    store = _coded_store(f)
+    """The descents read f^t(d), t <= 3, as the `apply_map` chain
+    `edge_iterate` has it for a forward dart, reversed for a backward one:
+    at every index i, `_descend` gives the dart P[i] of P = f^t(d) and the
+    length |f^s(P[:i])| for s = 1 and t, which `point_image` and
+    `doubled_index` read, and `_first_index` the first index >= lo of each
+    dart, for lo = 0 and 1."""
+    lengths = f.edge_iterates.lengths
+    darts = range(f.graph.num_darts)
+
+    def word(d, t):
+        p = edge_iterate(f, d >> 1, t)
+        return tuple(x ^ 1 for x in reversed(p)) if d & 1 else p
+
+    occurs = [[sum(1 << x for x in set(word(d, r))) for d in darts] for r in range(3)]
     for t in (1, 2, 3):
-        for e in range(f.graph.num_edges):
-            p = edge_iterate(f, e, t)
-            assert tuple(map(ord, store.level(t)[2 * e])) == p, (f.edge_image, e, t)
-            assert tuple(map(ord, store.level(t)[2 * e + 1])) == tuple(d ^ 1 for d in reversed(p)), (f.edge_image, e, t)
+        for d in darts:
+            p = word(d, t)
+            for s in {1, t}:
+                size = [len(edge_iterate(f, e, s)) for e in range(f.graph.num_edges)]
+                ell = 0
+                for i, x in enumerate(p):
+                    assert _descend(f, d, t, i, lambda r: lengths(r + s)) == (x, ell), (f.edge_image, d, t, i, s)
+                    ell += size[x >> 1]
+            for lo in (0, 1):
+                first = {}
+                for i in range(len(p) - 1, lo - 1, -1):
+                    first[p[i]] = i
+                for x in darts:
+                    assert _first_index(f, d, t, x, lo, occurs) == first.get(x), (f.edge_image, d, t, x, lo)
 
 
 def test_coded_images_match_iteration_fixtures(all_maps):
@@ -544,7 +553,7 @@ def test_stability_trib_passes(trib):
 # on the rank-2 rose (rank 3 at length 5: 3,750; rank 4 at length 4:
 # 2,744).  brute_force_inps at length 8 visits ~560k paths on a rank-3 rose
 # and takes seconds to minutes per call.
-ORACLE_LEN = {2: 8, 3: 5, 4: 4}
+ORACLE_LEN = {2: 8, 3: 5, 4: 4, 6: 3}
 
 
 def _check_first_orbit(f, p):
@@ -577,6 +586,17 @@ def test_first_orbit_matches_full_enumeration_random(f, p):
     _check_first_orbit(f, p)
 
 
+@pytest.mark.parametrize("k, n", [(3, 2), (3, 3), (6, 2), (6, 3), (6, 4)])
+def test_first_orbit_matches_full_enumeration_block_roses(k, n):
+    # f^k(e) = e^(n^k) starts with e, whose point there is the vertex, so
+    # the first interior point is at index 1: the descent must skip index 0.
+    # _check_first_orbit at p = k asserts that detection subdivides there
+    f = _cycle_rose(k, n)
+    assert _first_interior_point(f, k) == PeriodicPoint(0, k, 1, k)
+    for p in (k - 1, k):
+        _check_first_orbit(f, p)
+
+
 def test_first_interior_point_is_first_in_full_enumeration_with_reversed_occurrences():
     # positive maps have no reversed occurrence; on these non-positive ones
     # the first point is the first occurrence for both kinds, also where its
@@ -601,13 +621,15 @@ def test_first_interior_point_is_first_in_full_enumeration_with_reversed_occurre
 ])
 def test_detection_stops_at_first_interior_period(monkeypatch, images):
     f = rose_map(images)
-    asked = []  # every exponent t of an f^t(e) the scan reads
+    searched, read = [], []  # every exponent t of an f^t(d) the scan searches, or reads at an index
 
-    level = _CodedStore.level
-    monkeypatch.setattr(_CodedStore, "level", lambda self, t: asked.append(t) or level(self, t))
+    for name, asked in (("_first_index", searched), ("_descend", read)):
+        helper = getattr(nielsen, name)
+        monkeypatch.setattr(nielsen, name, lambda f, d, t, *rest, helper=helper, asked=asked: asked.append(t) or helper(f, d, t, *rest))
     point = _first_interior_point(f, 6)
     monkeypatch.undo()
-    assert sorted(set(asked)) == list(range(1, point.period + 1))
+    assert sorted(set(searched)) == list(range(1, point.period + 1))
+    assert max(read, default=0) <= point.period
     rep = detect_inps(f)
     assert rep.subdivision.orbit[0] == point == interior_periodic_points(f, point.period)[0]
     assert rep.conclusive
@@ -616,19 +638,25 @@ def test_detection_stops_at_first_interior_period(monkeypatch, images):
 def test_period_check_builds_no_whole_image(monkeypatch):
     # lambda ~ 22.7: |f^6(e)| runs to 1.7 * 10^8 darts, and building the
     # f^s-blocks of each candidate's halves up to s = 6 took over 2.5 GB.
-    # Detection reads only f itself from the store
+    # Detection descends into f^t(d) at t = 1 only, and never applies f
     f = rose_map([
         "b a c a b a c b a c b a c a b a c b a c b a c a b a c",
         "b a c b a c a b a c c",
         "c b a c a b a c b a c b a c a b a c b a c b a c a b a c",
     ])
-    level = _CodedStore.level
+    for name in ("_first_index", "_descend"):
+        helper = getattr(nielsen, name)
 
-    def level_one(self, t):
-        assert t <= 1, f"f^{t}(d) built"
-        return level(self, t)
+        def level_one(f, d, t, *rest, helper=helper):
+            assert t <= 1, f"f^{t}(d) read"
+            return helper(f, d, t, *rest)
 
-    monkeypatch.setattr(_CodedStore, "level", level_one)
+        monkeypatch.setattr(nielsen, name, level_one)
+
+    def applied(self, path):
+        raise AssertionError("f applied to a path")
+
+    monkeypatch.setattr(GraphSelfMap, "apply", applied)
     rep = detect_inps(f)
     assert (rep.inps, rep.notes, rep.conclusive) == ((), (), True)
 

@@ -3,7 +3,7 @@
 Each test states what the item's fix must make true, and is marked
 xfail(strict=True): it fails today, and the change that fixes its item makes
 it pass, which a strict xfail reports as a failure until that change turns
-the witness into a plain test.  Each takes under 2 s.
+the witness into a plain test, as item 12's now is.  Each takes under 2 s.
 """
 
 import json
@@ -102,20 +102,29 @@ def test_item_10_subdivided_tribonacci_inv_passes_check(tmp_path):
     assert code == 0 and json.loads(text)["pass"] is True
 
 
-@open_item()
-def test_item_12_inps_on_the_period_6_rose_fits_300_mb(tmp_path):
-    # a -> b^24, ..., f -> a^24 has Df-period 6: the coded store builds each
-    # block f^6(d), of 24^6 darts, whole
-    f = rose_map([" ".join([chr(ord("a") + (i + 1) % 6)] * 24) for i in range(6)])
+def test_item_12_inp_commands_on_long_period_roses_fit_300_mb(tmp_path):
+    # fixed, so a plain test: a -> b^24, ..., f -> a^24 has Df-period 6 and
+    # blocks f^6(d) of 24^6 darts, a -> b^8, ..., l -> a^8 has Df-period 12
+    # and blocks of 8^12 darts; the rays and interior points are read with
+    # work bounded by the window, so no block is built whole
+    paths = [
+        _map_file(tmp_path, rose_map([" ".join(["abcdefghijkl"[(i + 1) % k]] * n) for i in range(k)]), f"cycle{k}")
+        for k, n in ((6, 24), (12, 8))
+    ]
     child = (
-        "import resource, sys\n"
+        "import json, resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
-        "from ttlam.cli import main\n"
-        "sys.argv[1:] = ['inps', sys.argv[1], '--json']\n"
-        "main()\n"
+        "from ttlam.cli import run_command\n"
+        "for path in sys.argv[1:]:\n"
+        "    for argv in (['inps', path], ['singular', path], ['eigenrays', path, '--length', '8']):\n"
+        "        code, text = run_command(argv + ['--json'])\n"
+        "        print(json.dumps([argv[0], code, json.loads(text)]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", child, _map_file(tmp_path, f)],
-        cwd=FIXTURES, env=demo_env(), capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", child, *paths],
+        cwd=FIXTURES, env=demo_env(), capture_output=True, text=True, timeout=10,
     )
-    assert proc.returncode in (0, 2) and "inps" in json.loads(proc.stdout), proc.stderr[-300:]
+    assert proc.returncode == 0, proc.stderr[-300:]
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(cmd, code) for cmd, code, _ in runs] == [("inps", 0), ("singular", 0), ("eigenrays", 0)] * 2
+    assert all(report for _, _, report in runs)

@@ -108,9 +108,12 @@ class Graph:
         return " ".join(map(self.dart_names.__getitem__, path))
 
     def parse_path(self, text: str) -> Path:
-        table = self.darts_by_name
+        return self.parse_tokens(text.split())
+
+    def parse_tokens(self, tokens: Iterable[str]) -> Path:
+        """The path of the dart tokens, one lookup each in `darts_by_name`."""
         try:
-            return tuple([table[t] for t in text.split()])
+            return tuple(map(self.darts_by_name.__getitem__, tokens))
         except KeyError as exc:
             raise _unknown_token(exc.args[0]) from None
 

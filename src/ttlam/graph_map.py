@@ -87,6 +87,13 @@ class GraphSelfMap:
             table.append(reverse_path(img))
         return tuple(table)
 
+    @cached_property
+    def coded_images(self) -> tuple[str, ...]:
+        """`dart_images` coded one character per dart, dart d as chr(d):
+        indexed by dart, it is also the `str.translate` table that sends a
+        coded path to the concatenation of its darts' images."""
+        return tuple("".join(map(chr, img)) for img in self.dart_images)
+
     def dart_image(self, d: int) -> Path:
         """Image of a single dart as a reduced edge path."""
         return self.dart_images[d]

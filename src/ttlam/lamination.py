@@ -15,11 +15,10 @@ and translate d -> d ^ 1, is of a whole clip or window set, never of a word.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import IncompatibleGraphsError, MapError
-from .graph import Graph, Path, equivalence_classes, extend_reduced, path_reduce
+from .graph import Graph, Path, equivalence_classes, path_reduce
 from .graph_map import GraphSelfMap
 from .nielsen import _coded_ray, detect_inps, periodic_structures
 from .spectral import pf_data
@@ -423,16 +422,13 @@ def ilt_contraction(
     reduction of the blocks f(s) over the maximal legal segments s of w, cut
     at its illegal turns, and what is left of each block is a subpath of a
     legal path: an illegal turn of f(w) sits where what is left of one block
-    meets what is left of another.  `extend_reduced` joins the blocks one at
-    a time, so the stack lengths around a block tell where its leftover
-    starts: a block of b darts that takes the stack from length s to s'
-    cancels (s + b - s') / 2 darts on each side, so its leftover starts at
-    (s - b + s') / 2.  A later block that pops the stack below a junction
-    consumes it.  The illegal turns among the junctions left standing inside
-    the chop window are the count, and the cuts of the next step.  A step
-    thus takes one Python-level pass per legal segment of w, at most |w|,
-    with the blocks laid out by list operations, rather than one per dart
-    of f(w), as a scan of the whole image would.
+    meets what is left of another.  The word is coded, dart d as chr(d), so
+    each block is one `str.translate` of its segment through the map's
+    coded images, and `_join` lays the blocks end to end.  The illegal
+    turns among the junctions left standing inside the chop window are the
+    count, and the cuts of the next step.  A step thus takes one
+    Python-level pass per legal segment of w, at most |w|, rather than one
+    per dart of f(w), as a scan of the whole image would.
     """
     require_train_track(f)
     if chop is None:
@@ -448,31 +444,24 @@ def ilt_contraction(
         raise MapError(f"word of length {len(w)} is consumed by a boundary trim of {chop}")
     block = contraction_block(f)
     gate_of = gates(f).gate_of
-    images = f.dart_images
+    images = f.coded_images
     cuts = illegal_positions(f, w)
+    code = "".join(map(chr, w))
     series = [len(cuts)]
     if steps is None:
         steps = block * (series[0] + 2)
     for _ in range(steps):
         if not cuts:
             break
-        stack: list[int] = []
-        junctions: list[int] = []  # where each standing leftover starts, ascending
-        for a, b in zip([0] + cuts, cuts + [len(w)]):
-            image = list(chain.from_iterable(map(images.__getitem__, w[a:b])))
-            before = len(stack)
-            extend_reduced(stack, (image,))
-            start = (before - len(image) + len(stack)) // 2
-            while junctions and junctions[-1] >= start:
-                junctions.pop()
-            if 0 < start < len(stack):
-                junctions.append(start)
+        stack, junctions = _join(code[a:b].translate(images) for a, b in zip([0] + cuts, cuts + [len(code)]))
         end = len(stack) - chop
         cuts = [
-            j - chop for j in junctions if chop < j < end and gate_of[stack[j - 1] ^ 1] == gate_of[stack[j]]
+            j - chop
+            for j in junctions
+            if chop < j < end and gate_of[ord(stack[j - 1]) ^ 1] == gate_of[ord(stack[j])]
         ]
         series.append(len(cuts))
-        w = stack[chop:end]
+        code = stack[chop:end]
     series += [0] * (steps + 1 - len(series))
     reached = next((i for i, v in enumerate(series) if v <= 1), -1)
     return ContractionReport(
@@ -482,3 +471,44 @@ def ilt_contraction(
         reached_le_one=reached >= 0,
         step_reached=reached,
     )
+
+
+def _join(blocks: Iterable[str]) -> tuple[str, list[int]]:
+    """The free reduction of coded, reduced blocks laid end to end, and
+    where each leftover of a block that stands in it starts, ascending.
+
+    When the stack and a block are each reduced, free reduction of their
+    concatenation can only cancel where they meet, as in
+    `graph.extend_reduced`: the darts cancelled are counted by comparing
+    codes backwards from the stack's end, and the stack is trimmed once.
+    The stack is kept as the leftovers of the blocks, so a trim slices the
+    top leftover only, and whole leftovers are dropped; one join at the end
+    builds the string.  A block that cancels k darts on each side of a
+    stack of s darts leaves its leftover starting at s - k.  A later block
+    that pops the stack below a junction consumes it.
+    """
+    parts: list[str] = []
+    size = 0
+    junctions: list[int] = []
+    for image in blocks:
+        k, n = 0, len(image)
+        if parts and ord(parts[-1][-1]) ^ 1 == ord(image[0]):
+            while parts and k < n:
+                top = parts[-1]
+                i = len(top)
+                while i and k < n and ord(top[i - 1]) ^ 1 == ord(image[k]):
+                    i -= 1
+                    k += 1
+                if i:
+                    parts[-1] = top[:i]
+                    break
+                parts.pop()
+        if k < n:
+            parts.append(image[k:])
+        start = size - k
+        size = start + n - k
+        while junctions and junctions[-1] >= start:
+            junctions.pop()
+        if 0 < start < size:
+            junctions.append(start)
+    return "".join(parts), junctions

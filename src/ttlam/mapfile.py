@@ -31,7 +31,7 @@ from .graph import Graph, Path
 from .graph_map import GraphSelfMap, check_image
 
 _NAME = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.*-]*$")
-_RESERVED = ".*"  # the separators of the names subdivision makes
+_ID = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_-]*$")  # a name without '.' and '*', which subdivision keeps
 _KNOWN_ASSERTS = ("iwip", "atoroidal", "inverse-of")
 
 
@@ -57,8 +57,10 @@ def _check_name(token: str, line: int, what: str) -> str:
 
 
 def _check_id(token: str, line: int, what: str) -> str:
-    _check_name(token, line, what)
-    if any(c in token for c in _RESERVED):
+    """One match; a refused token is matched again as a name, to tell an
+    invalid name from a name with a reserved character."""
+    if not _ID.match(token):
+        _check_name(token, line, what)
         raise ParseError(
             f"{what} {token!r} uses a reserved character: '.' and '*' are kept for subdivision", line
         )
@@ -99,11 +101,12 @@ def parse_map_file(text: str) -> MapFile:
     graph: Graph | None = None  # built at the map line
     images: dict[int, tuple[int, Path]] = {}  # edge -> (line, image)
     assertions: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
         toks = line.split()
+        if not toks:
+            continue
         head = toks[0]
         if head == "graph":
             if len(toks) != 2:
@@ -136,7 +139,7 @@ def parse_map_file(text: str) -> MapFile:
                 raise ParseError("expected: map", lineno)
             graph = graph or _declared_graph(vertices, edges.values())
         elif head == "assert":
-            body = line.split(None, 1)[1] if len(toks) > 1 else ""
+            body = line.split(None, 1)[1].rstrip() if len(toks) > 1 else ""
             if body == "iwip" or body == "atoroidal":
                 assertions.append(body)
             elif toks[1:2] == ["inverse-of"] and len(toks) == 3:
@@ -154,11 +157,11 @@ def parse_map_file(text: str) -> MapFile:
             if dart >> 1 in images:
                 raise ParseError(f"duplicate image for edge {toks[0]!r}", lineno)
             try:
-                images[dart >> 1] = (lineno, graph.parse_path(" ".join(toks[2:])))
+                images[dart >> 1] = (lineno, graph.parse_tokens(toks[2:]))
             except GraphError as exc:
                 raise ParseError(str(exc), lineno) from exc
         else:
-            raise ParseError(f"unrecognized line {line!r}", lineno)
+            raise ParseError(f"unrecognized line {line.strip()!r}", lineno)
     if name is None:
         raise ParseError("missing graph declaration")
     if not vertices:

@@ -49,17 +49,26 @@ from .train_track import is_legal_turn, is_train_track, require_train_track
 
 def _cycle_periods(step: tuple[int, ...]) -> dict[int, int]:
     """For a finite self-map given as a table, the elements lying on cycles
-    and their minimal periods."""
-    n = len(step)
+    and their minimal periods, keys ascending.
+
+    One pass: a walk from each element not yet visited marks what it visits
+    until it reaches a visited element.  If that element was marked by this
+    walk, the walk closed a new cycle, from that element on; otherwise it
+    ran into an earlier walk, whose cycle is already known.
+    """
+    walk_of = [-1] * len(step)
     out: dict[int, int] = {}
-    for x in range(n):
+    for x in range(len(step)):
+        walk: list[int] = []
         y = x
-        for k in range(1, n + 1):
+        while walk_of[y] < 0:
+            walk_of[y] = x
+            walk.append(y)
             y = step[y]
-            if y == x:
-                out[x] = k
-                break
-    return out
+        if walk_of[y] == x:
+            cycle = walk[walk.index(y) :]
+            out.update(dict.fromkeys(cycle, len(cycle)))
+    return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)
@@ -146,14 +155,13 @@ def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
 
 
 @per_map
-def _eigenrays(f: GraphSelfMap) -> tuple[dict[int, str], dict[int, tuple[str, int]]]:
-    """The `str.translate` table d -> f(d), coded one character per dart
-    (dart d is chr(d)), and the eigenrays as far as `_coded_ray` has
-    streamed them: dart -> (the ray, coded, and how many darts of its
-    predecessor's ray it has read).  Unlike other per-map values the rays
-    grow, but only by reading further along rays that are fixed, so every
-    caller gets the answer a fresh table would give."""
-    return {d: "".join(map(chr, img)) for d, img in enumerate(f.dart_images)}, {}
+def _eigenrays(f: GraphSelfMap) -> dict[int, tuple[str, int]]:
+    """The eigenrays as far as `_coded_ray` has streamed them: dart -> (the
+    ray, coded one character per dart, dart d as chr(d), and how many darts
+    of its predecessor's ray it has read).  Unlike other per-map values the
+    rays grow, but only by reading further along rays that are fixed, so
+    every caller gets the answer a fresh table would give."""
+    return {}
 
 
 def _coded_ray(f: GraphSelfMap, dart: int, n: int) -> str:
@@ -179,7 +187,7 @@ def _coded_ray(f: GraphSelfMap, dart: int, n: int) -> str:
     """
     require_train_track(f)
     f.require_expanding()
-    df, (images, rays) = f.derivative_table, _eigenrays(f)
+    df, images, rays = f.derivative_table, f.coded_images, _eigenrays(f)
     cycle = [dart]
     for _ in range(periodic_structures(f).dart_period[dart] - 1):
         cycle.append(df[cycle[-1]])

@@ -4,10 +4,12 @@ Two darts at a vertex belong to the same *gate* when some iterate of the
 derivative map Df sends them to the same dart.  A turn is *legal* when its
 darts lie in distinct gates, equivalently no Df-iterate degenerates it.  A
 map is a train track map when every edge image stays reduced under all
-iterates; operationally, every turn crossed by some edge image (a *used*
-turn) must be legal, and that set must be closed under the induced turn map.
-Gates and used turns are built once per map (`graph_map.per_map`), and
-every lookup below reads them from the map.
+iterates: every turn crossed by some iterated edge image (a *used* turn) is
+legal.  By Bestvina-Handel it suffices to read the turns of the edge images
+f(e) themselves and follow the illegal ones forward under Df
+(`used_illegal_turns`); the whole closure of the used turns is built only
+where a report lists it.  Gates and turns are built once per map
+(`graph_map.per_map`), and every lookup below reads them from the map.
 """
 
 from dataclasses import dataclass
@@ -35,22 +37,25 @@ class Gates:
 
 @per_map
 def gates(f: GraphSelfMap) -> Gates:
-    """Gates: the darts at one vertex with one image under Df^N, N = num_darts.
+    """Gates: the darts at one vertex with one image under Df^P, for P the
+    first power of two >= N = num_darts.
 
     Two darts share a gate iff Df^t(d1) == Df^t(d2) for some t, and then for
     every later t.  If they first meet at t >= 1, the distinct darts
     Df^(t-1)(d1) and Df^(t-1)(d2) have one image.  Df permutes the darts on
     its cycles, so one of the two is off every cycle: the pre-period of d1
-    or d2 is at least t.  A pre-period is below num_darts, so t < N and
-    grouping the darts by (origin, Df^N(d)) is exact.  Darts are visited in
+    or d2 is at least t.  A pre-period is below N, so t < N <= P and
+    grouping the darts by (origin, Df^P(d)) is exact.  Df^P is the table of
+    Df squared log2(P) times, O(N log N) work.  Darts are visited in
     ascending order, so each gate is sorted and gates are ordered by their
     smallest dart.
     """
     g = f.graph
-    df = f.derivative_table
-    tip = list(range(g.num_darts))
-    for _ in range(g.num_darts):
-        tip = [df[d] for d in tip]
+    tip = f.derivative_table
+    power = 1
+    while power < g.num_darts:
+        tip = [tip[d] for d in tip]
+        power *= 2
     buckets: dict[tuple[int, int], list[int]] = {}
     for d, t in enumerate(tip):
         buckets.setdefault((g.dart_origin[d], t), []).append(d)
@@ -100,9 +105,8 @@ def used_turns(f: GraphSelfMap) -> frozenset[Turn]:
     Seed with the turns crossed by the (forward) edge images, then close
     under the induced turn map.  Reversed images cross the same unordered
     turns, so forward darts suffice for the seed.  A reduced path never
-    crosses a degenerate turn (d, d), so such images are left out; a turn
-    whose image is degenerate is itself illegal, so `is_train_track` reads
-    the same either way.
+    crosses a degenerate turn (d, d), so such images are left out.
+    `is_train_track` does not read this closure (see `used_illegal_turns`).
     """
     closed = {turn(a ^ 1, b) for img in f.edge_image for a, b in zip(img, img[1:])}
     frontier = list(closed)
@@ -116,8 +120,33 @@ def used_turns(f: GraphSelfMap) -> frozenset[Turn]:
 
 @per_map
 def used_illegal_turns(f: GraphSelfMap) -> tuple[Turn, ...]:
-    """The used turns that are illegal, sorted; none for a train track map."""
-    return tuple(sorted(t for t in used_turns(f) if not is_legal_turn(f, t)))
+    """The used turns that are illegal, sorted; none for a train track map.
+
+    They are the forward Df-orbits of the illegal turns that the edge images
+    f(e) cross (the Bestvina-Handel criterion reads only these turns), each
+    walked until it degenerates or meets a turn already found, whose orbit
+    is walked already; the closure `used_turns` is not built.
+
+    Lemma: for a turn s of some f(e) and k >= 0, a non-degenerate
+    Df^k(s) is illegal iff s is.  If Df(x) and Df(y) met under some Df^t,
+    x and y would meet under Df^(t+1) and share a gate; so darts in
+    distinct gates have Df-images in distinct gates, and a legal turn stays
+    legal.  Darts in one gate have Df-images in one gate, so a
+    non-degenerate image of an illegal turn is illegal.  The used turns are
+    exactly the non-degenerate Df^k(s), so the walks find exactly the
+    illegal ones among them.
+    """
+    df = f.derivative_table
+    gate_of = gates(f).gate_of
+    found: set[Turn] = set()
+    for img in f.edge_image:
+        for a, b in zip(img, img[1:]):
+            x, y = a ^ 1, b
+            if gate_of[x] == gate_of[y]:
+                while x != y and turn(x, y) not in found:
+                    found.add(turn(x, y))
+                    x, y = df[x], df[y]
+    return tuple(sorted(found))
 
 
 def is_train_track(f: GraphSelfMap) -> bool:

@@ -92,16 +92,18 @@ def counted_transition_matrix(f):
     return [[counts[i, j] for j in range(n)] for i in range(n)]
 
 
+def derivative(f, d):
+    """Df(d): the first dart of the image of d, read off the edge image,
+    whose last dart, reversed, starts the image of a backward dart."""
+    img = f.edge_image[d >> 1]
+    return img[0] if not (d & 1) else (img[-1] ^ 1)
+
+
 def derivative_orbit_gates(f):
     """Gate partition from the definition: darts d1, d2 at the same vertex lie
     in one gate iff Df^t(d1) == Df^t(d2) for some t below the orbit bound."""
     g = f.graph
     nd = g.num_darts
-
-    def df(d):
-        img = f.edge_image[d >> 1]
-        return img[0] if not (d & 1) else (img[-1] ^ 1)
-
     bound = 2 * nd
     classes = []
     assigned = {}
@@ -117,7 +119,7 @@ def derivative_orbit_gates(f):
                 if x == y:
                     cls.add(e)
                     break
-                x, y = df(x), df(y)
+                x, y = derivative(f, x), derivative(f, y)
             else:
                 if x == y:
                     cls.add(e)
@@ -125,6 +127,37 @@ def derivative_orbit_gates(f):
             assigned[e] = len(classes)
         classes.append(frozenset(cls))
     return classes, assigned
+
+
+def used_illegal_turns_by_closure(f):
+    """The used turns that are illegal, sorted, from the definitions: the
+    turns crossed by the edge images, closed under the turn map of `derivative`
+    with the degenerate turns left out, then those whose two darts lie in
+    one `derivative_orbit_gates` gate."""
+    used = set()
+    frontier = [tuple(sorted((a ^ 1, b))) for img in f.edge_image for a, b in zip(img, img[1:])]
+    while frontier:
+        t = frontier.pop()
+        if t[0] != t[1] and t not in used:
+            used.add(t)
+            frontier.append(tuple(sorted((derivative(f, t[0]), derivative(f, t[1])))))
+    _, assigned = derivative_orbit_gates(f)
+    return tuple(sorted(t for t in used if assigned[t[0]] == assigned[t[1]]))
+
+
+def cycle_periods_by_walks(step):
+    """The elements of a finite self-map's table that lie on cycles, each
+    with its minimal period, by a walk of up to len(step) steps from every
+    element."""
+    out = {}
+    for x in range(len(step)):
+        y = step[x]
+        for k in range(1, len(step) + 1):
+            if y == x:
+                out[x] = k
+                break
+            y = step[y]
+    return out
 
 
 def illegal_turn_count(f, path, assigned):
@@ -327,16 +360,12 @@ def scan_ray_pairs_by_iteration(f, window, max_period, pf_lengths):
     nd = g.num_darts
     _, assigned = derivative_orbit_gates(f)
 
-    def df(d):
-        img = f.edge_image[d >> 1]
-        return img[0] if not (d & 1) else (img[-1] ^ 1)
-
     def df_period(d):
-        x = df(d)
+        x = derivative(f, d)
         for k in range(1, nd + 1):
             if x == d:
                 return k
-            x = df(x)
+            x = derivative(f, x)
         return None
 
     def flip(path):
@@ -464,14 +493,9 @@ def iterated_eigenray_prefix(f, dart, n):
     when an iterate does not extend the last or the path stops growing for
     more than num_darts rounds."""
     nd = f.graph.num_darts
-
-    def df(d):
-        img = f.edge_image[d >> 1]
-        return img[0] if not (d & 1) else (img[-1] ^ 1)
-
-    x, k = df(dart), 1
+    x, k = derivative(f, dart), 1
     while x != dart and k <= nd:
-        x, k = df(x), k + 1
+        x, k = derivative(f, x), k + 1
     if x != dart:
         raise MapError("dart is not Df-periodic")
     f.require_expanding()

@@ -12,6 +12,7 @@ from ttlam.spectral import _LAM_TOL
 from ttlam.nielsen import (
     NielsenPath,
     _default_window,
+    _cycle_periods,
     _descend,
     _eigenray_by_rounds,
     _eigenrays,
@@ -32,6 +33,7 @@ from conftest import positive_rose_maps, reduced_rose_maps, rose_map, train_trac
 from oracles import (
     apply_map,
     brute_force_inps,
+    cycle_periods_by_walks,
     derivative_orbit_gates,
     detect_inps_cold,
     edge_iterate,
@@ -55,6 +57,14 @@ def test_periodic_structures_fib(fib, rose2):
     name = rose2.dart_name
     periods = {name(d): p for d, p in pd.dart_period.items()}
     assert periods == {"a": 1, "a~": 2, "b~": 2}
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+def test_cycle_periods_match_walks(step):
+    # one pass gives every cycle element its minimal period, keys ascending
+    periods = _cycle_periods(tuple(step))
+    assert periods == cycle_periods_by_walks(step)
+    assert list(periods) == sorted(periods)
 
 
 def test_eigen_darts_one_per_gate(all_maps):
@@ -172,7 +182,7 @@ def test_eigenray_store_keeps_no_more_than_asked():
         longest = max(longest, n)
         for d in f.graph.darts():
             assert eigenray_prefix(f, d, n) == (d,) * n
-        held = [len(ray) for ray, _ in _eigenrays(f)[1].values()]
+        held = [len(ray) for ray, _ in _eigenrays(f).values()]
         assert len(held) == f.graph.num_darts and all(longest <= m <= 4 * longest for m in held)
 
 

@@ -4,16 +4,18 @@ Each test states what the item's fix must make true, and is marked
 xfail(strict=True): it fails today, and the change that fixes its item makes
 it pass, which a strict xfail reports as a failure until that change turns
 the witness into a plain test, as item 12's now is.  Each takes under 2 s.
+Item 13's clean-exit sweep is a plain test from the start.
 """
 
 import json
+import random
 import signal
 import subprocess
 import sys
 
 import pytest
 
-from ttlam import Graph, GraphSelfMap, detect_inps, ilt_contraction
+from ttlam import Graph, GraphSelfMap, detect_inps, ilt_contraction, is_train_track
 from ttlam.cli import run_command
 from ttlam.graph import path_reduce
 from ttlam.mapfile import MapFile, serialize_map_file
@@ -128,3 +130,58 @@ def test_item_12_inp_commands_on_long_period_roses_fit_300_mb(tmp_path):
     runs = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [(cmd, code) for cmd, code, _ in runs] == [("inps", 0), ("singular", 0), ("eigenrays", 0)] * 2
     assert all(report for _, _, report in runs)
+
+
+def _reduced_rose_images(rng):
+    """Edge images of a random rank 2-3 rose map: reduced words of 1-4 darts."""
+    rank = rng.randint(2, 3)
+    images = []
+    for _ in range(rank):
+        word = [rng.randrange(2 * rank)]
+        for _ in range(rng.randint(0, 3)):
+            word.append(rng.choice([d for d in range(2 * rank) if d != word[-1] ^ 1]))
+        images.append(" ".join("abc"[d >> 1] + "~" * (d & 1) for d in word))
+    return images
+
+
+def test_item_13_every_subcommand_exits_cleanly(tmp_path):
+    # every subcommand on six seeded random reduced rose maps, two of them
+    # expanding train track maps and four not, and on the N = 24 period-6
+    # rose, in one child under a 300 MB address-space cap and a 2 s alarm
+    # per run: each exits 0-3 with a JSON report, none with a traceback.
+    # contract runs 3 steps: item 5's default-step run is its own witness
+    rng = random.Random(2)
+    maps = [rose_map(_reduced_rose_images(rng)) for _ in range(6)]
+    assert sum(f.is_expanding and is_train_track(f) for f in maps) == 2
+    maps.append(rose_map([" ".join(["bcdefa"[i]] * 24) for i in range(6)]))
+    paths = [_map_file(tmp_path, f, f"sweep{i}") for i, f in enumerate(maps)]
+    child = (
+        "import json, resource, signal, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+        "from ttlam.cli import run_command\n"
+        "def stop(signum, frame):\n"
+        "    raise TimeoutError\n"
+        "signal.signal(signal.SIGALRM, stop)\n"
+        "for path in sys.argv[1:]:\n"
+        "    for argv in (['check'], ['gates'], ['turns'], ['pf'], ['inps'], ['eigenrays'],\n"
+        "                 ['bfh', '--window', '3'], ['singular'], ['dual', '--window', '3', '--assume-inverse'],\n"
+        "                 ['illegality', '--against', path, '--window', '3'],\n"
+        "                 ['contract', '--word', 'a b a~ b~ a a b~ a~ b b a b', '--steps', '3']):\n"
+        "        signal.setitimer(signal.ITIMER_REAL, 2.0)\n"
+        "        try:\n"
+        "            code, text = run_command([argv[0], path, *argv[1:], '--json'])\n"
+        "            out = [code, isinstance(json.loads(text), dict)]\n"
+        "        except Exception as exc:\n"
+        "            out = [type(exc).__name__, False]\n"
+        "        finally:\n"
+        "            signal.setitimer(signal.ITIMER_REAL, 0)\n"
+        "        print(json.dumps([path, argv[0], *out]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *paths],
+        cwd=FIXTURES, env=demo_env(), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr[-300:]
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(runs) == 11 * len(paths)
+    assert [run for run in runs if run[2] not in (0, 1, 2, 3) or not run[3]] == []

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ttlam import (
     Graph,
@@ -17,12 +17,17 @@ from ttlam import (
     two_gates_everywhere,
     used_turns,
 )
-from ttlam.train_track import illegal_positions, legal_segments, require_train_track
+from ttlam.train_track import illegal_positions, legal_segments, require_train_track, used_illegal_turns
 from ttlam.nielsen import detect_inps
 from ttlam.train_track import turn_image
 
-from conftest import positive_rose_maps, reduced_rose_maps, rose_map
-from oracles import derivative_orbit_gates, illegal_turn_count, random_reduced_word
+from conftest import positive_rose_maps, reduced_rose_maps, rose_map, train_track_automorphisms
+from oracles import (
+    derivative_orbit_gates,
+    illegal_turn_count,
+    random_reduced_word,
+    used_illegal_turns_by_closure,
+)
 
 
 def _gate_sets(f):
@@ -103,6 +108,43 @@ def test_gates_after_longest_pre_period():
     assert (tip_a, tip_b) == (3, 5)
     assert gates(f).members == ((0, 1, 2, 3, 4, 5),)
     _assert_gates_match_oracle(f)
+
+
+# Df = (1, 2, 3, 3): a and b~ first meet under Df^3, past Df^2, and the
+# illegal turns (a~, b~) and (b, b~) are reached only from the image turns
+LONG_ORBITS = ["a~ b~", "b~ a b"]
+
+
+def _assert_certificate_matches_closure(f):
+    """`used_illegal_turns` and `require_train_track`'s message agree with
+    the closure of all used turns, and the gates with the Df-orbit gates."""
+    _assert_gates_match_oracle(f)
+    bad = used_illegal_turns_by_closure(f)
+    assert used_illegal_turns(f) == bad
+    assert is_train_track(f) == (not bad)
+    if bad:
+        names = ", ".join(f"({f.graph.dart_name(a)}, {f.graph.dart_name(b)})" for a, b in bad[:4])
+        with pytest.raises(NotTrainTrackError) as err:
+            require_train_track(f)
+        assert str(err.value) == f"used turns are degenerate under Df iterates: {names}"
+    else:
+        require_train_track(f)
+
+
+@given(reduced_rose_maps())
+@example(rose_map(LONG_ORBITS))
+def test_train_track_certificate_matches_closure_random(f):
+    # most of these maps are not train track maps
+    _assert_certificate_matches_closure(f)
+
+
+def test_train_track_certificate_matches_closure_subdivided():
+    # the subdivided maps of signed automorphisms have two or more vertices
+    maps = [detect_inps(f, max_period=2).subdivision for rank in (2, 3) for f in train_track_automorphisms(rank, 6, 23)]
+    maps = [sub.map for sub in maps if sub is not None]
+    assert maps
+    for f in maps:
+        _assert_certificate_matches_closure(f)
 
 
 def test_two_gates(all_maps):

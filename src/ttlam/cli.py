@@ -95,8 +95,9 @@ def _cmd_check(mf: MapFile, args, data: dict) -> int:
     problems = validate_graph(g)
     data["graph_valid"] = not problems
     data["graph_problems"] = problems
-    data["expanding"] = f.is_expanding
-    data["non_expanding_witness"] = f.non_expanding_witness()
+    witness = f.non_expanding_witness()
+    data["expanding"] = witness is None
+    data["non_expanding_witness"] = witness
     tt = is_train_track(f)
     data["train_track"] = tt
     data["num_gates"] = len(gates(f).members)
@@ -345,8 +346,9 @@ def _cmd_contract(mf: MapFile, args, data: dict) -> int:
 
 
 @functools.cache
-def _parser() -> _CliParser:
-    """The argument parser, built once per process; parsing keeps no state."""
+def _parsers() -> tuple[_CliParser, dict[str, _CliParser]]:
+    """The top-level parser and its subparsers by name, built once per
+    process; parsing keeps no state."""
     p = _CliParser(prog="ttlam", description="Train track map analysis")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -381,15 +383,20 @@ def _parser() -> _CliParser:
     sp.add_argument("--word", required=True, help="path literal, e.g. 'a b~ c'")
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--chop", type=int, default=None)
-    return p
+    return p, sub.choices
 
 
 def run_command(argv: list[str]) -> tuple[int, str]:
-    """Execute one CLI invocation; returns (exit code, report text)."""
+    """Execute one CLI invocation; returns (exit code, report text).  The
+    subparser that argv[0] names parses the rest, as the top-level parser
+    would hand it over; only an argv that names none (empty, `-h`, a typo)
+    goes to the top-level parser, which words its help or error."""
     try:
-        args = _parser().parse_args(argv)
+        top, subparsers = _parsers()
+        sub = subparsers.get(argv[0]) if argv else None
+        args = sub.parse_args(argv[1:]) if sub else top.parse_args(argv)
         mf = parse_map_path(args.mapfile)
-        data = _envelope(args.command, mf)
+        data = _envelope(argv[0] if sub else args.command, mf)
         return args.handler(mf, args, data), _emit(data, args.json)
     except (TtError, OSError) as exc:  # an unreadable file is bad input
         kind = getattr(exc, "kind", "input")

@@ -14,6 +14,7 @@ order a turn was encountered in.
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphError
@@ -198,14 +199,15 @@ def turns_of_path(path: Sequence[int]) -> Iterator[Turn]:
 
 
 def all_turns(graph: Graph) -> list[Turn]:
-    """Every non-degenerate turn of the graph, grouped implicitly by origin
-    vertex."""
-    out = []
-    nd = graph.num_darts
-    for d1 in range(nd):
-        for d2 in range(d1 + 1, nd):
-            if graph.dart_origin[d1] == graph.dart_origin[d2]:
-                out.append((d1, d2))
+    """Every non-degenerate turn (d1, d2), d1 < d2, by d1 and then d2: each
+    dart paired with the later darts at its vertex."""
+    later: dict[int, list[int]] = {}
+    for d, v in enumerate(graph.dart_origin):
+        later.setdefault(v, []).append(d)
+    out: list[Turn] = []
+    for d1, v in enumerate(graph.dart_origin):
+        later[v].pop(0)  # d1, the least dart left at v
+        out.extend(zip(repeat(d1), later[v]))
     return out
 
 

@@ -7,8 +7,10 @@ the n-th iterate do to a path?) always pass through free reduction, so
 iterated images are reduced edge paths by construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from itertools import chain
+from operator import add, eq
 from typing import Callable, Sequence, TypeVar
 
 from .errors import MapError, NotExpandingError
@@ -34,6 +36,9 @@ class GraphSelfMap:
     graph: Graph
     vertex_image: tuple[int, ...]
     edge_image: tuple[Path, ...]
+    # `dart_images` coded, dart d as chr(d), by the image check; it is also
+    # the `str.translate` table sending a coded path to its image, unreduced
+    coded_images: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.graph
@@ -44,9 +49,13 @@ class GraphSelfMap:
                 raise MapError(f"vertex {g.vertex_names[v]} maps out of range")
         if len(self.edge_image) != g.num_edges:
             raise MapError("edge image table has wrong length")
-        vertex_image = dict(enumerate(self.vertex_image))
-        for e, img in enumerate(self.edge_image):
-            check_image(g, e, img, vertex_image)
+        codes = _checked_codes(g, self.vertex_image, self.edge_image)
+        if codes is None:  # check_image words why, for the first image in edge order
+            vertex_image = dict(enumerate(self.vertex_image))
+            for e, img in enumerate(self.edge_image):
+                check_image(g, e, img, vertex_image)
+            raise AssertionError("check_image accepts the images that _checked_codes refused")
+        object.__setattr__(self, "coded_images", codes)
 
     @staticmethod
     def build(graph: Graph, images: dict[str, str]) -> "GraphSelfMap":
@@ -81,18 +90,8 @@ class GraphSelfMap:
     def dart_images(self) -> tuple[Path, ...]:
         """The reduced image of every dart, indexed by dart id: the edge
         image on a forward dart, its reversal on the backward one."""
-        table = []
-        for img in self.edge_image:
-            table.append(img)
-            table.append(reverse_path(img))
-        return tuple(table)
-
-    @cached_property
-    def coded_images(self) -> tuple[str, ...]:
-        """`dart_images` coded one character per dart, dart d as chr(d):
-        indexed by dart, it is also the `str.translate` table that sends a
-        coded path to the concatenation of its darts' images."""
-        return tuple("".join(map(chr, img)) for img in self.dart_images)
+        backward = [tuple(map(ord, code)) for code in self.coded_images[1::2]]
+        return tuple(chain.from_iterable(zip(self.edge_image, backward)))
 
     def dart_image(self, d: int) -> Path:
         """Image of a single dart as a reduced edge path."""
@@ -140,12 +139,12 @@ class GraphSelfMap:
         Follow Df from each dart while the image stays a single dart; if the
         walk survives num_darts steps it has cycled among length-1 edges.
         """
-        nd = self.graph.num_darts
+        nd, images = self.graph.num_darts, self.dart_images
         for d0 in range(nd):
             d = d0
             steps = 0
-            while len(self.dart_image(d)) == 1:
-                d = self.dart_image(d)[0]
+            while len(images[d]) == 1:
+                d = images[d][0]
                 steps += 1
                 if steps > nd:
                     return self.graph.edge_names[d0 >> 1]
@@ -181,6 +180,39 @@ class GraphSelfMap:
                     k += 1
                 best = max(best, k)
         return 2 * best
+
+
+def _checked_codes(graph: Graph, vertex_image: tuple[int, ...], edge_image: tuple[Path, ...]) -> tuple[str, ...] | None:
+    """The coded images of all darts, dart d as chr(d), if `check_image`
+    accepts every edge image, else None.  The images are checked at once on
+    their joined code, each followed by the separator chr(num_darts).  An
+    image doubles back where a dart is followed by its reversal.  It is an
+    edge path with the right ends when, preceded by the image of its edge's
+    origin, it reads as terminuses as it does as origins followed by the
+    image of its edge's terminus; there a character that codes no dart
+    reads as no vertex, so a dart out of range fails, unless it is the
+    separator, which cuts its image in two.  Reversed, the codes are those
+    of the backward darts."""
+    nd, nv = graph.num_darts, graph.num_vertices
+    sep = chr(nd)
+    parts = [(nd,)] * (2 * len(edge_image))
+    parts[::2] = edge_image
+    try:
+        joined = "".join(map(chr, chain.from_iterable(parts)))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    codes = joined.split(sep)
+    if len(codes) != len(edge_image) + 1 or "" in codes[:-1]:
+        return None
+    flipped = joined.translate("".join(map(chr, [d ^ 1 for d in range(nd)] + [nd])))
+    # the separator to chr(nv); past it, up to chr(nv) and beyond the table, no vertex
+    origin = "".join(map(chr, graph.dart_origin + (nv,) + (nv + 1,) * (nv - nd)))
+    ends = "".join(map(chr, vertex_image))
+    as_terminuses = map(add, origin[:nd:2].translate(ends), flipped.translate(origin).split(chr(nv)))
+    as_origins = map(add, joined.translate(origin).split(chr(nv)), origin[1:nd:2].translate(ends))
+    if any(map(eq, joined[1:], flipped)) or "".join(as_terminuses) != "".join(as_origins):
+        return None
+    return tuple(chain.from_iterable(zip(codes, flipped[::-1].split(sep)[:0:-1])))
 
 
 def check_image(graph: Graph, e: int, img: Path, vertex_image: dict[int, int]) -> None:

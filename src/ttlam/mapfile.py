@@ -101,6 +101,7 @@ def parse_map_file(text: str) -> MapFile:
     graph: Graph | None = None  # built at the map line
     images: dict[int, tuple[int, Path]] = {}  # edge -> (line, image)
     assertions: list[str] = []
+    ids: set[str] = set()  # the ids accepted so far: each distinct id is matched once
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line[: line.index("#")]
@@ -119,18 +120,19 @@ def parse_map_file(text: str) -> MapFile:
         elif head == "vertex":
             if len(toks) != 2:
                 raise ParseError("expected: vertex <id>", lineno)
-            vertex = _check_id(toks[1], lineno, "vertex id")
+            vertex = toks[1]
+            if vertex not in ids:
+                ids.add(_check_id(vertex, lineno, "vertex id"))
             if vertex in vertices:
                 raise ParseError(f"duplicate vertex name {vertex!r}", lineno)
             vertices.append(vertex)
         elif head == "edge":
             if len(toks) != 4:
                 raise ParseError("expected: edge <name> <origin> <terminus>", lineno)
-            edge = (
-                _check_id(toks[1], lineno, "edge name"),
-                _check_id(toks[2], lineno, "vertex id"),
-                _check_id(toks[3], lineno, "vertex id"),
-            )
+            for token, what in zip(toks[1:], ("edge name", "vertex id", "vertex id")):
+                if token not in ids:
+                    ids.add(_check_id(token, lineno, what))
+            edge = (toks[1], toks[2], toks[3])
             if edge[0] in edges:
                 raise ParseError(f"duplicate edge name {edge[0]!r}", lineno)
             edges[edge[0]] = (lineno, edge)

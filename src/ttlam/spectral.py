@@ -21,21 +21,24 @@ import numpy as np
 
 from .errors import ConvergenceError, MapError, NotPrimitiveError
 from .graph import Path
-from .graph_map import GraphSelfMap
+from .graph_map import GraphSelfMap, per_map
 
 
+@per_map
 def transition_matrix(f: GraphSelfMap) -> np.ndarray:
     """Nonnegative integer matrix; column j counts edges crossed by image of j.
 
     Each dart d of the image of j counts once in the cell (d >> 1, j), whose
     flat index in the n x n matrix is (d >> 1) * n + j, so one `bincount`
-    over those indices fills the matrix.
+    over those indices fills the matrix, once per map and read-only.
     """
     n = f.graph.num_edges
     sizes = [len(img) for img in f.edge_image]
     darts = np.fromiter(chain.from_iterable(f.edge_image), dtype=np.int64, count=sum(sizes))
     cells = (darts >> 1) * n + np.repeat(np.arange(n, dtype=np.int64), sizes)
-    return np.bincount(cells, minlength=n * n).astype(np.int64, copy=False).reshape(n, n)
+    m = np.bincount(cells, minlength=n * n).astype(np.int64, copy=False).reshape(n, n)
+    m.flags.writeable = False
+    return m
 
 
 def is_primitive(m: np.ndarray) -> bool:

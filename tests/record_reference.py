@@ -1,6 +1,7 @@
 """Record the outputs that tier-1 pins besides the --json fixture reports:
-the text report and exit code of each fixture command of the benchmark, and
-the stdout of each demo.  Run from the repository root:
+the text report and exit code of each fixture command of the benchmark, the
+help text and exit status of `ttlam -h` and of each `ttlam <sub> -h` at
+COLUMNS=80, and the stdout of each demo.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/record_reference.py
 
@@ -9,7 +10,10 @@ re-record them only for a change that moves an output on purpose, and list
 what moved.
 """
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -24,10 +28,20 @@ def main() -> None:
         code, text = run_command(fixture_argv(key))
         reports[key] = {"exit": code, "report": text}
     (RECORDED / "fixtures-text.json").write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+    os.environ["COLUMNS"] = "80"
+    helps = {}
+    for argv in [["-h"]] + [[sub, "-h"] for sub in sorted({key.split()[0] for key in reports})]:
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                run_command(argv)
+        except SystemExit as exc:
+            helps[" ".join(argv)] = {"exit": exc.code, "text": out.getvalue()}
+    (RECORDED / "help.json").write_text(json.dumps(helps, indent=1, sort_keys=True) + "\n")
     for demo in sorted((ROOT / "demos").glob("*.py")):
         out = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=demo_env(), capture_output=True, text=True, check=True)
         (RECORDED / "demos" / f"{demo.stem}.txt").write_text(out.stdout)
-    print(f"wrote {len(reports)} text reports and the demos' stdout to {RECORDED}")
+    print(f"wrote {len(reports)} text reports, {len(helps)} help texts and the demos' stdout to {RECORDED}")
 
 
 if __name__ == "__main__":

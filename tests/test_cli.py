@@ -65,6 +65,16 @@ def test_check_non_expanding_witness(tmp_path):
     assert data["non_expanding_witness"] == "a"
 
 
+def test_check_walks_the_expanding_witness_once(monkeypatch, fixture_dir):
+    from ttlam.graph_map import GraphSelfMap
+
+    walks = []
+    witness = GraphSelfMap.non_expanding_witness
+    monkeypatch.setattr(GraphSelfMap, "non_expanding_witness", lambda f: walks.append(f) or witness(f))
+    assert run_command(["check", str(fixture_dir / "tribonacci.tt")])[0] == 0
+    assert len(walks) == 1
+
+
 def test_missing_file_is_input_error():
     code, text = run_command(["check", "no-such-file.tt", "--json"])
     assert code == 3
@@ -403,12 +413,15 @@ def test_derived_data_lives_on_the_map(fixture_dir):
     import gc
     import weakref
 
-    from ttlam import gates, periodic_structures, used_turns
+    from ttlam import gates, periodic_structures, transition_matrix, used_turns
     from ttlam.train_track import used_illegal_turns
 
     f = parse_map_path(str(fixture_dir / "tribonacci.tt")).map
-    for compute in (gates, used_turns, used_illegal_turns, periodic_structures):
+    for compute in (gates, used_turns, used_illegal_turns, periodic_structures, transition_matrix):
         assert compute(f) is compute(f)
+    # every caller shares the one matrix, so none may write to it
+    with pytest.raises(ValueError, match="read-only"):
+        transition_matrix(f)[0, 0] = 7
     # no cache outside the map keeps it alive
     ref = weakref.ref(f)
     del f
@@ -613,3 +626,72 @@ def test_language_reports_build_no_word_as_darts(monkeypatch, fixture_dir):
         for argv in (["bfh", path, "--window", "6"], ["dual", path, "--window", "6", "--assume-inverse"]):
             code, text = run_command(argv + ["--json"])
             assert code == 0 and json.loads(text)["words"]
+
+
+# -- argv dispatch -----------------------------------------------------------------
+
+def _argv_corpus(fixture_dir):
+    """Each subcommand with all its options, without each one, in the
+    --opt=value and abbreviated forms and with bad values, plus argvs that
+    name no subcommand."""
+    path, other = str(fixture_dir / "tribonacci.tt"), str(fixture_dir / "tribonacci-inv.tt")
+    options = {
+        "check": [], "gates": [], "turns": [],
+        "pf": [["--tol", "1e-10"]],
+        "inps": [["--max-period", "1"], ["--max-pf-len", "3.5"]],
+        "eigenrays": [["--length", "8"]],
+        "bfh": [["--window", "4"]],
+        "singular": [["--window", "4"]],
+        "dual": [["--window", "4"], ["--assume-inverse"]],
+        "illegality": [["--against", other], ["--window", "4"]],
+        "contract": [["--word", "a b~ c"], ["--steps", "2"], ["--chop", "1"]],
+    }
+    corpus = [[], ["-h"], ["--help"], ["chek", path], ["--json"], ["--", "check", path], [path, "check"]]
+    for sub, opts in options.items():
+        full = [x for opt in opts for x in opt]
+        corpus += [
+            [sub], [sub, path], [sub, path, "--json"], [sub, path, *full], [sub, path, *full, "--json"],
+            [sub, *full, path], [sub, path, *full, "--bogus"], [sub, path, *full, "extra"],
+            [sub, "--json", path, *full], [sub, "--", path, *full], [sub, path, *full, "--js"],
+            [sub, path, *full, "-h"],
+        ]
+        for i, opt in enumerate(opts):
+            rest = [x for o in opts[:i] + opts[i + 1 :] for x in o]
+            corpus.append([sub, path, *rest])  # without this option
+            if len(opt) == 2:
+                corpus += [
+                    [sub, path, *rest, f"{opt[0]}={opt[1]}"],
+                    [sub, path, *rest, opt[0][:5], opt[1]],
+                    [sub, path, *rest, opt[0], "x"],
+                    [sub, path, *rest, opt[0]],
+                ]
+    return corpus
+
+
+def _outcome(argv, capsys):
+    try:
+        result = run_command(argv)
+    except SystemExit as exc:  # help
+        result = ("exit", exc.code)
+    return result, capsys.readouterr().out
+
+
+def test_argv_dispatch_matches_the_top_level_parser(monkeypatch, capsys, fixture_dir):
+    # every argv gives the (exit code, report), or help, that parsing it all
+    # with the top-level parser gives, as it does when no subparser is known
+    top = cli._parsers()[0]
+    corpus = _argv_corpus(fixture_dir)
+    direct = [_outcome(argv, capsys) for argv in corpus]
+    monkeypatch.setattr(cli, "_parsers", lambda: (top, {}))
+    assert [_outcome(argv, capsys) for argv in corpus] == direct
+    codes = {result[0] for result, _ in direct}
+    assert {0, 3, "exit"} <= codes
+
+
+def test_help_texts_are_pinned(monkeypatch, capsys):
+    # tests/reference/help.json holds `ttlam -h` and each `ttlam <sub> -h`
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = json.loads((RECORDED / "help.json").read_text())
+    assert len(helps) == 12
+    for key, want in helps.items():
+        assert _outcome(key.split(), capsys) == (("exit", want["exit"]), want["text"]), key

@@ -80,6 +80,15 @@ def test_turn_count_rose3(rose3):
     assert len(all_turns(rose3)) == 15  # C(6,2)
 
 
+def test_all_turns_in_dart_order(rose3, theta):
+    # every pair d1 < d2 of darts at one vertex, by d1 and then d2, as the
+    # `turns` report lists them
+    chain = Graph.build(["u", "w", "x"], [("p", "u", "w"), ("q", "w", "x"), ("r", "x", "u"), ("s", "w", "w")])
+    for g in (rose3, theta, chain):
+        darts = g.darts()
+        assert all_turns(g) == [(a, b) for a in darts for b in darts if a < b and g.origin(a) == g.origin(b)]
+
+
 def test_validate_graph_flags_isolated():
     g = Graph.build(["u", "w"], [("a", "u", "u")])
     problems = validate_graph(g)

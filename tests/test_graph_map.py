@@ -1,14 +1,16 @@
 """Graph self-maps: construction, images, iteration, cancellation."""
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ttlam import Graph, GraphSelfMap, MapError, NotExpandingError, detect_inps
-from ttlam.graph_map import compose, is_inner
+from ttlam.graph import reverse_path
+from ttlam.graph_map import _checked_codes, check_image, compose, is_inner
 
-from conftest import positive_rose_maps, reduced_rose_maps
+from conftest import positive_rose_maps, reduced_rose_maps, train_track_automorphisms
 from oracles import apply_map, cancellation_bound_all_pairs, random_reduced_word, reduce_word
 
 import random
@@ -210,3 +212,94 @@ def test_is_inner_fixtures(trib, trib_inv, fib):
 def test_iterate_composes(fib, s, t):
     w = (0, 2)
     assert fib.iterate(w, s + t) == fib.iterate(fib.iterate(w, s), t)
+
+
+# -- the whole-table image check ----------------------------------------------
+
+def _verdict(graph, vertex_image, edge_image):
+    """What check_image says of the table, image by image in edge order: the
+    MapError text of the first image it refuses, or None."""
+    known = dict(enumerate(vertex_image))
+    try:
+        for e, img in enumerate(edge_image):
+            check_image(graph, e, img, known)
+    except MapError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_checked_like_check_image(graph, vertex_image, edge_image):
+    """The bulk check accepts exactly the tables that check_image accepts; an
+    accepted table is coded dart by dart, a refused one raises check_image's
+    text.  Returns the verdict."""
+    vertex_image, edge_image = tuple(vertex_image), tuple(map(tuple, edge_image))
+    verdict = _verdict(graph, vertex_image, edge_image)
+    assert (_checked_codes(graph, vertex_image, edge_image) is None) == (verdict is not None)
+    try:
+        f = GraphSelfMap(graph, vertex_image, edge_image)
+    except MapError as exc:
+        assert str(exc) == verdict
+        return verdict
+    assert verdict is None
+    images = tuple(x for img in edge_image for x in (img, reverse_path(img)))
+    assert f.dart_images == images
+    assert f.coded_images == tuple("".join(map(chr, img)) for img in images)
+    return verdict
+
+
+_MUTATIONS = ("none", "empty", "range", "cancel", "split", "chain", "vertex")
+
+
+def _mutate(f, kind, rng):
+    """f's vertex and edge image tables with one mutation of the given kind."""
+    g, nd = f.graph, f.graph.num_darts
+    vertex_image, images = list(f.vertex_image), [list(img) for img in f.edge_image]
+    e = rng.randrange(g.num_edges)
+    img = images[e]
+    i = rng.randint(0, len(img))
+    if kind == "empty":
+        images[e] = []
+    elif kind == "range":
+        img.insert(i, rng.choice([-1, nd, nd + 1, 0x110000, 2**70]))
+    elif kind == "cancel":  # a dart and its reversal inside one image
+        at = g.terminus(img[i - 1]) if i else g.origin(img[0])
+        d = rng.choice([x for x in g.darts() if g.origin(x) == at])
+        img[i:i] = [d, d ^ 1]
+    elif kind == "split" and e + 1 < g.num_edges and g.num_vertices == 1:
+        # image e ends with the reversal of the dart that starts image e + 1
+        nxt = images[e + 1]
+        if img[-1] != nxt[0]:
+            nxt.insert(0, img[-1] ^ 1)
+    elif kind == "chain":
+        img[min(i, len(img) - 1)] = rng.randrange(nd)
+    elif kind == "vertex":
+        vertex_image[rng.randrange(g.num_vertices)] = rng.randrange(g.num_vertices)
+    return vertex_image, images
+
+
+@functools.cache
+def _subdivided_maps():
+    """The subdivided maps of signed rose automorphisms, which have two or
+    more vertices."""
+    reps = [detect_inps(f, max_period=2) for rank in (2, 3) for f in train_track_automorphisms(rank, 6, 23)]
+    return [rep.subdivision.map for rep in reps if rep.subdivision is not None]
+
+
+@given(st.one_of(reduced_rose_maps(), st.integers(0, 10**6).map(lambda k: _subdivided_maps()[k % len(_subdivided_maps())])),
+       st.sampled_from(_MUTATIONS), st.randoms(use_true_random=False))
+def test_bulk_image_check_matches_check_image(f, kind, rng):
+    vertex_image, images = _mutate(f, kind, rng)
+    verdict = _assert_checked_like_check_image(f.graph, vertex_image, images)
+    if kind == "cancel":
+        assert verdict.endswith("is not reduced")
+    elif kind in ("none", "split"):
+        assert verdict is None
+
+
+def test_bulk_image_check_with_isolated_vertices():
+    # darts 2 and 3 are out of range, yet code the vertices w2 and w3
+    g = Graph.build(["u", "w1", "w2", "w3"], [("a", "u", "u")])
+    for images in ([(3,)], [(2,)], [(0, 3)], [(3, 3)], [(0,)]):
+        for v in range(4):
+            _assert_checked_like_check_image(g, (v, 0, 0, 0), images)
+    assert _assert_checked_like_check_image(g, (3, 0, 0, 0), [(3,)]) == "image of edge 'a' is not an edge path: [3]"

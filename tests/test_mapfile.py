@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ttlam import ParseError, detect_inps, graph_map
+from ttlam import ParseError, detect_inps, graph_map, mapfile
 from ttlam.mapfile import MapFile, parse_map_file, serialize_map_file
 
 from conftest import positive_rose_maps
@@ -136,16 +136,30 @@ def test_conflict_is_named_on_the_later_line_in_file_order():
 
 
 def test_each_image_is_checked_once_per_parse(monkeypatch):
-    checked = []
-    check = graph_map.check_image
+    # all images are checked at once; check_image only words a refusal
+    bulk, checked = [], []
+    codes, check = graph_map._checked_codes, graph_map.check_image
+
+    def counting_bulk(graph, vertex_image, edge_image):
+        bulk.append(edge_image)
+        return codes(graph, vertex_image, edge_image)
 
     def counting(graph, e, img, vertex_image):
         checked.append(e)
         check(graph, e, img, vertex_image)
 
+    monkeypatch.setattr(graph_map, "_checked_codes", counting_bulk)
     monkeypatch.setattr(graph_map, "check_image", counting)
+    monkeypatch.setattr(mapfile, "check_image", counting)
     parse_map_file("\n".join(LINES) + "\n")
-    assert sorted(checked) == [0, 1, 2]
+    assert (len(bulk), checked) == (1, [])
+    # a's image, first in edge order, is no edge path; b's, on line 9, is
+    # the first refused in file order and the one named
+    lines = LINES[:7] + ["c -> c", "b -> b b~ b", "a -> a c"]
+    with pytest.raises(ParseError) as err:
+        parse_map_file("\n".join(lines) + "\n")
+    assert str(err.value) == "line 9: image of edge 'b' is not reduced"
+    assert (len(bulk), checked) == (2, [0, 2, 1])  # a in edge order; c, b in file order
 
 
 def test_roundtrip_fixture_files(map_files):

@@ -44,7 +44,7 @@ class Graph:
         if len(set(vnames)) != len(vnames):
             raise GraphError("duplicate vertex name")
         vindex = {v: i for i, v in enumerate(vnames)}
-        enames = []
+        enames: dict[str, None] = {}  # a dict keeps the order and tests membership in O(1)
         origin = []
         for name, o, t in edges:
             if name in enames:
@@ -52,7 +52,7 @@ class Graph:
             for v in (o, t):
                 if v not in vindex:
                     raise GraphError(f"edge {name!r} uses unknown vertex {v!r}")
-            enames.append(name)
+            enames[name] = None
             origin.append(vindex[o])
             origin.append(vindex[t])
         return Graph(vnames, tuple(enames), tuple(origin))

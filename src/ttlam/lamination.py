@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import IncompatibleGraphsError, MapError
 from .graph import Graph, Path, equivalence_classes, path_reduce
 from .graph_map import GraphSelfMap
-from .nielsen import _coded_ray, detect_inps, periodic_structures
+from .nielsen import _coded_rays, detect_inps, periodic_structures
 from .spectral import pf_data
 from .train_track import gates, illegal_positions, legal_segments, require_train_track, used_turns
 
@@ -262,12 +262,12 @@ def leaf_window(f: GraphSelfMap, leaf: SingularLeaf, n: int) -> Path:
 
 
 def _leaf_window_code(f: GraphSelfMap, leaf: SingularLeaf, n: int) -> str:
-    """`leaf_window(f, leaf, n)`, coded, with the rays streamed by `_coded_ray`."""
+    """`leaf_window(f, leaf, n)`, coded, with the rays streamed by `_coded_rays`."""
     if n < 1:
         raise MapError("prefix length must be >= 1")
     entry, connector, exit_ = leaf
-    head = _coded_ray(f, entry, n)[::-1].translate({d: d ^ 1 for d in f.graph.darts()})
-    return head + "".join(map(chr, connector)) + _coded_ray(f, exit_, n)
+    down, up = _coded_rays(f, n, (entry, exit_))
+    return down[::-1].translate({d: d ^ 1 for d in f.graph.darts()}) + "".join(map(chr, connector)) + up
 
 
 # -- dual language ---------------------------------------------------------------------

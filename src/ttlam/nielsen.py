@@ -16,20 +16,24 @@ the exact lengths |f^t(e)|), so no floating point enters the subdivision.
 On a train track map nothing cancels, so every fact the search needs is
 read with work bounded by its window, and no f^t(d) is built whole.  An
 eigenray is streamed from its predecessor's on its Df-cycle, one f-step
-at a time, coded one character per dart (`_coded_ray`).  A dart of f^t(e),
-its place, and the first place of a given dart are found by descent through
-the blocks f^r(c) of f^t(e), skipping whole blocks by their lengths
-|f^r(c)| (`_descend`, `_first_index`).  The lengths come from
+at a time, coded one character per dart, each cycle streamed whole
+(`_stream`); the tail scan asks every ray at once, once per window
+(`_coded_rays`), and finds the tail matches of all ray pairs in one pass
+over the joined rays (`_tail_candidates`).  A dart of f^t(e), its place,
+and the first place of a given dart are found by descent through the
+blocks f^r(c) of f^t(e), skipping whole blocks by their lengths |f^r(c)|
+(`_descend`, `_first_index`).  The lengths come from
 `GraphSelfMap.edge_iterates`, and the rays and the periodic data are kept
 once per map (`graph_map.per_map`).
 """
 
 import math
+from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
+from itertools import accumulate, islice
 from operator import eq, mul, or_
 from types import MappingProxyType
 
@@ -99,7 +103,7 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
     p_(j+1) = [f^k(p_j)] of the ray.
 
     On a train track map the ray is streamed along its Df-cycle
-    (`_coded_ray`), and a longer prefix continues the stream instead of
+    (`_coded_rays`), and a longer prefix continues the stream instead of
     rebuilding it.  On any other map `_eigenray_by_rounds` runs afresh on
     every call.
     """
@@ -110,7 +114,8 @@ def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
         raise MapError(f"dart {f.graph.dart_name(dart)} is not Df-periodic; no eigenray")
     f.require_expanding()
     if is_train_track(f):
-        return tuple(map(ord, _coded_ray(f, dart, n)))
+        (ray,) = _coded_rays(f, n, (dart,))
+        return tuple(map(ord, ray))
     return _eigenray_by_rounds(f, dart, k, n)
 
 
@@ -156,7 +161,7 @@ def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
 
 @per_map
 def _eigenrays(f: GraphSelfMap) -> dict[int, tuple[str, int]]:
-    """The eigenrays as far as `_coded_ray` has streamed them: dart -> (the
+    """The eigenrays as far as `_stream` has streamed them: dart -> (the
     ray, coded one character per dart, dart d as chr(d), and how many darts
     of its predecessor's ray it has read).  Unlike other per-map values the
     rays grow, but only by reading further along rays that are fixed, so
@@ -164,43 +169,58 @@ def _eigenrays(f: GraphSelfMap) -> dict[int, tuple[str, int]]:
     return {}
 
 
-def _coded_ray(f: GraphSelfMap, dart: int, n: int) -> str:
-    """The first n darts of the eigenray of `dart`, coded, on an expanding
-    train track map.
+def _coded_rays(f: GraphSelfMap, n: int, darts: Iterable[int]) -> list[str]:
+    """The first n darts of the eigenrays of the given Df-periodic darts,
+    coded, in the order given, on an expanding train track map.  A ray
+    held shorter has its whole Df-cycle streamed until all of its rays
+    hold n darts (`_stream`), so the tail scan, which asks every ray at
+    once, makes each cycle once per window."""
+    require_train_track(f)
+    f.require_expanding()
+    rays = _eigenrays(f)
+    out = []
+    for d in darts:
+        if d not in rays or len(rays[d][0]) < n:
+            _stream(f, d, n)
+        out.append(rays[d][0][:n])
+    return out
 
-    Let p be a dart of the Df-cycle of `dart`, and R(p) its eigenray.  Then
-    f(R(p)) is legal, so nothing cancels; it starts with Df(p), and f^k
-    fixes it, so it is the eigenray of Df(p):
+
+def _stream(f: GraphSelfMap, dart: int, n: int) -> None:
+    """Stream the eigenrays of the Df-cycle of `dart` until all of them hold
+    n darts.
+
+    Let p be a dart of the cycle, and R(p) its eigenray.  Then f(R(p)) is
+    legal, so nothing cancels; it starts with Df(p), and f^k fixes it, so
+    it is the eigenray of Df(p):
 
         R(Df(p)) = f(R(p)[0]) f(R(p)[1]) f(R(p)[2]) ...
 
     So each ray of the cycle streams from its predecessor's, starting as
-    f(p).  Rounds go once around the cycle, the ray of `dart` last, until
-    it holds n darts.  In a round each ray shorter than n reads on in its
-    predecessor's, at most as many darts as it lacks, since each gives at
-    least one, and translates them to their images.  So no ray holds more
-    than n * max|f(e)| darts, for n the longest prefix asked.  A round that
-    added nothing would leave every ray having read all of its
-    predecessor's and as long, starting with the ray of `dart`; so every
-    dart in them would have an image of one dart, and f^k(dart) = dart,
-    which an expanding map rules out.
+    f(p).  Rounds go once around the cycle, the ray of `dart` last.  In a
+    round each ray shorter than n reads on in its predecessor's, at most as
+    many darts as it lacks, since each gives at least one, and translates
+    them to their images.  So no ray holds more than n * max|f(e)| darts,
+    for n the longest prefix asked.  A round that added nothing while a ray
+    q was short would leave q having read all of its predecessor p's ray,
+    so p no longer than q, hence short too; round the cycle, every ray
+    would have read all of its predecessor's and be as long.  So every dart
+    in them would have an image of one dart, and f^k(dart) = dart, which
+    an expanding map rules out.
     """
-    require_train_track(f)
-    f.require_expanding()
     df, images, rays = f.derivative_table, f.coded_images, _eigenrays(f)
     cycle = [dart]
-    for _ in range(periodic_structures(f).dart_period[dart] - 1):
+    while df[cycle[-1]] != dart:
         cycle.append(df[cycle[-1]])
     steps = list(zip(cycle, cycle[1:] + cycle[:1]))  # (p, Df(p)), the ray of `dart` made last
     for p, q in steps:
         rays.setdefault(q, (images[p], 1))
-    while len(rays[dart][0]) < n:
+    while any(len(rays[q][0]) < n for q in cycle):
         for p, q in steps:
             ray, read = rays[q]
             if len(ray) < n:
                 run = rays[p][0][read : read + n - len(ray)]
                 rays[q] = ray + run.translate(images), read + len(run)
-    return rays[dart][0][:n]
 
 
 # -- interior periodic points --------------------------------------------------
@@ -545,52 +565,37 @@ def _default_window(pf: PFData | None, max_pf_len: float | None) -> int:
     return max(64, need)
 
 
-def _occurrences_of(pattern: str, text: str) -> list[int]:
-    """Every start of `pattern` in `text`, overlapping ones included."""
-    out = []
-    i = text.find(pattern)
-    while i >= 0:
-        out.append(i)
-        i = text.find(pattern, i + 1)
-    return out
-
-
 def _last_mismatch(s1: str, s2: str, lo: int, end: int, delta: int) -> int:
     """The largest i in [lo, end) with s1[i] != s2[i - delta], or -1.
 
-    The whole range is compared first, as one slice.  If it differs, tails
-    s1[end - j : end] are compared with their partners, j = 1, 2, 4, ...
-    until one differs, and then the last agreeing length is found by
-    bisection, so a mismatch j darts before the end costs O(j log j)
-    character comparisons in C, not j steps in Python.
+    The whole range is compared first, as one slice, since most shifts the
+    tail scan finds agree throughout; otherwise the darts are compared
+    backwards from the end until one differs.
     """
     if s1[lo:end] == s2[lo - delta : end - delta]:
         return -1
-    good, j = 0, 1  # s1[end - good : end] agrees with its partner
-    while s1[end - j : end] == s2[end - j - delta : end - delta]:
-        good, j = j, min(2 * j, end - lo)
-    while j - good > 1:  # the tail of length j differs, the one of length good agrees
-        mid = (good + j) // 2
-        if s1[end - mid : end] == s2[end - mid - delta : end - delta]:
-            good = mid
-        else:
-            j = mid
-    return end - j
+    return next(i for i in range(end - 1, lo - 1, -1) if s1[i] != s2[i - delta])
 
 
-def _tail_stems(s1: str, s2: str, min_agree: int) -> list[tuple[int, int]]:
-    """Stem lengths (m1, m2) of the tail candidates of two rays, coded one
-    character per dart as s1, s2, in ascending order of the shift delta.
+def _tail_candidates(rays: Sequence[str], min_agree: int, sep: str) -> Iterator[tuple[int, int, int, int]]:
+    """The tail candidates of every pair of rays, coded one character per
+    dart, as (a, b, m1, m2): stem lengths m1 of rays[a] and m2 of rays[b],
+    pairs a < b in order, and the shifts of each pair ascending.
 
-    A shift aligns s1[i] with s2[i - delta] on the overlap [lo, hi),
-    lo = max(0, delta), hi = min(len(s1), len(s2) + delta).  It is a
-    candidate when the last min_agree darts of the overlap agree and an
-    earlier one does not; the last mismatch is s1[m1 - 1] != s2[m2 - 1].
-    The overlap ends where one ray ends, so its last min_agree darts are
-    that ray's tail found in the other ray, and every such occurrence is a
-    shift: a substring search for both tails visits exactly these shifts,
-    in linear time rather than quadratic, and sorting them keeps the order
-    of a scan over every shift.
+    For s1 = rays[a], s2 = rays[b], a shift delta aligns s1[i] with
+    s2[i - delta] on the overlap [lo, hi), lo = max(0, delta),
+    hi = min(len(s1), len(s2) + delta).  It is a candidate when the last
+    min_agree darts of the overlap agree and an earlier one does not; the
+    last mismatch is s1[m1 - 1] != s2[m2 - 1].  The overlap ends where one
+    ray ends, so its last min_agree darts are that ray's tail found in the
+    other ray, and every such occurrence is a shift.
+
+    So one pass finds every shift of every pair.  The rays are joined into
+    one text, separated by `sep`, which codes no dart, so no occurrence of
+    a tail runs across two rays.  One `find` loop per ray visits every
+    occurrence of its tail in the other rays, skipping its own ray, and
+    the ray offsets turn each into (other ray, shift).  Sorting pairs and
+    shifts keeps the order of a scan over every pair and every shift.
 
     The overlap of a shift found holds at least min_agree darts, the last
     min_agree agreeing, so the mismatch is sought before hi - min_agree
@@ -599,20 +604,32 @@ def _tail_stems(s1: str, s2: str, min_agree: int) -> list[tuple[int, int]]:
     agreeing darts after it; an overlap that agrees throughout gives no
     candidate.
     """
-    n1, n2 = len(s1), len(s2)
-    if min(n1, n2) < min_agree:
-        return []
-    t1, t2 = s1[n1 - min_agree :], s2[n2 - min_agree :]
-    if t1 not in s2 and t2 not in s1:  # most pairs: no shift at all
-        return []
-    shifts = {n1 - min_agree - pos for pos in _occurrences_of(t1, s2)}
-    shifts.update(pos + min_agree - n2 for pos in _occurrences_of(t2, s1))
-    out = []
-    for delta in sorted(shifts):
-        i = _last_mismatch(s1, s2, max(0, delta), min(n1, n2 + delta) - min_agree, delta)
-        if i >= 0:
-            out.append((i + 1, i + 1 - delta))
-    return out
+    text = sep.join(rays)
+    starts = list(accumulate((len(r) + 1 for r in rays[:-1]), initial=0))
+    shifts: dict[tuple[int, int], set[int]] = {}
+    for a, ray in enumerate(rays):
+        lead = len(ray) - min_agree  # where the tail starts in its own ray
+        if lead < 0:
+            continue
+        tail = ray[lead:]
+        i = text.find(tail)
+        while i >= 0:
+            b = bisect_right(starts, i) - 1
+            if b == a:
+                i = text.find(tail, starts[a] + len(ray))
+                continue
+            delta = lead - (i - starts[b])  # rays[a]'s tail at i - starts[b] in rays[b]
+            if a < b:
+                shifts.setdefault((a, b), set()).add(delta)
+            else:
+                shifts.setdefault((b, a), set()).add(-delta)
+            i = text.find(tail, i + 1)
+    for (a, b), deltas in sorted(shifts.items()):
+        s1, s2 = rays[a], rays[b]
+        for delta in sorted(deltas):
+            i = _last_mismatch(s1, s2, max(0, delta), min(len(s1), len(s2) + delta) - min_agree, delta)
+            if i >= 0:
+                yield a, b, i + 1, i + 1 - delta
 
 
 def _image_darts(f: GraphSelfMap, path: Path, s: int) -> Iterator[int]:
@@ -689,55 +706,56 @@ def _scan_ray_pairs(
 
     Returns (verified INPs as {path: (period, tip)}, notes), one note
     (kind, path) for each candidate that failed; `_render_notes` words
-    them.  Candidates come from `_tail_stems`: tails agree to the window
-    end, the preceding darts differ, both stems are nonempty; the junction
-    turn must be illegal, and verification is the exact identity
-    [f^s(eta)] = eta at the least s <= max_period where it holds
-    (`_nielsen_period`, which rules most periods out by an integer length
-    test before building anything).  `periods` holds the verdicts
+    them.  Candidates come from `_tail_candidates`, which matches the tails
+    of all ray pairs in one pass over the rays joined into one text, pairs
+    a < b in order and shifts ascending, the order of a scan of every pair:
+    tails agree to the window end, the preceding darts differ, both stems
+    are nonempty.  The junction turn must be illegal, and verification is
+    the exact identity [f^s(eta)] = eta at the least s <= max_period where
+    it holds (`_nielsen_period`, which rules most periods out by an integer
+    length test before building anything).  `periods` holds the verdicts
     of `_nielsen_period` by coded stem pair, read and filled here, so a scan
     at a wider window re-verifies no candidate that an earlier one settled.
     A genuine INP expands both halves by the same overflow, forcing equal
     PF-lengths; unequal-stem coincidences are discarded as impossible rather
     than held against conclusiveness.
 
-    The rays are read coded (`_coded_ray`), and a candidate stays coded,
+    The rays are read coded, every Df-cycle streamed at once until all of
+    its rays hold the window (`_coded_rays`), and a candidate stays coded,
     one character per dart, until it is verified or noted: `seen` holds
     the code of eta, and a PF length sums a table over the characters in
     the order `PFData.pf_length` sums its darts, so the sums are the same
     floats.
     """
-    rays = [_coded_ray(f, d, window) for d in periodic_structures(f).dart_period]
+    rays = _coded_rays(f, window, periodic_structures(f).dart_period)
     flip = {d: d ^ 1 for d in f.graph.darts()}
     pf_len = None if pf is None else {chr(d): pf.pf_lengths[d >> 1] for d in f.graph.darts()}
     min_agree = max(16, window // 2)
     verified: dict[Path, tuple[int, int]] = {}
     notes: list[tuple[str, Path]] = []
     seen: set[str] = set()
-    for a, r1 in enumerate(rays):
-        for r2 in rays[a + 1 :]:
-            for m1, m2 in _tail_stems(r1, r2, min_agree):
-                stems = h1, h2 = r1[:m1], r2[:m2]
-                code = h1 + h2[::-1].translate(flip)
-                if code in seen:
-                    continue
-                seen.add(code)
-                if pf_len is not None:
-                    l1 = sum(map(pf_len.__getitem__, h1))
-                    l2 = sum(map(pf_len.__getitem__, h2))
-                    if abs(l1 - l2) > 1e-6 * max(l1, l2):
-                        continue
-                eta = tuple(map(ord, code))
-                if is_legal_turn(f, turn(ord(h1[-1]) ^ 1, ord(h2[-1]) ^ 1)):
-                    notes.append(("tail coincidence with legal junction", eta))
-                    continue
-                if stems not in periods:
-                    periods[stems] = _nielsen_period(f, eta[:m1], tuple(map(ord, h2)), max_period)
-                period = periods[stems]
-                if period is not None:
-                    verified[eta] = (period, m1)
-                else:
-                    notes.append(("unverified tail candidate", eta))
+    for a, b, m1, m2 in _tail_candidates(rays, min_agree, chr(f.graph.num_darts)):
+        stems = h1, h2 = rays[a][:m1], rays[b][:m2]
+        code = h1 + h2[::-1].translate(flip)
+        if code in seen:
+            continue
+        seen.add(code)
+        if pf_len is not None:
+            l1 = sum(map(pf_len.__getitem__, h1))
+            l2 = sum(map(pf_len.__getitem__, h2))
+            if abs(l1 - l2) > 1e-6 * max(l1, l2):
+                continue
+        eta = tuple(map(ord, code))
+        if is_legal_turn(f, turn(ord(h1[-1]) ^ 1, ord(h2[-1]) ^ 1)):
+            notes.append(("tail coincidence with legal junction", eta))
+            continue
+        if stems not in periods:
+            periods[stems] = _nielsen_period(f, eta[:m1], tuple(map(ord, h2)), max_period)
+        period = periods[stems]
+        if period is not None:
+            verified[eta] = (period, m1)
+        else:
+            notes.append(("unverified tail candidate", eta))
     return verified, notes
 
 
@@ -754,7 +772,7 @@ def _detect_on(
     depends on f, the two stems and max_period only, all fixed here, and a
     candidate that leaves a note at one window tends to come back at the
     next.  Each wider scan reads its rays on from where the last one
-    stopped (`_coded_ray`), and only the reported scan's notes are
+    stopped (`_coded_rays`), and only the reported scan's notes are
     rendered as text.
     """
     periods: dict[tuple[str, str], int | None] = {}
@@ -818,7 +836,7 @@ def detect_inps(
     Each piece of work is done once per map, and bounded by the window:
     the rays of f and of the subdivided map, both shown to be train track
     maps first, are streamed along their Df-cycles, a wider window reading
-    on where the last stopped (`_coded_ray`), and the orbit is found by
+    on where the last stopped (`_coded_rays`), and the orbit is found by
     descent through f^t(e), never built (`_descend`).  The period verdicts
     are kept by stem pair across the windows of one scan (`_detect_on`).
     The subdivided map's power iteration starts from its PF vector read

@@ -170,6 +170,14 @@ def _pf_data_from(f: GraphSelfMap, start: list[float] | None, tol: float = _SETT
     detection starts a subdivided map from the PF vector it reads off the
     map it subdivided (`nielsen._refined_pf`); `pf_data` keeps its cold
     start, so its iteration count reports on the map alone.
+
+    Lemma: the settle test max_i |w_i - v_i| < tol fails whenever
+    |w_0 - v_0| >= tol, since the maximum is at least that entry, and both
+    sides compute the same float difference.  So the vector test, and then
+    the Collatz-Wielandt certificate, run only on the steps whose first
+    entry has settled; every other step is refused by one comparison, and
+    the step the loop stops at, hence lam, the lengths, the residual and
+    the iteration count, are those of running the whole test every step.
     """
     m = transition_matrix(f)
     if not is_primitive(m):
@@ -182,11 +190,11 @@ def _pf_data_from(f: GraphSelfMap, start: list[float] | None, tol: float = _SETT
     it = 0
     for it in range(1, _MAX_ITER + 1):
         w = mt @ v
-        lam = float(w.sum())
+        lam = float(np.add.reduce(w))
         if lam <= 0:
             raise ConvergenceError("power iteration collapsed")
         w /= lam
-        if float(np.abs(w - v).max()) < tol and _collatz_wielandt_certified(rows, lam, w):
+        if abs(w[0] - v[0]) < tol and float(np.abs(w - v).max()) < tol and _collatz_wielandt_certified(rows, lam, w):
             v = w
             break
         v = w

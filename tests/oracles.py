@@ -273,6 +273,57 @@ def numpy_spectral(m):
     return lam, v / v.sum()
 
 
+def pf_data_reference(f, start=None, tol=1e-12):
+    """``spectral._pf_data_from(f, start, tol)``, and with start None
+    ``pf_data(f, tol)``, in the plain form of its power iteration: every
+    step sums w with ``w.sum()`` and runs the whole settle test
+    max|w - v| < tol before the Collatz-Wielandt certificate.  The library
+    runs the vector test only on steps whose first entry settled, which
+    cannot change the step it stops at, so every field must come out
+    equal, floats bit for bit.  The certificate, the primitivity test and
+    the matrix are the library's; other tests check them."""
+    import math
+
+    from ttlam.errors import NotPrimitiveError
+    from ttlam.spectral import _MAX_ITER, PFData, _collatz_wielandt_certified, is_primitive, transition_matrix
+
+    m = transition_matrix(f)
+    if not is_primitive(m):
+        raise NotPrimitiveError("transition matrix is not primitive")
+    n = m.shape[0]
+    rows = m.T.tolist()
+    mt = m.T.astype(np.float64)
+    v = np.ones(n) / n if start is None else np.array(start, dtype=np.float64)
+    lam = 0.0
+    it = 0
+    for it in range(1, _MAX_ITER + 1):
+        w = mt @ v
+        lam = float(w.sum())
+        if lam <= 0:
+            raise ConvergenceError("power iteration collapsed")
+        w /= lam
+        if float(np.abs(w - v).max()) < tol and _collatz_wielandt_certified(rows, lam, w):
+            v = w
+            break
+        v = w
+    else:
+        raise ConvergenceError(f"power iteration did not settle and certify in {_MAX_ITER} steps")
+    residual = float(np.abs(mt @ v - lam * v).max())
+    v = v / v.sum()
+    lengths = tuple(float(x) for x in v)
+    min_len = min(lengths)
+    return PFData(
+        lam=lam,
+        pf_lengths=lengths,
+        vol_pf=1.0,
+        bbt_bound=1.0,
+        min_pf_length=min_len,
+        c_illegal=math.ceil(4.0 / min_len),
+        residual=residual,
+        iterations=it,
+    )
+
+
 def first_power_over(m, c):
     """The smallest s >= 1 with every column sum of M^s above c, from plain
     matrix powers in numpy's object dtype (Python ints, no overflow)."""

@@ -48,6 +48,23 @@ def test_build_rejects_duplicates():
         Graph.build(["v"], [("a", "v", "x")])
 
 
+def test_build_names_the_first_refused_edge():
+    # edges are checked in order, each name before its vertices: the first
+    # repeated name is the one named, although a later edge repeats another
+    # and an edge between them uses an unknown vertex
+    edges = [("a", "v", "v"), ("b", "v", "v"), ("c", "v", "v"), ("b", "v", "v"), ("d", "v", "x"), ("a", "v", "v")]
+    with pytest.raises(GraphError, match=r"^duplicate edge name 'b'$"):
+        Graph.build(["v"], edges)
+    with pytest.raises(GraphError, match=r"^edge 'd' uses unknown vertex 'x'$"):
+        Graph.build(["v"], edges[:3] + edges[4:])
+    with pytest.raises(GraphError, match=r"^duplicate edge name 'a'$"):
+        Graph.build(["v"], edges[:3] + edges[5:] + edges[4:5])
+    many = [(f"e{i}", "v", "v") for i in range(3000)]
+    assert Graph.build(["v"], many).num_edges == 3000
+    with pytest.raises(GraphError, match=r"^duplicate edge name 'e2999'$"):
+        Graph.build(["v"], many + many[::-1])
+
+
 def test_dart_names(rose2):
     assert rose2.dart_name(0) == "a"
     assert rose2.dart_name(1) == "a~"

@@ -130,7 +130,7 @@ def test_leaf_language_keeps_words_of_early_images():
 
 def _refuse_ray_and_descent_reads(monkeypatch):
     """Make every read of an eigenray or of a place in f^t(d) fail."""
-    for module, name in ((nielsen, "_coded_ray"), (lamination, "_coded_ray"), (nielsen, "_descend"), (nielsen, "_first_index")):
+    for module, name in ((nielsen, "_coded_rays"), (lamination, "_coded_rays"), (nielsen, "_descend"), (nielsen, "_first_index")):
         def refused(*args, name=name):
             raise AssertionError(f"{name} read")
 

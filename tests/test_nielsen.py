@@ -12,6 +12,7 @@ from ttlam.spectral import _LAM_TOL
 from ttlam.nielsen import (
     NielsenPath,
     _default_window,
+    _coded_rays,
     _cycle_periods,
     _descend,
     _eigenray_by_rounds,
@@ -22,7 +23,7 @@ from ttlam.nielsen import (
     _refined_pf,
     _render_notes,
     _scan_ray_pairs,
-    _tail_stems,
+    _tail_candidates,
     PeriodicPoint,
     doubled_index,
     point_image,
@@ -143,11 +144,20 @@ def _check_store_in_any_order(f, lengths, rng):
     """Prefixes asked of one map object in a shuffled order, streamed along
     the Df-cycles when f is a train track map, equal those of whole-path
     iteration, errors included, and on an expanding map those of the rounds
-    `_eigenray_by_rounds`, the path of a map that is not a train track map."""
+    `_eigenray_by_rounds`, the path of a map that is not a train track map.
+    On an expanding train track map every ray is also asked at once, each
+    Df-cycle streamed whole (`_coded_rays`), at shuffled points between the
+    single asks."""
     period = periodic_structures(f).dart_period
     asked = [(d, n) for d in f.graph.darts() for n in lengths]
+    if f.is_expanding and is_train_track(f):
+        asked += [(None, n) for n in lengths]
     rng.shuffle(asked)
     for d, n in asked:
+        if d is None:
+            want = [tuple(map(chr, iterated_eigenray_prefix(f, c, n))) for c in period]
+            assert [tuple(ray) for ray in _coded_rays(f, n, period)] == want, (f.edge_image, n)
+            continue
         got = _outcome(eigenray_prefix, f, d, n)
         assert got == _outcome(iterated_eigenray_prefix, f, d, n), (f.edge_image, d, n)
         if d in period and f.is_expanding:
@@ -170,7 +180,7 @@ def _cycle_rose(k, n):
     return rose_map([" ".join([chr(ord("a") + (i + 1) % k)] * n) for i in range(k)])
 
 
-def test_eigenray_store_keeps_no_more_than_asked():
+def _check_store_keeps_no_more_than_asked(ask):
     # Df-period 6: f^6(d) = d^4096 for every dart d, so the ray of d is d d
     # d ..., and the rounds kept a whole [f^6(p)] however short the prefix;
     # a ray streamed from its predecessor's reads at most as many darts as
@@ -180,10 +190,26 @@ def test_eigenray_store_keeps_no_more_than_asked():
     longest = 0
     for n in (5, 300, 17, 1000, 2, 9000, 64, 4096):
         longest = max(longest, n)
-        for d in f.graph.darts():
-            assert eigenray_prefix(f, d, n) == (d,) * n
+        ask(f, n)
         held = [len(ray) for ray, _ in _eigenrays(f).values()]
         assert len(held) == f.graph.num_darts and all(longest <= m <= 4 * longest for m in held)
+
+
+def test_eigenray_store_keeps_no_more_than_asked():
+    def ask(f, n):
+        for d in f.graph.darts():
+            assert eigenray_prefix(f, d, n) == (d,) * n
+
+    _check_store_keeps_no_more_than_asked(ask)
+
+
+def test_eigenray_store_keeps_no_more_than_asked_cycle_at_once():
+    # the scan's one call per window streams each Df-cycle until all of its
+    # rays hold n darts, and the bound holds ray by ray as before
+    def ask(f, n):
+        assert _coded_rays(f, n, f.graph.darts()) == [chr(d) * n for d in f.graph.darts()]
+
+    _check_store_keeps_no_more_than_asked(ask)
 
 
 def _check_coded_images(f):
@@ -671,19 +697,36 @@ def test_period_check_builds_no_whole_image(monkeypatch):
     assert (rep.inps, rep.notes, rep.conclusive) == ((), (), True)
 
 
-def _candidate_stems(r1, r2, min_agree):
-    return _tail_stems("".join(map(chr, r1)), "".join(map(chr, r2)), min_agree)
+def _candidates_by_pairs(rays, min_agree):
+    """`quadratic_tail_stems` on every pair of rays, pairs a < b in order."""
+    return [
+        (a, b, m1, m2)
+        for a in range(len(rays))
+        for b in range(a + 1, len(rays))
+        for m1, m2 in quadratic_tail_stems(rays[a], rays[b], min_agree)
+    ]
+
+
+def _one_pass_candidates(rays, min_agree, num_codes):
+    """`_tail_candidates` on rays of integer codes below num_codes, joined
+    at chr(num_codes), which codes none of them."""
+    coded = ["".join(map(chr, r)) for r in rays]
+    return list(_tail_candidates(coded, min_agree, chr(num_codes)))
 
 
 # rays over two or three darts repeat a lot, so one tail occurs many times
-# in the other ray, overlapping itself
+# in the other rays, overlapping itself, and in its own ray, which the
+# one-pass matcher must skip; rays shorter than min_agree have no tail
 @given(
-    st.integers(2, 3).flatmap(lambda k: st.lists(st.lists(st.integers(0, k - 1), max_size=60), min_size=2, max_size=2)),
+    st.integers(2, 3).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.lists(st.integers(0, k - 1), max_size=60), min_size=1, max_size=5),
+    )),
     st.integers(1, 12),
 )
-def test_tail_matches_agree_with_every_shift_scan_random(rays, min_agree):
-    r1, r2 = map(tuple, rays)
-    assert _candidate_stems(r1, r2, min_agree) == quadratic_tail_stems(r1, r2, min_agree)
+def test_tail_matches_agree_with_every_shift_scan_random(codes_rays, min_agree):
+    k, rays = codes_rays
+    rays = [tuple(r) for r in rays]
+    assert _one_pass_candidates(rays, min_agree, k) == _candidates_by_pairs(rays, min_agree)
 
 
 def test_tail_matches_agree_with_every_shift_scan_eigenrays(all_maps):
@@ -694,9 +737,8 @@ def test_tail_matches_agree_with_every_shift_scan_eigenrays(all_maps):
         for window in (64, 155, 310, 620):
             min_agree = max(16, window // 2)
             rays = [eigenray_prefix(f, d, window) for d in eigen]
-            for i, r1 in enumerate(rays):
-                for r2 in rays[i + 1 :]:
-                    assert _candidate_stems(r1, r2, min_agree) == quadratic_tail_stems(r1, r2, min_agree)
+            got = _one_pass_candidates(rays, min_agree, f.graph.num_darts)
+            assert got == _candidates_by_pairs(rays, min_agree), (f.edge_image, window)
 
 
 # -- the whole report against one built without per-map reuse -------------------

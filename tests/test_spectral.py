@@ -1,6 +1,7 @@
 """Transition matrices, primitivity, characteristic polynomials, PF data."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from ttlam import (
     pf_data,
     transition_matrix,
 )
+from ttlam import nielsen
+from ttlam.errors import TtError
 from ttlam.spectral import _collatz_wielandt_certified
 
-from conftest import positive_rose_maps, reduced_rose_maps, rose_map
-from oracles import counted_transition_matrix, numpy_spectral
+from conftest import positive_rose_maps, reduced_rose_maps, rose_map, train_track_automorphisms
+from oracles import counted_transition_matrix, numpy_spectral, pf_data_reference
 
 
 def test_transition_matrices(fib, trib, trib_inv, reducible):
@@ -224,3 +227,43 @@ def test_charpoly_exact_random(data):
 def test_charpoly_exact_rose_maps(f):
     m = transition_matrix(f)
     assert charpoly_coefficients(m) == _sympy_charpoly(m)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TtError as exc:
+        return type(exc)
+
+
+def _assert_pf_data_bit_identical(f):
+    """`pf_data` equals `pf_data_reference` field for field, floats with ==,
+    on f and on its subdivision at the first interior orbit, cold and from
+    the warm start `nielsen._refined_pf` reads off f's PF vector."""
+    assert _outcome(pf_data, f) == _outcome(pf_data_reference, f), f.edge_image
+    point = nielsen._first_interior_point(f, 6)
+    if point is None:
+        return
+    sub = nielsen.subdivide_at(f, point)
+    assert _outcome(pf_data, sub.map) == _outcome(pf_data_reference, sub.map), f.edge_image
+    pf = nielsen._pf_or_none(f)
+    warm = nielsen._refined_pf(f, pf, sub)
+    with patch.object(nielsen, "_pf_data_from", pf_data_reference), patch.object(nielsen, "pf_data", pf_data_reference):
+        assert warm == nielsen._refined_pf(f, pf, sub), f.edge_image
+
+
+def test_pf_data_bit_identical_to_reference_fixtures(all_maps):
+    for f in all_maps.values():
+        _assert_pf_data_bit_identical(f)
+
+
+@given(positive_rose_maps())
+def test_pf_data_bit_identical_to_reference_random(f):
+    _assert_pf_data_bit_identical(f)
+
+
+def test_pf_data_bit_identical_to_reference_signed():
+    # signed rank-3 automorphisms: some are not primitive, and both sides
+    # must then refuse alike
+    for f in train_track_automorphisms(3, 30, seed=25):
+        _assert_pf_data_bit_identical(f)

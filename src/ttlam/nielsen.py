@@ -45,7 +45,7 @@ from .errors import (
 )
 from .graph import Graph, Path, extend_reduced, turn
 from .graph_map import GraphSelfMap, per_map
-from .spectral import PFData, _pf_data_from, pf_data
+from .spectral import PFData, pf_data
 from .train_track import is_legal_turn, is_train_track, require_train_track
 
 
@@ -133,14 +133,14 @@ def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
     [f^k(d)] is made by `GraphSelfMap.iterate` once per dart and call, and
     this holds for any expanding map, train track or not.
     A round that loses the prefix property raises ConvergenceError, and so
-    do more than num_darts rounds in a row without growth.  Every other
-    round grows the prefix, so the loop ends.
+    does a round without growth: it returns q = p with no new suffix, so
+    every later round would return p again.  Every other round grows the
+    prefix, so the loop ends.
     """
     blocks: dict[int, Path] = {}  # dart -> [f^k(dart)]
     image: list[int] = []  # [f^k(p[:done])], reduced as a stack
     p: Path = (dart,)
     done = 0
-    stalls = 0
     while len(p) < n:
         for d in set(p[done:]).difference(blocks):
             blocks[d] = f.iterate((d,), k)
@@ -150,11 +150,7 @@ def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
         if q[:done] != p:
             raise ConvergenceError("eigenray iteration lost the prefix property")
         if len(q) == done:
-            stalls += 1
-            if stalls > f.graph.num_darts:
-                raise ConvergenceError("eigenray prefix stopped growing")
-        else:
-            stalls = 0
+            raise ConvergenceError("eigenray prefix stopped growing")
         p = q
     return p[:n]
 
@@ -515,9 +511,11 @@ def _pf_or_none(f: GraphSelfMap) -> PFData | None:
         return None
 
 
-def _refined_pf(f: GraphSelfMap, pf: PFData | None, sub: SubdivisionResult) -> PFData | None:
-    """PF data of the subdivided map, its power iteration started from the
-    PF vector read off f's, or None when it is not primitive.
+def _refined_pf(
+    f: GraphSelfMap, lam: float | None, lengths: Sequence[float] | None, sub: SubdivisionResult
+) -> tuple[float, ...] | None:
+    """The PF lengths of the subdivided map, of volume 1, cut from f's, or
+    None when f has none; lam is f's growth rate, and the subdivided map's.
 
     Lemma.  The orbit point (e, t, i), the fixed point of the branch of f^t
     through the forward occurrence P[i] = e, P = f^t(e), sits at PF
@@ -527,41 +525,48 @@ def _refined_pf(f: GraphSelfMap, pf: PFData | None, sub: SubdivisionResult) -> P
     along P, which is x along the dart P[i] = e, after P[:i]: lam^t x = L + x.
     L is read by `_descend`, with the PF lengths of the blocks f^r(e)
     summed level by level, not taken as lam^r times f's, whose error lam^r
-    would scale.
+    would scale.  Each edge is cut at its orbit points into its pieces.
 
-    Each edge's pieces between its orbit points then have the PF lengths of
-    the refined map, whose pieces f stretches by the same lam, so the start
-    is its PF vector, of volume 1 as f's is, up to rounding and up to the
-    error of f's own vector, which settled to 1e-12.  So `pf_data`'s
-    settling and Collatz-Wielandt tests pass at the first step, or now and
-    then at the second, where a cold start takes tens of steps.  Without
-    f's PF data (f not primitive) the iteration starts cold.
+    (A) f sends each piece onto a path of pieces, stretched by lam, so the
+    pieces' lengths are a positive left eigenvector of the subdivided
+    matrix M' for lam.  A nonnegative matrix with a positive eigenvector
+    has that eigenvalue as its spectral radius (Collatz-Wielandt: every
+    ratio is lam), so lam' = lam, within the bound that f's own bracket
+    certifies.
+
+    (B) M' is primitive iff M is.  If M'^k > 0, the image f^k(e) holds
+    f^k of a piece of e, which crosses every piece, hence every edge.
+    Conversely, let M^k > 0.  The subdivided map is an expanding train
+    track map, so f^m(s) of a piece s grows without bound and, once long
+    enough, crosses some edge of G whole, since a path of pieces turns off
+    an edge only at its ends; then f^(m+j)(s) does too for every j >= 0,
+    and f^(m+j+k)(s) crosses every edge, hence every piece.  So without
+    f's PF data the subdivided map has none either.
     """
-    if pf is None:
-        return _pf_or_none(sub.map)
-    blocks = [pf.pf_lengths]  # blocks[r][e]: the PF length of f^r(e)
+    if lengths is None:
+        return None
+    blocks = [lengths]  # blocks[r][e]: the PF length of f^r(e)
     for _ in range(1, sub.orbit[0].exponent):
         blocks.append([sum(blocks[-1][d >> 1] for d in img) for img in f.edge_image])
     cuts: list[list[float]] = [[] for _ in f.edge_image]
     for p in sub.orbit:
         _, head = _descend(f, 2 * p.edge, p.exponent, p.index, blocks.__getitem__)
-        cuts[p.edge].append(head / (pf.lam**p.exponent - 1.0))
-    start: list[float] = []
-    for length, xs in zip(pf.pf_lengths, cuts):
+        cuts[p.edge].append(head / (lam**p.exponent - 1.0))
+    pieces: list[float] = []
+    for length, xs in zip(lengths, cuts):
         ends = [0.0, *sorted(xs), length]
-        start += (b - a for a, b in zip(ends, ends[1:]))
-    try:
-        return _pf_data_from(sub.map, start)
-    except NotPrimitiveError:
-        return None
+        pieces += (b - a for a, b in zip(ends, ends[1:]))
+    vol = sum(pieces)
+    return tuple(x / vol for x in pieces)
 
 
-def _default_window(pf: PFData | None, max_pf_len: float | None) -> int:
-    if pf is None:
+def _default_window(lam: float | None, lengths: Sequence[float] | None, max_pf_len: float | None) -> int:
+    """The first scan's window, from lam and the PF lengths of volume 1."""
+    if lengths is None:
         return 64
     if max_pf_len is None:
-        max_pf_len = 4.0 * pf.vol_pf / (pf.lam - 1.0)
-    need = int(max_pf_len / pf.min_pf_length) + 1
+        max_pf_len = 4.0 / (lam - 1.0)
+    need = int(max_pf_len / min(lengths)) + 1
     return max(64, need)
 
 
@@ -698,7 +703,7 @@ def _scan_ray_pairs(
     f: GraphSelfMap,
     window: int,
     max_period: int,
-    pf: PFData | None,
+    lengths: Sequence[float] | None,
     periods: dict[tuple[str, str], int | None],
 ) -> tuple[dict[Path, tuple[int, int]], list[tuple[str, Path]]]:
     """One pass of eigenray tail matching at a fixed window size, for a map
@@ -729,7 +734,7 @@ def _scan_ray_pairs(
     """
     rays = _coded_rays(f, window, periodic_structures(f).dart_period)
     flip = {d: d ^ 1 for d in f.graph.darts()}
-    pf_len = None if pf is None else {chr(d): pf.pf_lengths[d >> 1] for d in f.graph.darts()}
+    pf_len = None if lengths is None else {chr(d): lengths[d >> 1] for d in f.graph.darts()}
     min_agree = max(16, window // 2)
     verified: dict[Path, tuple[int, int]] = {}
     notes: list[tuple[str, Path]] = []
@@ -763,7 +768,7 @@ def _detect_on(
     f: GraphSelfMap,
     window: int,
     max_period: int,
-    pf: PFData | None,
+    lengths: Sequence[float] | None,
 ) -> tuple[tuple[NielsenPath, ...], list[str]]:
     """Scan at the window, then at twice and four times it, until a scan
     leaves no note; the notes are those of the last scan.
@@ -777,7 +782,7 @@ def _detect_on(
     """
     periods: dict[tuple[str, str], int | None] = {}
     for w in (window, 2 * window, 4 * window):
-        verified, notes = _scan_ray_pairs(f, w, max_period, pf, periods)
+        verified, notes = _scan_ray_pairs(f, w, max_period, lengths, periods)
         if not notes:
             break
     inps = tuple(
@@ -839,8 +844,9 @@ def detect_inps(
     on where the last stopped (`_coded_rays`), and the orbit is found by
     descent through f^t(e), never built (`_descend`).  The period verdicts
     are kept by stem pair across the windows of one scan (`_detect_on`).
-    The subdivided map's power iteration starts from its PF vector read
-    off f's (`_refined_pf`).
+    The subdivided map has no PF computation of its own: its lam is f's,
+    and its PF lengths are f's cut at the orbit (`_refined_pf`), so one
+    power iteration serves both passes.
     """
     require_train_track(f)
     f.require_expanding()
@@ -849,15 +855,17 @@ def detect_inps(
     if max_pf_len is not None and not 0 < max_pf_len < math.inf:
         raise MapError("max_pf_len must be > 0 and finite")
     pf = _pf_or_none(f)
-    w = _default_window(pf, max_pf_len)
-    inps, notes = _detect_on(f, w, max_period, pf)
+    lam, lengths = (pf.lam, pf.pf_lengths) if pf else (None, None)
+    w = _default_window(lam, lengths, max_pf_len)
+    inps, notes = _detect_on(f, w, max_period, lengths)
     sub: SubdivisionResult | None = None
     sub_inps: tuple[NielsenPath, ...] = ()
     point = _first_interior_point(f, max_period)
     if point is not None:
         sub = subdivide_at(f, point)
-        sub_pf = _refined_pf(f, pf, sub)
-        sub_inps, sub_notes = _detect_on(sub.map, _default_window(sub_pf, max_pf_len), max_period, sub_pf)
+        sub_lengths = _refined_pf(f, lam, lengths, sub)
+        sub_w = _default_window(lam, sub_lengths, max_pf_len)
+        sub_inps, sub_notes = _detect_on(sub.map, sub_w, max_period, sub_lengths)
         notes = notes + sub_notes
     return InpReport(
         inps=inps,

@@ -10,7 +10,9 @@ Exact integer arithmetic backs the floating point results.  The growth
 rate from power iteration is certified at every size by the Collatz-Wielandt
 bracket, checked in integers on the dyadic numerators of the iterate, and
 characteristic polynomial coefficients come from the Faddeev-LeVerrier
-recurrence in Python integers.
+recurrence in Python integers.  `pf_data` is the one PF computation: a
+subdivided map needs none, since subdividing at a periodic orbit keeps lam
+and cuts each PF length into pieces (`nielsen._refined_pf`).
 """
 
 import math
@@ -155,21 +157,6 @@ def pf_data(f: GraphSelfMap, tol: float = _SETTLE_TOL) -> PFData:
     the dominant eigenvalue to within _LAM_TOL of the estimate, checked in
     exact integer arithmetic at every size.  The settling tolerance tol
     must be > 0.
-    """
-    if not tol > 0:
-        raise MapError("tolerance must be > 0")
-    return _pf_data_from(f, None, tol)
-
-
-def _pf_data_from(f: GraphSelfMap, start: list[float] | None, tol: float = _SETTLE_TOL) -> PFData:
-    """`pf_data` with the power iteration started from `start`, a positive
-    vector of edge lengths, or from the uniform vector when it is None.
-
-    The stopping tests do not depend on the start, so a start near the PF
-    vector certifies the same lam to the same bound in fewer steps.  INP
-    detection starts a subdivided map from the PF vector it reads off the
-    map it subdivided (`nielsen._refined_pf`); `pf_data` keeps its cold
-    start, so its iteration count reports on the map alone.
 
     Lemma: the settle test max_i |w_i - v_i| < tol fails whenever
     |w_0 - v_0| >= tol, since the maximum is at least that entry, and both
@@ -179,13 +166,15 @@ def _pf_data_from(f: GraphSelfMap, start: list[float] | None, tol: float = _SETT
     the step the loop stops at, hence lam, the lengths, the residual and
     the iteration count, are those of running the whole test every step.
     """
+    if not tol > 0:
+        raise MapError("tolerance must be > 0")
     m = transition_matrix(f)
     if not is_primitive(m):
         raise NotPrimitiveError("transition matrix is not primitive")
     n = m.shape[0]
     rows = m.T.tolist()
     mt = m.T.astype(np.float64)
-    v = np.ones(n) / n if start is None else np.array(start, dtype=np.float64)
+    v = np.ones(n) / n
     lam = 0.0
     it = 0
     for it in range(1, _MAX_ITER + 1):

@@ -1,3 +1,4 @@
+import functools
 import os
 import pathlib
 import random
@@ -101,6 +102,11 @@ def rose_map(images):
     return GraphSelfMap.build(g, dict(zip(names, images)))
 
 
+def cycle_rose(k, n):
+    """x1 -> x2^n, ..., xk -> x1^n: Df-period k, and f^k(e) = e^(n^k)."""
+    return rose_map([" ".join([chr(ord("a") + (i + 1) % k)] * n) for i in range(k)])
+
+
 @st.composite
 def positive_rose_maps(draw, moves_per_rank=2):
     """Primitive positive automorphisms of the rank 2-4 rose: up to
@@ -193,3 +199,15 @@ def automorphism_pairs(rank, count, seed):
         if all(h.is_expanding and is_train_track(h) and is_primitive(transition_matrix(h)) for h in (f, g)):
             out.append((f, g))
     return out
+
+
+@functools.cache
+def pinned_inp_maps():
+    """(label, map) for the maps whose `detect_inps` reports at max_period
+    1, 2 and 6 tier-1 pins (tests/reference/detect-inps.json): signed
+    train track automorphisms of rank 3 and 4, and the cycle rose of
+    Df-period 6 at n = 4.  Each has an interior point at max_period 6, so
+    the reports hold subdivided windows and notes."""
+    maps = [(f"rank3-seed11-{i}", f) for i, f in enumerate(train_track_automorphisms(3, 20, seed=11))]
+    maps += [(f"rank4-seed12-{i}", f) for i, f in enumerate(train_track_automorphisms(4, 10, seed=12))]
+    return tuple(maps) + (("cycle-6-4", cycle_rose(6, 4)),)

@@ -273,11 +273,10 @@ def numpy_spectral(m):
     return lam, v / v.sum()
 
 
-def pf_data_reference(f, start=None, tol=1e-12):
-    """``spectral._pf_data_from(f, start, tol)``, and with start None
-    ``pf_data(f, tol)``, in the plain form of its power iteration: every
-    step sums w with ``w.sum()`` and runs the whole settle test
-    max|w - v| < tol before the Collatz-Wielandt certificate.  The library
+def pf_data_reference(f, tol=1e-12):
+    """``spectral.pf_data(f, tol)`` in the plain form of its power
+    iteration: every step sums w with ``w.sum()`` and runs the whole settle
+    test max|w - v| < tol before the Collatz-Wielandt certificate.  The library
     runs the vector test only on steps whose first entry settled, which
     cannot change the step it stops at, so every field must come out
     equal, floats bit for bit.  The certificate, the primitivity test and
@@ -293,7 +292,7 @@ def pf_data_reference(f, start=None, tol=1e-12):
     n = m.shape[0]
     rows = m.T.tolist()
     mt = m.T.astype(np.float64)
-    v = np.ones(n) / n if start is None else np.array(start, dtype=np.float64)
+    v = np.ones(n) / n
     lam = 0.0
     it = 0
     for it in range(1, _MAX_ITER + 1):
@@ -491,7 +490,7 @@ def detect_inps_cold(f, max_period, max_pf_len=None):
 
     def detect_on(g):
         pf = pf_or_none(g)
-        window = _default_window(pf, max_pf_len)
+        window = _default_window(pf.lam if pf else None, pf.pf_lengths if pf else None, max_pf_len)
         for w in (window, 2 * window, 4 * window):
             verified, notes = scan_ray_pairs_by_iteration(g, w, max_period, pf.pf_lengths if pf else None)
             if not notes:

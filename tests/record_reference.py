@@ -1,13 +1,15 @@
 """Record the outputs that tier-1 pins besides the --json fixture reports:
 the text report and exit code of each fixture command of the benchmark, the
 help text and exit status of `ttlam -h` and of each `ttlam <sub> -h` at
-COLUMNS=80, and the stdout of each demo.  Run from the repository root:
+COLUMNS=80, the stdout of each demo, and `repr(detect_inps(f, p))` for p in
+1, 2 and 6 on the maps of `conftest.pinned_inp_maps`, whose subdivided
+windows and notes the fixtures do not reach.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/record_reference.py
 
-test_cli.py and test_demos.py compare against these files byte for byte, so
-re-record them only for a change that moves an output on purpose, and list
-what moved.
+test_cli.py, test_demos.py and test_nielsen.py compare against these files
+byte for byte, so re-record them only for a change that moves an output on
+purpose, and list what moved.
 """
 
 import contextlib
@@ -17,8 +19,9 @@ import os
 import subprocess
 import sys
 
-from conftest import BENCH_REFERENCE, RECORDED, ROOT, demo_env, fixture_argv
+from conftest import BENCH_REFERENCE, RECORDED, ROOT, demo_env, fixture_argv, pinned_inp_maps
 
+from ttlam import detect_inps
 from ttlam.cli import run_command
 
 
@@ -41,7 +44,12 @@ def main() -> None:
     for demo in sorted((ROOT / "demos").glob("*.py")):
         out = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=demo_env(), capture_output=True, text=True, check=True)
         (RECORDED / "demos" / f"{demo.stem}.txt").write_text(out.stdout)
-    print(f"wrote {len(reports)} text reports, {len(helps)} help texts and the demos' stdout to {RECORDED}")
+    inps = {f"{label} max_period={p}": repr(detect_inps(f, p)) for label, f in pinned_inp_maps() for p in (1, 2, 6)}
+    (RECORDED / "detect-inps.json").write_text(json.dumps(inps, indent=1, sort_keys=True) + "\n")
+    print(
+        f"wrote {len(reports)} text reports, {len(helps)} help texts, the demos' stdout"
+        f" and {len(inps)} INP reports to {RECORDED}"
+    )
 
 
 if __name__ == "__main__":

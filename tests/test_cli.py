@@ -429,6 +429,16 @@ def test_derived_data_lives_on_the_map(fixture_dir):
     assert ref() is None
 
 
+def test_eigenrays_that_stop_growing_are_inconclusive(tmp_path):
+    # [f^3] fixes every Df-periodic dart of this map that is no train track
+    # map, so no eigenray grows: exit 2, not a hang or a crash
+    mf = tmp_path / "stall.tt"
+    mf.write_text("graph stall\nvertex v\nedge a v v\nedge b v v\nmap\na -> b\nb -> a~ b~\n")
+    code, text = run_command(["eigenrays", str(mf), "--json"])
+    assert code == 2
+    assert json.loads(text) == {"error": "eigenray prefix stopped growing", "kind": "inconclusive", "schema": 1}
+
+
 def _non_train_track_map(tmp_path):
     mf = tmp_path / "nontt.tt"
     mf.write_text("graph nt\nvertex v\nedge a v v\nedge b v v\nmap\na -> a b\nb -> b~ a\n")

@@ -1,13 +1,25 @@
 """Periodic structures, eigenrays, interior points, subdivision, INPs."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttlam import GraphSelfMap, detect_inps, eigenray_prefix, is_train_track, nielsen, pf_data, periodic_structures, subdivide_at
-from ttlam.errors import NotTrainTrackError, TtError
+from ttlam import (
+    GraphSelfMap,
+    detect_inps,
+    eigenray_prefix,
+    is_primitive,
+    is_train_track,
+    nielsen,
+    pf_data,
+    periodic_structures,
+    subdivide_at,
+    transition_matrix,
+)
+from ttlam.errors import ConvergenceError, NotTrainTrackError, TtError
 from ttlam.spectral import _LAM_TOL
 from ttlam.nielsen import (
     NielsenPath,
@@ -30,7 +42,15 @@ from ttlam.nielsen import (
     stability_verdict,
 )
 
-from conftest import positive_rose_maps, reduced_rose_maps, rose_map, train_track_automorphisms
+from conftest import (
+    RECORDED,
+    cycle_rose,
+    pinned_inp_maps,
+    positive_rose_maps,
+    reduced_rose_maps,
+    rose_map,
+    train_track_automorphisms,
+)
 from oracles import (
     apply_map,
     brute_force_inps,
@@ -98,6 +118,25 @@ def test_eigenray_rejects_non_eigen(trib):
     # dart a~ has Df-period 2 through b~, so a~ itself is not eigen
     with pytest.raises(MapError):
         eigenray_prefix(trib, 1, 8)
+
+
+def test_eigenray_rounds_raise_at_the_first_stall(monkeypatch):
+    # f = a -> b, b -> a~ b~ is expanding but no train track map, and
+    # [f^3] fixes each of its Df-periodic darts a~, b, b~ (Df-period 3):
+    # the first round adds nothing, so it raises at once, as the
+    # whole-path oracle does after its own count of stalled rounds
+    f = rose_map(["b", "a~ b~"])
+    period = periodic_structures(f).dart_period
+    assert f.is_expanding and not is_train_track(f) and set(period) == {1, 2, 3}
+    rounds = []
+    inner = nielsen.extend_reduced
+    monkeypatch.setattr(nielsen, "extend_reduced", lambda *args: rounds.append(1) or inner(*args))
+    for d, k in period.items():
+        rounds.clear()
+        with pytest.raises(ConvergenceError, match="^eigenray prefix stopped growing$"):
+            eigenray_prefix(f, d, 8)
+        assert len(rounds) == 1
+        assert _outcome(iterated_eigenray_prefix, f, d, 8) is ConvergenceError
 
 
 def test_eigenray_legal(trib, fib):
@@ -175,17 +214,12 @@ def test_eigenray_store_any_order_any_rose_map(f, rng):
     _check_store_in_any_order(f, (1, 6, 40, 3, 17), rng)
 
 
-def _cycle_rose(k, n):
-    """x1 -> x2^n, ..., xk -> x1^n: Df-period k, and f^k(e) = e^(n^k)."""
-    return rose_map([" ".join([chr(ord("a") + (i + 1) % k)] * n) for i in range(k)])
-
-
 def _check_store_keeps_no_more_than_asked(ask):
     # Df-period 6: f^6(d) = d^4096 for every dart d, so the ray of d is d d
     # d ..., and the rounds kept a whole [f^6(p)] however short the prefix;
     # a ray streamed from its predecessor's reads at most as many darts as
     # it lacks, each with an image of max|f(e)| = 4 darts
-    f = _cycle_rose(6, 4)
+    f = cycle_rose(6, 4)
     assert is_train_track(f)
     longest = 0
     for n in (5, 300, 17, 1000, 2, 9000, 64, 4096):
@@ -463,37 +497,95 @@ def test_subdivide_at_refuses_a_map_that_is_not_train_track():
 
 
 def _check_refined_pf(f, max_period):
-    """The PF data that detection reads for the subdivided map agrees with
-    a cold `pf_data` of a copy of that map: lambda to within twice the
-    certified bound, the pieces of each edge summing to its PF length, and
-    the window and c_illegal equal.  Returns its iteration count, or None
+    """The PF lengths that detection cuts for the subdivided map from f's
+    agree with a cold `pf_data` of a copy of that map to 1e-9 relative, its
+    lambda with f's to within twice the certified bound, the pieces of each
+    edge sum to its PF length, and the windows are equal.  Returns False
     when f has no interior point of period <= max_period."""
     point = _first_interior_point(f, max_period)
     if point is None:
-        return None
+        return False
     sub = subdivide_at(f, point)
     pf = pf_data(f)
-    warm = _refined_pf(f, pf, sub)
+    lengths = _refined_pf(f, pf.lam, pf.pf_lengths, sub)
     cold = pf_data(GraphSelfMap(sub.map.graph, sub.map.vertex_image, sub.map.edge_image))
-    assert abs(warm.lam - pf.lam) <= 2 * _LAM_TOL
+    assert abs(cold.lam - pf.lam) <= 2 * _LAM_TOL
+    assert len(lengths) == len(cold.pf_lengths)
+    for x, y in zip(lengths, cold.pf_lengths):
+        assert abs(x - y) <= 1e-9 * y
     names = sub.map.graph.edge_names
     for e, name in enumerate(f.graph.edge_names):
-        pieces = sum(warm.pf_lengths[names.index(piece)] for piece in sub.edge_split[name])
+        pieces = sum(lengths[names.index(piece)] for piece in sub.edge_split[name])
         assert abs(pieces - pf.pf_lengths[e]) <= 1e-12
-    assert _default_window(warm, None) == _default_window(cold, None)
-    assert warm.c_illegal == cold.c_illegal
-    return warm.iterations
+    assert _default_window(pf.lam, lengths, None) == _default_window(cold.lam, cold.pf_lengths, None)
+    return True
 
 
 def test_refined_pf_fixtures(fib, trib, trib_inv):
-    # the start is f's PF vector, itself settled to 1e-12, so the settling
-    # test can take a second step; on the primitive fixtures it takes one
-    assert [_check_refined_pf(f, 6) for f in (fib, trib, trib_inv)] == [1, 1, 1]
+    assert all(_check_refined_pf(f, 6) for f in (fib, trib, trib_inv))
 
 
 @given(positive_rose_maps(), st.integers(1, 6))
 def test_refined_pf_random(f, max_period):
     _check_refined_pf(f, max_period)
+
+
+def test_refined_pf_signed():
+    for _, f in pinned_inp_maps():
+        if is_primitive(transition_matrix(f)):
+            assert _check_refined_pf(f, 6)
+
+
+def _check_subdivision_keeps_primitivity(f):
+    """Lemma (B) of `_refined_pf`: the subdivided matrix is primitive iff
+    f's is.  Returns False when f has no interior point of period <= 6."""
+    point = _first_interior_point(f, 6)
+    if point is None:
+        return False
+    sub = subdivide_at(f, point)
+    assert is_primitive(transition_matrix(sub.map)) == is_primitive(transition_matrix(f)), f.edge_image
+    return True
+
+
+@given(positive_rose_maps())
+def test_subdivision_keeps_primitivity_random(f):
+    _check_subdivision_keeps_primitivity(f)
+
+
+def test_subdivision_keeps_primitivity_signed():
+    # the cycle rose among these maps is irreducible but not primitive
+    maps = [f for _, f in pinned_inp_maps()]
+    assert all(map(_check_subdivision_keeps_primitivity, maps))
+    assert not all(is_primitive(transition_matrix(f)) for f in maps)
+
+
+def test_subdivision_keeps_primitivity_reducible(reducible):
+    # no PF data for f, so detection gives the subdivided pass none either
+    assert _check_subdivision_keeps_primitivity(reducible)
+    assert not is_primitive(transition_matrix(reducible))
+    assert _refined_pf(reducible, None, None, subdivide_at(reducible, _first_interior_point(reducible, 6))) is None
+
+
+def test_one_power_iteration_per_detection(monkeypatch, all_maps):
+    # the subdivided pass reads lambda and its PF lengths off f's, so a
+    # primitive map costs detection one power iteration, not two
+    import ttlam.spectral as spectral
+
+    calls = []
+
+    def counted(f, *args):
+        calls.append(f)
+        return pf_data(f, *args)
+
+    monkeypatch.setattr(spectral, "pf_data", counted)
+    monkeypatch.setattr(nielsen, "pf_data", counted)
+    for name in ("fib", "trib", "trib_inv"):
+        f = all_maps[name]
+        f = GraphSelfMap(f.graph, f.vertex_image, f.edge_image)
+        calls.clear()
+        rep = detect_inps(f)
+        assert rep.subdivision is not None
+        assert calls == [f], name
 
 
 def test_detect_inps_fib(fib, rose2):
@@ -627,7 +719,7 @@ def test_first_orbit_matches_full_enumeration_block_roses(k, n):
     # f^k(e) = e^(n^k) starts with e, whose point there is the vertex, so
     # the first interior point is at index 1: the descent must skip index 0.
     # _check_first_orbit at p = k asserts that detection subdivides there
-    f = _cycle_rose(k, n)
+    f = cycle_rose(k, n)
     assert _first_interior_point(f, k) == PeriodicPoint(0, k, 1, k)
     for p in (k - 1, k):
         _check_first_orbit(f, p)
@@ -754,6 +846,16 @@ def test_detect_inps_matches_cold_report_random(f, max_period):
     assert detect_inps(f, max_period) == detect_inps_cold(f, max_period)
 
 
+def test_detect_inps_reports_pinned():
+    # the reports recorded before the subdivided pass read its PF lengths
+    # off f's, byte for byte, subdivided windows and notes included
+    recorded = json.loads((RECORDED / "detect-inps.json").read_text())
+    got = {f"{label} max_period={p}": repr(detect_inps(f, p)) for label, f in pinned_inp_maps() for p in (1, 2, 6)}
+    assert got.keys() == recorded.keys()
+    for key, report in got.items():
+        assert report == recorded[key], key
+
+
 def test_detect_inps_matches_cold_report_signed():
     for f in train_track_automorphisms(3, 20, seed=11):
         for max_period in (1, 2, 3):
@@ -766,7 +868,7 @@ def _scan_against_oracle(f, window, max_period):
     """One scan with a fresh verdict memo, its notes rendered as the report
     words them, against the oracle's (verified, notes)."""
     pf = _pf_or_none(f)
-    verified, notes = _scan_ray_pairs(f, window, max_period, pf, {})
+    verified, notes = _scan_ray_pairs(f, window, max_period, pf.pf_lengths if pf else None, {})
     got = verified, _render_notes(f, window, notes)
     oracle = scan_ray_pairs_by_iteration(f, window, max_period, pf.pf_lengths if pf else None)
     assert got == oracle

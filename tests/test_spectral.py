@@ -1,7 +1,6 @@
 """Transition matrices, primitivity, characteristic polynomials, PF data."""
 
 import math
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -238,18 +237,13 @@ def _outcome(fn, *args):
 
 def _assert_pf_data_bit_identical(f):
     """`pf_data` equals `pf_data_reference` field for field, floats with ==,
-    on f and on its subdivision at the first interior orbit, cold and from
-    the warm start `nielsen._refined_pf` reads off f's PF vector."""
+    on f and on its subdivision at the first interior orbit."""
     assert _outcome(pf_data, f) == _outcome(pf_data_reference, f), f.edge_image
     point = nielsen._first_interior_point(f, 6)
     if point is None:
         return
     sub = nielsen.subdivide_at(f, point)
     assert _outcome(pf_data, sub.map) == _outcome(pf_data_reference, sub.map), f.edge_image
-    pf = nielsen._pf_or_none(f)
-    warm = nielsen._refined_pf(f, pf, sub)
-    with patch.object(nielsen, "_pf_data_from", pf_data_reference), patch.object(nielsen, "pf_data", pf_data_reference):
-        assert warm == nielsen._refined_pf(f, pf, sub), f.edge_image
 
 
 def test_pf_data_bit_identical_to_reference_fixtures(all_maps):

@@ -31,7 +31,9 @@ class Graph:
     ``dart_origin[d]`` is the vertex a dart points away from; the terminal
     vertex of ``d`` is the origin of ``d ^ 1``.  Construction goes through
     :meth:`build`, which takes human-oriented (name, origin, terminus)
-    triples and freezes everything into tuples.
+    triples and freezes everything into tuples.  A dataclass, not a
+    NamedTuple like the result records: its `cached_property` tables live
+    in the instance ``__dict__``, which a NamedTuple does not have.
     """
 
     vertex_names: tuple[str, ...]

@@ -31,6 +31,9 @@ class GraphSelfMap:
     ``edge_image[i]`` is the reduced edge path crossed by f(edge i), recorded
     on forward darts.  ``vertex_image[v]`` is the image vertex.  Immutability
     keeps derived tables (dart images, derivative, iterates) safely cacheable.
+    A dataclass, not a NamedTuple like the result records: its
+    `cached_property` tables and `per_map` memos live in the instance
+    ``__dict__``, which a NamedTuple does not have.
     """
 
     graph: Graph

@@ -14,7 +14,6 @@ chr(d), and decoded to a frozenset of dart tuples at the end; a flip, reverse
 and translate d -> d ^ 1, is of a whole clip or window set, never of a word.
 """
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import IncompatibleGraphsError, MapError
@@ -128,8 +127,7 @@ def _leaf_codes(f: GraphSelfMap, n: int) -> set[str]:
 
 # -- uniform recurrence -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     """Witness that the whole factor language recurs in every deep image.
 
     `witness` is the first iterate T such that every length-m language word
@@ -178,8 +176,7 @@ def uniform_recurrence_check(f: GraphSelfMap, m: int) -> RecurrenceReport:
 
 # -- eigenray equivalence --------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Gates at periodic vertices, glued along used turns.
 
     Classes are tuples of gate ids; `dart_classes` spells each class out as
@@ -314,8 +311,7 @@ def _names(g: Graph, codes: set[str]) -> list[str]:
 
 # -- illegality profile -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IllegalityProfile:
+class IllegalityProfile(NamedTuple):
     """How long the legal stretches of a word collection get, measured in the
     gate structure of a reference map."""
 
@@ -358,8 +354,7 @@ def illegality_between(f_ref: GraphSelfMap, f_src: GraphSelfMap, n: int, dual: b
 
 # -- iterated illegal-turn contraction --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     """Chopped ILT series of a word under iteration.
 
     Each step applies f, freely reduces, chops `chop` darts from both ends

@@ -23,8 +23,7 @@ can treat them as assumptions.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, NamedTuple
 
 from .errors import GraphError, MapError, ParseError
 from .graph import Graph, Path
@@ -35,8 +34,7 @@ _ID = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_-]*$")  # a name without '.' and '*',
 _KNOWN_ASSERTS = ("iwip", "atoroidal", "inverse-of")
 
 
-@dataclass(frozen=True)
-class MapFile:
+class MapFile(NamedTuple):
     """Parsed artifact: a named map plus its asserted (unverified) properties."""
 
     name: str

@@ -31,11 +31,11 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, islice
 from operator import eq, mul, or_
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (
     ConvergenceError,
@@ -75,8 +75,7 @@ def _cycle_periods(step: tuple[int, ...]) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class PeriodicData:
+class PeriodicData(NamedTuple):
     """Vertices periodic under f and darts periodic under Df, each mapped to
     its period, keys ascending.  The maps are read-only views, since every
     caller of `periodic_structures` shares them."""
@@ -221,13 +220,12 @@ def _stream(f: GraphSelfMap, dart: int, n: int) -> None:
 
 # -- interior periodic points --------------------------------------------------
 
-@dataclass(frozen=True)
-class PeriodicPoint:
+class PeriodicPoint(NamedTuple):
     """Interior periodic point as an orientation-preserving occurrence.
 
     The point is the unique fixed point of the inverse branch of f^exponent
     through the `index`-th dart of f^exponent(edge); `period` is its minimal
-    period as a point of the graph.
+    period as a point of the graph.  The field `index` shadows `tuple.index`.
     """
 
     edge: int
@@ -378,8 +376,7 @@ def _first_interior_point(f: GraphSelfMap, max_period: int) -> PeriodicPoint | N
 
 # -- subdivision at a periodic orbit -------------------------------------------
 
-@dataclass(frozen=True)
-class SubdivisionResult:
+class SubdivisionResult(NamedTuple):
     """Map on the refined graph, with the orbit bookkeeping that produced it."""
 
     map: GraphSelfMap
@@ -481,8 +478,7 @@ def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
 
 # -- INP detection --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NielsenPath:
+class NielsenPath(NamedTuple):
     """Reduced path with exactly one illegal turn and [f^period(path)] = path.
 
     `tip_index` marks the illegal turn: it sits between path[tip_index - 1]
@@ -797,8 +793,7 @@ def _detect_on(
     return inps, _render_notes(f, w, notes)
 
 
-@dataclass(frozen=True)
-class InpReport:
+class InpReport(NamedTuple):
     """Everything the INP search established, including the subdivided pass."""
 
     inps: tuple[NielsenPath, ...]
@@ -877,8 +872,7 @@ def detect_inps(
     )
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Atoroidality verdict: a closed INP is an invariant conjugacy class."""
 
     status: str  # "pass" | "fail" | "inconclusive"

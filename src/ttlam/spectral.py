@@ -13,17 +13,23 @@ characteristic polynomial coefficients come from the Faddeev-LeVerrier
 recurrence in Python integers.  `pf_data` is the one PF computation: a
 subdivided map needs none, since subdividing at a periodic orbit keeps lam
 and cuts each PF length into pieces (`nielsen._refined_pf`).
+
+numpy is imported by the two functions that build arrays, not by the
+module, so the commands that compute no PF data never load it.
 """
 
-import math
-from dataclasses import dataclass
-from itertools import chain
+from __future__ import annotations
 
-import numpy as np
+import math
+from itertools import chain
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConvergenceError, MapError, NotPrimitiveError
 from .graph import Path
 from .graph_map import GraphSelfMap, per_map
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @per_map
@@ -34,6 +40,8 @@ def transition_matrix(f: GraphSelfMap) -> np.ndarray:
     flat index in the n x n matrix is (d >> 1) * n + j, so one `bincount`
     over those indices fills the matrix, once per map and read-only.
     """
+    import numpy as np
+
     n = f.graph.num_edges
     sizes = [len(img) for img in f.edge_image]
     darts = np.fromiter(chain.from_iterable(f.edge_image), dtype=np.int64, count=sum(sizes))
@@ -87,8 +95,7 @@ def charpoly_coefficients(m: np.ndarray) -> list[int]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class PFData:
+class PFData(NamedTuple):
     """Dominant eigenvalue and the derived metric constants.
 
     pf_lengths assigns each edge its left-eigenvector length, normalized so
@@ -166,6 +173,8 @@ def pf_data(f: GraphSelfMap, tol: float = _SETTLE_TOL) -> PFData:
     the step the loop stops at, hence lam, the lengths, the residual and
     the iteration count, are those of running the whole test every step.
     """
+    import numpy as np
+
     if not tol > 0:
         raise MapError("tolerance must be > 0")
     m = transition_matrix(f)

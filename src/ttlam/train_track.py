@@ -12,16 +12,14 @@ where a report lists it.  Gates and turns are built once per map
 (`graph_map.per_map`), and every lookup below reads them from the map.
 """
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotTrainTrackError
 from .graph import Turn, turn
 from .graph_map import GraphSelfMap, per_map
 
 
-@dataclass(frozen=True)
-class Gates:
+class Gates(NamedTuple):
     """Partition of the darts at each vertex into gates."""
 
     gate_of: tuple[int, ...]           # dart -> gate id (global numbering)

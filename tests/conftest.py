@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 import pathlib
 import random
@@ -6,7 +7,24 @@ import random
 import pytest
 from hypothesis import settings, strategies as st
 
-from ttlam import Graph, GraphSelfMap, is_primitive, is_train_track, parse_map_path, transition_matrix
+from ttlam import (
+    Graph,
+    GraphSelfMap,
+    TtError,
+    detect_inps,
+    eigenray_equivalence,
+    gates,
+    illegality_between,
+    ilt_contraction,
+    is_primitive,
+    is_train_track,
+    parse_map_path,
+    periodic_structures,
+    pf_data,
+    stability_verdict,
+    transition_matrix,
+    uniform_recurrence_check,
+)
 from ttlam.graph import path_reduce, reverse_path
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -211,3 +229,49 @@ def pinned_inp_maps():
     maps = [(f"rank3-seed11-{i}", f) for i, f in enumerate(train_track_automorphisms(3, 20, seed=11))]
     maps += [(f"rank4-seed12-{i}", f) for i, f in enumerate(train_track_automorphisms(4, 10, seed=12))]
     return tuple(maps) + (("cycle-6-4", cycle_rose(6, 4)),)
+
+
+def pinned_record_calls():
+    """label -> zero-argument call, for each result record whose repr on the
+    four fixtures tier-1 pins (tests/reference/records.json) and whose
+    repr no INP report pin holds: `pf_data`, `gates`,
+    `periodic_structures`, `parse_map_path`, `stability_verdict`,
+    `uniform_recurrence_check(f, 2)`, `eigenray_equivalence`, and
+    `illegality_between` and `ilt_contraction` on the maps, reference maps,
+    windows and words of the benchmark's fixture commands.  Every call
+    parses its map files afresh, so two calls build their records from
+    equal, distinct maps."""
+    commands = [fixture_argv(key) for key in json.loads(BENCH_REFERENCE.read_text())]
+    illegality = {argv[1]: argv[2:] for argv in commands if argv[0] == "illegality"}  # --against REF --window N
+    contract = {argv[1]: argv[3] for argv in commands if argv[0] == "contract"}  # --word W
+
+    def on_map(fn):
+        return lambda path: fn(parse_map_path(path).map)
+
+    def profile(path):
+        mf, (_, ref, _, n) = parse_map_path(path), illegality[path]
+        return illegality_between(parse_map_path(ref).map, mf.map, int(n), dual=mf.asserts_inverse_of() is not None)
+
+    per_fixture = {
+        "parse_map_path": parse_map_path,
+        "pf_data": on_map(pf_data),
+        "gates": on_map(gates),
+        "periodic_structures": on_map(periodic_structures),
+        "stability_verdict": on_map(lambda f: stability_verdict(f, detect_inps(f))),
+        "uniform_recurrence_check": on_map(lambda f: uniform_recurrence_check(f, 2)),
+        "eigenray_equivalence": on_map(eigenray_equivalence),
+        "illegality_between": profile,
+        "ilt_contraction": lambda path: ilt_contraction(f := parse_map_path(path).map, f.graph.parse_path(contract[path])),
+    }
+    return {
+        f"{label} {pathlib.Path(path).stem}": functools.partial(call, path)
+        for label, call in per_fixture.items() for path in contract
+    }
+
+
+def shown_record(call):
+    """repr of the record a call returns, or the error it raises, named."""
+    try:
+        return repr(call())
+    except TtError as exc:
+        return f"raises {type(exc).__name__}: {exc}"

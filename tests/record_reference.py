@@ -1,15 +1,17 @@
 """Record the outputs that tier-1 pins besides the --json fixture reports:
 the text report and exit code of each fixture command of the benchmark, the
 help text and exit status of `ttlam -h` and of each `ttlam <sub> -h` at
-COLUMNS=80, the stdout of each demo, and `repr(detect_inps(f, p))` for p in
+COLUMNS=80, the stdout of each demo, `repr(detect_inps(f, p))` for p in
 1, 2 and 6 on the maps of `conftest.pinned_inp_maps`, whose subdivided
-windows and notes the fixtures do not reach.  Run from the repository root:
+windows and notes the fixtures do not reach, and the repr of each result
+record of `conftest.pinned_record_calls` on the four fixtures.  Run from
+the repository root:
 
     PYTHONPATH=src python3 tests/record_reference.py
 
-test_cli.py, test_demos.py and test_nielsen.py compare against these files
-byte for byte, so re-record them only for a change that moves an output on
-purpose, and list what moved.
+test_cli.py, test_demos.py, test_nielsen.py and test_records.py compare
+against these files byte for byte, so re-record them only for a change that
+moves an output on purpose, and list what moved.
 """
 
 import contextlib
@@ -19,7 +21,16 @@ import os
 import subprocess
 import sys
 
-from conftest import BENCH_REFERENCE, RECORDED, ROOT, demo_env, fixture_argv, pinned_inp_maps
+from conftest import (
+    BENCH_REFERENCE,
+    RECORDED,
+    ROOT,
+    demo_env,
+    fixture_argv,
+    pinned_inp_maps,
+    pinned_record_calls,
+    shown_record,
+)
 
 from ttlam import detect_inps
 from ttlam.cli import run_command
@@ -46,9 +57,11 @@ def main() -> None:
         (RECORDED / "demos" / f"{demo.stem}.txt").write_text(out.stdout)
     inps = {f"{label} max_period={p}": repr(detect_inps(f, p)) for label, f in pinned_inp_maps() for p in (1, 2, 6)}
     (RECORDED / "detect-inps.json").write_text(json.dumps(inps, indent=1, sort_keys=True) + "\n")
+    records = {label: shown_record(call) for label, call in pinned_record_calls().items()}
+    (RECORDED / "records.json").write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(
-        f"wrote {len(reports)} text reports, {len(helps)} help texts, the demos' stdout"
-        f" and {len(inps)} INP reports to {RECORDED}"
+        f"wrote {len(reports)} text reports, {len(helps)} help texts, the demos' stdout,"
+        f" {len(inps)} INP reports and {len(records)} records to {RECORDED}"
     )
 
 

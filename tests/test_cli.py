@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from ttlam.lamination import dual_language, leaf_language
 from ttlam.mapfile import MapFile, parse_map_path, serialize_map_file
 from ttlam.train_track import require_train_track
 
-from conftest import RECORDED, THREE_VERTEX_TT, fixture_argv, positive_rose_maps, train_track_automorphisms
+from conftest import RECORDED, THREE_VERTEX_TT, demo_env, fixture_argv, positive_rose_maps, train_track_automorphisms
 
 
 def _run(fixture_dir, *args):
@@ -339,6 +341,33 @@ def test_fixture_commands_match_reference_text_reports():
     assert sorted(reference) == sorted(json.loads(REFERENCE.read_text()))
     for key, want in sorted(reference.items()):
         assert run_command(fixture_argv(key)) == (want["exit"], want["report"]), key
+
+
+# the module-level check of a fresh interpreter, then one after each command
+_NUMPY_PROBE = """
+import json, sys
+from ttlam.cli import run_command
+loaded, reports = ["numpy" in sys.modules], []
+for argv in json.loads(sys.argv[1]):
+    reports.append(run_command(argv + ["--json"]))
+    loaded.append("numpy" in sys.modules)
+print(json.dumps([loaded, reports]))
+"""
+
+
+def test_numpy_is_loaded_only_to_compute_pf_data():
+    # in a fresh interpreter, `import ttlam.cli` and gates, turns, eigenrays
+    # and bfh load no numpy; pf does.  Each gives its pinned report
+    keys = ["gates tribonacci.tt", "turns tribonacci.tt", "eigenrays tribonacci.tt", "bfh tribonacci.tt --window 5", "pf tribonacci.tt"]
+    argvs = json.dumps([fixture_argv(key) for key in keys])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, argvs], env=demo_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, reports = json.loads(proc.stdout)
+    assert loaded == [False] * 5 + [True]
+    reference = json.loads(REFERENCE.read_text())
+    assert reports == [[reference[key]["exit"], reference[key]["report"]] for key in keys]
 
 
 def _floats(report):

@@ -1,6 +1,5 @@
 """Periodic structures, eigenrays, interior points, subdivision, INPs."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -666,7 +665,7 @@ def test_stability_names_subdivided_inp_on_subdivided_graph(fib):
     rep = detect_inps(fib)
     sub_graph = rep.subdivision.map.graph
     fake = NielsenPath(path=sub_graph.parse_path("a.1 a.2 a.3"), period=1, tip_index=1, closed=True)
-    rep = dataclasses.replace(rep, inps=(), subdivided_inps=(fake,))
+    rep = rep._replace(inps=(), subdivided_inps=(fake,))
     stab = stability_verdict(fib, rep)
     assert stab.status == "fail"
     assert "path a.1 a.2 a.3:" in stab.reason

@@ -11,10 +11,10 @@ language and the full dual lamination of the limit tree.
 Everything here is window-based and exact, and every reported structure can
 be re-checked by direct iteration.  A language is worked on coded, dart d as
 chr(d), and decoded to a frozenset of dart tuples at the end; a flip, reverse
-and translate d -> d ^ 1, is of a whole clip or window set, never of a word.
+and translate d -> d ^ 1, is of a level's clips or a window set, never a word.
 """
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import IncompatibleGraphsError, MapError
 from .graph import Graph, Path, equivalence_classes, path_reduce
@@ -34,10 +34,9 @@ from .train_track import gates, illegal_positions, legal_segments, require_train
 # length budget.  The argument needs the absence of cancellation, so each
 # language first requires a train track map.
 
-def _clipped_levels(f: GraphSelfMap, n: int) -> Iterator[tuple[list[set[str]], list[str]]]:
-    """For t = 1, 2, ...: the flip-closed length-n windows of the runs of
-    each f^t(e), by edge, and the clip of each f^t(d), by dart, for a train
-    track map, all coded.
+def _clipped_levels(f: GraphSelfMap, n: int) -> Iterator[tuple[list[list[str]], list[str]]]:
+    """For t = 1, 2, ...: the runs of each f^t(e), by edge, and the clip of
+    each f^t(d), by dart, for a train track map, all coded.
 
     No whole image is built: on a map whose strata grow at different rates,
     a fast edge's image can be far longer than n.  Write m = n - 1.  The
@@ -50,25 +49,33 @@ def _clipped_levels(f: GraphSelfMap, n: int) -> Iterator[tuple[list[set[str]], l
     ends of a cut block, which takes m + 2 darts, so it meets each cut block
     in at most m darts at one end, and lies in one run.  Any other window
     lies inside one block, where it is a window of f^(t-1) of an edge or of
-    its flip; at t = 1 no clip is cut, and the one run is f(e).  The
-    generator never ends; each reader stops it.
+    its flip; at t = 1 no clip is cut, and the one run is f(e).  Flip
+    closure distributes over union, so a reader may flip-close the windows
+    of many runs and levels at once.  The clip of e~ is the flip of e's, and
+    one `_flips` makes a level's.  The generator never ends; each reader
+    stops it.
     """
     m = n - 1
     cut = chr(f.graph.num_darts)
-    flip = {d: d ^ 1 for d in f.graph.darts()}
+    flip = _flip_table(f.graph)
     clips = [chr(d) for d in f.graph.darts()]
     while True:
-        windows: list[set[str]] = []
-        level = []
-        for img in f.edge_image:
-            runs = "".join(map(clips.__getitem__, img)).split(cut)
-            clip = runs[0] if len(runs) == 1 and len(runs[0]) < m else runs[0][:m] + cut + runs[-1][len(runs[-1]) - m :]
-            level += [clip, clip[::-1].translate(flip)]
-            ws = {r[i : i + n] for r in runs for i in range(len(r) - n + 1)}
-            ws.update(cut.join(ws)[::-1].translate(flip).split(cut) if ws else ())
-            windows.append(ws)
-        clips = level
-        yield windows, clips
+        runs = ["".join(map(clips.__getitem__, img)).split(cut) for img in f.edge_image]
+        heads = [r[0] if len(r) == 1 and len(r[0]) < m else r[0][:m] + cut + r[-1][len(r[-1]) - m :] for r in runs]
+        clips = [c for pair in zip(heads, _flips(heads, flip)) for c in pair]
+        yield runs, clips
+
+
+def _flip_table(g: Graph) -> str:
+    """The `str.translate` table of a flip: d to d ^ 1, the cut to itself."""
+    return "".join([chr(d ^ 1) for d in g.darts()]) + chr(g.num_darts)
+
+
+def _flips(words: Collection[str], flip: str) -> list[str]:
+    """The flips of coded words, in order: their join at chr(len(flip)), which
+    codes no dart and no cut, reversed, translated and split, then reversed."""
+    sep = chr(len(flip))
+    return sep.join(words)[::-1].translate(flip).split(sep)[::-1] if words else []
 
 
 # -- leaf language --------------------------------------------------------------
@@ -94,8 +101,10 @@ def leaf_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
     is a window of f^k(x~ y) for the turn {x, y} that f^(t-k)(e) crosses
     there, which is used.  The terms of (A) with t < k matter for a map
     that is not primitive, where f^t(e) may hold a word no later image does.
-    The windows of the runs over 1 <= t <= k are (A), flip closed, and the
-    clips at level k give (B) both ways round: f^k(y~ x) is its flip.
+    The windows of the runs over 1 <= t <= k are (A), and the clips at
+    level k give (B) once per used turn {x, y}: the join f^k(y~ x) is the
+    flip of f^k(x~ y), and flip closure distributes over union, so the
+    language is flip-closed once, at the end.
 
     k exists.  The lengths never shrink: |f^(t+1)(e)| is the sum of
     |f^t(d)| over the darts d of f(e), and |f^t(e)| of |f^(t-1)(d)|, so
@@ -115,14 +124,14 @@ def _leaf_codes(f: GraphSelfMap, n: int) -> set[str]:
     require_train_track(f)
     m = n - 1
     words: set[str] = set()
-    for windows, clips in _clipped_levels(f, n):
-        words.update(*windows)
-        if all(len(clip) > m for clip in clips):
+    for runs, clips in _clipped_levels(f, n):
+        words |= {r[i : i + n] for rs in runs for r in rs for i in range(len(r) - n + 1)}
+        if min(map(len, clips)) > m:
             break
-    # f^k(x~ y) and its flip f^k(y~ x), 2m darts each: tails [m + 1 :] and heads [:m] of pairs
-    joins = [clips[a ^ 1][m + 1 :] + clips[b][:m] for x, y in used_turns(f) for a, b in ((x, y), (y, x))]
+    # f^k(x~ y), 2m darts: the tail [m + 1 :] of one pair and the head [:m] of another
+    joins = [clips[x ^ 1][m + 1 :] + clips[y][:m] for x, y in used_turns(f)]
     words |= {w[i : i + n] for w in joins for i in range(m)}
-    return words
+    return words.union(_flips(words, _flip_table(f.graph)))
 
 
 # -- uniform recurrence -----------------------------------------------------------
@@ -146,9 +155,11 @@ def uniform_recurrence_check(f: GraphSelfMap, m: int) -> RecurrenceReport:
     A flip of a factor counts as an occurrence: leaves are unoriented.  The
     language is `leaf_language(f, m)`, so a map that is not a train track
     map raises NotTrainTrackError.  held_t(e), the flip-closed length-m
-    windows of f^t(e), is read off `_clipped_levels`: the windows of the
-    level's runs and held_(t-1) of the darts of f(e), as a window of f^t(e)
-    lies in one run or in one block f^(t-1)(d); held_0 is empty.
+    windows of f^t(e), is read off `_clipped_levels`: the flip-closed
+    windows of the level's runs, through one flip table per call, and
+    held_(t-1) of the edges f(e) crosses, as a window of f^t(e) lies in one
+    run or in one block f^(t-1)(d), whose windows held_(t-1) of d's edge
+    holds flip closed; held_0 is empty.
 
     The witness is the first t at which every edge holds the language.
     f^(t+1)(e) is the blocks f^t(d) over the darts d of f(e) laid end to
@@ -159,11 +170,14 @@ def uniform_recurrence_check(f: GraphSelfMap, m: int) -> RecurrenceReport:
     language, and the witness is -1.
     """
     lang = _leaf_codes(f, m)
+    flip = _flip_table(f.graph)
+    crossed = [{d >> 1 for d in img} for img in f.edge_image]
     held: list[frozenset[str]] = [frozenset()] * f.graph.num_edges
     seen: set[tuple] = set()
     witness = -1
-    for t, (windows, clips) in enumerate(_clipped_levels(f, m), 1):
-        held = [frozenset(ws).union(*(held[d >> 1] for d in img)) for ws, img in zip(windows, f.edge_image)]
+    for t, (runs, clips) in enumerate(_clipped_levels(f, m), 1):
+        windows = [{r[i : i + m] for r in rs for i in range(len(r) - m + 1)} for rs in runs]
+        held = [frozenset(ws).union(_flips(ws, flip), *map(held.__getitem__, es)) for ws, es in zip(windows, crossed)]
         if all(h == lang for h in held):
             witness = t
             break
@@ -264,7 +278,7 @@ def _leaf_window_code(f: GraphSelfMap, leaf: SingularLeaf, n: int) -> str:
         raise MapError("prefix length must be >= 1")
     entry, connector, exit_ = leaf
     down, up = _coded_rays(f, n, (entry, exit_))
-    return down[::-1].translate({d: d ^ 1 for d in f.graph.darts()}) + "".join(map(chr, connector)) + up
+    return down[::-1].translate(_flip_table(f.graph)) + "".join(map(chr, connector)) + up
 
 
 # -- dual language ---------------------------------------------------------------------
@@ -276,10 +290,9 @@ def singular_language(f: GraphSelfMap, n: int) -> frozenset[Path]:
 
 def _singular_codes(f: GraphSelfMap, n: int) -> set[str]:
     """`singular_language(f, n)`, coded."""
-    flip = {d: d ^ 1 for d in f.graph.darts()}
     lines = [_leaf_window_code(f, leaf, n) for leaf in singular_leaves(f).leaves]
-    lines += [w[::-1].translate(flip) for w in lines]
-    return {w[i : i + n] for w in lines for i in range(len(w) - n + 1)}
+    words = {w[i : i + n] for w in lines for i in range(len(w) - n + 1)}
+    return words.union(_flips(words, _flip_table(f.graph)))
 
 
 def dual_language(f_minus: GraphSelfMap, n: int) -> frozenset[Path]:
@@ -305,7 +318,7 @@ def dual_language_names(f_minus: GraphSelfMap, n: int) -> tuple[list[str], bool]
 def _names(g: Graph, codes: set[str]) -> list[str]:
     """Coded words named, sorted, by one translate of them all, joined at
     chr(num_darts), which codes no dart, then cut apart."""
-    names = {d: name + " " for d, name in enumerate(g.dart_names)} | {g.num_darts: "\n"}
+    names = [name + " " for name in g.dart_names] + ["\n"]
     return sorted(chr(g.num_darts).join(codes).translate(names)[:-1].split(" \n")) if codes else []
 
 

@@ -26,6 +26,7 @@ from ttlam import (
     uniform_recurrence_check,
 )
 from ttlam.graph import path_reduce, reverse_path
+from ttlam.lamination import dual_language_names, leaf_language_names
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -136,11 +137,24 @@ def positive_rose_maps(draw, moves_per_rank=2):
         st.tuples(st.integers(0, rank - 1), st.integers(1, rank - 1), st.booleans()),
         max_size=moves_per_rank * rank,
     ))
+    return _positive_rose(rank, moves)
+
+
+def _positive_rose(rank, moves):
+    """The positive rose map of the moves (i, k, right), each x_i -> x_i x_j
+    if right else x_j x_i with j = i + k mod rank, then x_i -> x_i x_(i+1)
+    around the rose; edges are named a, b, ..., so rank <= 26."""
     words = [[i] for i in range(rank)]
     for i, k, right in moves + [(i, 1, True) for i in range(rank)]:
         j = (i + k) % rank
         words[i] = words[i] + words[j] if right else words[j] + words[i]
     return rose_map([" ".join(chr(ord("a") + x) for x in w) for w in words])
+
+
+def relabelled(f, names):
+    """The rose map f with its edges renamed, in order, to `names`."""
+    g = Graph.build(["v"], [(x, "v", "v") for x in names])
+    return GraphSelfMap(g, f.vertex_image, f.edge_image)
 
 
 def train_track_automorphisms(rank, count, seed):
@@ -229,6 +243,40 @@ def pinned_inp_maps():
     maps = [(f"rank3-seed11-{i}", f) for i, f in enumerate(train_track_automorphisms(3, 20, seed=11))]
     maps += [(f"rank4-seed12-{i}", f) for i, f in enumerate(train_track_automorphisms(4, 10, seed=12))]
     return tuple(maps) + (("cycle-6-4", cycle_rose(6, 4)),)
+
+
+@functools.cache
+def pinned_language_maps():
+    """(label, map) for the maps whose languages tier-1 pins
+    (tests/reference/languages.json): the maps of `pinned_inp_maps`,
+    positive roses of rank 8, 12, 16 and 20, each drawn by rank positive
+    Nielsen moves with random.Random(rank), and a signed rank-3 train track
+    automorphism whose edges are named x1, x10 and y_2, so that one name is
+    a prefix of another."""
+    roses = []
+    for rank in (8, 12, 16, 20):
+        rng = random.Random(rank)
+        moves = [(rng.randrange(rank), rng.randrange(1, rank), rng.random() < 0.5) for _ in range(rank)]
+        roses.append((f"positive-rank{rank}", _positive_rose(rank, moves)))
+    named = relabelled(train_track_automorphisms(3, 1, seed=13)[0], ("x1", "x10", "y_2"))
+    return pinned_inp_maps() + tuple(roses) + (("named-rank3-seed13", named),)
+
+
+def pinned_languages():
+    """label -> the pinned output: `leaf_language_names(f, n)` for n in 1,
+    3, 6 and 9 on every map of `pinned_language_maps`,
+    `dual_language_names(f, 5)` on those of rank up to 16, and
+    `repr(uniform_recurrence_check(f, m))` for m in 1, 2 and 3 on those of
+    rank up to 8.  The rank-20 rose has no dual pin: the INP search that
+    its dual language needs takes over a minute there."""
+    out = {}
+    for label, f in pinned_language_maps():
+        out.update((f"{label} leaf n={n}", leaf_language_names(f, n)) for n in (1, 3, 6, 9))
+        if f.graph.num_edges <= 16:
+            out[f"{label} dual n=5"] = list(dual_language_names(f, 5))
+        if f.graph.num_edges <= 8:
+            out.update((f"{label} recurrence m={m}", repr(uniform_recurrence_check(f, m))) for m in (1, 2, 3))
+    return out
 
 
 def pinned_record_calls():

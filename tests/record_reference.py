@@ -3,13 +3,16 @@ the text report and exit code of each fixture command of the benchmark, the
 help text and exit status of `ttlam -h` and of each `ttlam <sub> -h` at
 COLUMNS=80, the stdout of each demo, `repr(detect_inps(f, p))` for p in
 1, 2 and 6 on the maps of `conftest.pinned_inp_maps`, whose subdivided
-windows and notes the fixtures do not reach, and the repr of each result
-record of `conftest.pinned_record_calls` on the four fixtures.  Run from
-the repository root:
+windows and notes the fixtures do not reach, the repr of each result
+record of `conftest.pinned_record_calls` on the four fixtures, and the
+leaf and dual languages and recurrence reports of
+`conftest.pinned_languages`, on maps up to rank 20 and with edge names of
+more than one character.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/record_reference.py
 
-test_cli.py, test_demos.py, test_nielsen.py and test_records.py compare
+test_cli.py, test_demos.py, test_nielsen.py, test_records.py and
+test_lamination.py compare
 against these files byte for byte, so re-record them only for a change that
 moves an output on purpose, and list what moved.
 """
@@ -28,6 +31,7 @@ from conftest import (
     demo_env,
     fixture_argv,
     pinned_inp_maps,
+    pinned_languages,
     pinned_record_calls,
     shown_record,
 )
@@ -59,9 +63,11 @@ def main() -> None:
     (RECORDED / "detect-inps.json").write_text(json.dumps(inps, indent=1, sort_keys=True) + "\n")
     records = {label: shown_record(call) for label, call in pinned_record_calls().items()}
     (RECORDED / "records.json").write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    languages = pinned_languages()
+    (RECORDED / "languages.json").write_text(json.dumps(languages, indent=1, sort_keys=True) + "\n")
     print(
         f"wrote {len(reports)} text reports, {len(helps)} help texts, the demos' stdout,"
-        f" {len(inps)} INP reports and {len(records)} records to {RECORDED}"
+        f" {len(inps)} INP reports, {len(records)} records and {len(languages)} languages to {RECORDED}"
     )
 
 

@@ -1,5 +1,6 @@
 """Leaf languages, recurrence, equivalence classes, singular leaves, duality."""
 
+import json
 import random
 
 import pytest
@@ -24,13 +25,16 @@ from ttlam import (
 )
 from ttlam import lamination, nielsen
 from ttlam.graph import is_reduced
-from ttlam.lamination import contraction_block, illegality_profile
+from ttlam.lamination import contraction_block, illegality_profile, leaf_language_names
 
 from conftest import (
+    RECORDED,
     THREE_VERTEX_TT,
     automorphism_pairs,
+    pinned_languages,
     positive_rose_maps,
     reduced_rose_maps,
+    relabelled,
     rose_map,
     train_track_automorphisms,
 )
@@ -126,6 +130,26 @@ def test_leaf_language_keeps_words_of_early_images():
     f = rose_map(["a b", "a", "a b b"])
     assert f.edge_iterates.first_level_over(1) == 2
     assert f.graph.parse_path("a b b") in leaf_language(f, 3)
+
+
+def test_languages_pinned():
+    # leaf and dual languages and recurrence reports, recorded by
+    # tests/record_reference.py, byte for byte
+    text = (RECORDED / "languages.json").read_text()
+    recorded, got = json.loads(text), pinned_languages()
+    assert got.keys() == recorded.keys()
+    for key, value in got.items():
+        assert value == recorded[key], key
+    assert json.dumps(got, indent=1, sort_keys=True) + "\n" == text
+
+
+@given(positive_rose_maps(), st.permutations(["x1", "x10", "y_2", "ab"]))
+def test_language_names_are_path_strs(f, names):
+    # multi-character names, one a prefix of another: each coded word is
+    # named as Graph.path_str names its darts
+    f = relabelled(f, names[: f.graph.num_edges])
+    for n in range(1, 7):
+        assert leaf_language_names(f, n) == sorted(f.graph.path_str(w) for w in leaf_language(f, n))
 
 
 def _refuse_ray_and_descent_reads(monkeypatch):

@@ -9,13 +9,12 @@ Item 13's clean-exit sweep is a plain test from the start.
 
 import json
 import random
-import signal
 import subprocess
 import sys
 
 import pytest
 
-from ttlam import Graph, GraphSelfMap, detect_inps, ilt_contraction, is_train_track
+from ttlam import Graph, GraphSelfMap, detect_inps, is_train_track
 from ttlam.cli import run_command
 from ttlam.graph import path_reduce
 from ttlam.mapfile import MapFile, serialize_map_file
@@ -65,20 +64,18 @@ def test_item_04_singular_lists_an_inp_leaf(tmp_path):
 def test_item_05_contract_without_chop_ends():
     # each commutator holds an INP, so the count stays 5 for the default 42
     # steps while the word grows like the golden ratio per step.  Item 5's
-    # gate is under 1 s; the alarm keeps the witness under 2 s
-    f = rose_map(["a b", "a"])
-    word = f.graph.parse_path(" ".join(["a b a~ b~"] * 6))
-
-    def stop(signum, frame):
-        raise TimeoutError("contract --chop 0 still running after 1.5 s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 1.5)
+    # gate is under 1 s; a child interpreter, stopped after 1.5 s, keeps
+    # the witness under 2 s
+    contract = (
+        "from ttlam import Graph, GraphSelfMap, ilt_contraction\n"
+        "g = Graph.build(['v'], [('a', 'v', 'v'), ('b', 'v', 'v')])\n"
+        "f = GraphSelfMap.build(g, {'a': 'a b', 'b': 'a'})\n"
+        "ilt_contraction(f, g.parse_path(' '.join(['a b a~ b~'] * 6)), chop=0)\n"
+    )
     try:
-        ilt_contraction(f, word, chop=0)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        subprocess.run([sys.executable, "-c", contract], env=demo_env(), timeout=1.5, check=True)
+    except subprocess.TimeoutExpired:
+        raise TimeoutError("contract --chop 0 still running after 1.5 s") from None
 
 
 @open_item()

@@ -107,6 +107,12 @@ class Graph:
         """`dart_name` of every dart, indexed by dart id."""
         return tuple(map(self.dart_name, self.darts()))
 
+    @cached_property
+    def flip_table(self) -> str:
+        """The `str.translate` table of a flip, dart d coded as chr(d): d to
+        d ^ 1, and chr(num_darts), which codes no dart, to itself."""
+        return "".join([chr(d ^ 1) for d in self.darts()]) + chr(self.num_darts)
+
     def path_str(self, path: Iterable[int]) -> str:
         return " ".join(map(self.dart_names.__getitem__, path))
 

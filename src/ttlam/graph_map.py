@@ -207,7 +207,7 @@ def _checked_codes(graph: Graph, vertex_image: tuple[int, ...], edge_image: tupl
     codes = joined.split(sep)
     if len(codes) != len(edge_image) + 1 or "" in codes[:-1]:
         return None
-    flipped = joined.translate("".join(map(chr, [d ^ 1 for d in range(nd)] + [nd])))
+    flipped = joined.translate(graph.flip_table)
     # the separator to chr(nv); past it, up to chr(nv) and beyond the table, no vertex
     origin = "".join(map(chr, graph.dart_origin + (nv,) + (nv + 1,) * (nv - nd)))
     ends = "".join(map(chr, vertex_image))
@@ -266,9 +266,10 @@ class EdgeIterates:
 
     ``lengths(t)[e]`` is the column sum of M^t, advanced exactly by
     |f^t(e)| = sum of |f^(t-1)(d)| over the darts d of f(e); for a train
-    track map it is the length of f^t(e).  The images f^t(d) themselves
-    are never kept: the INP search reads a dart or a place in f^t(e) by
-    descent through these lengths (`nielsen._descend`).
+    track map it is the length of f^t(e), one `sum(map(...))` over f(e)
+    per edge and level.  The images f^t(d) themselves are never kept: the
+    INP search reads a dart or a place in f^t(e) by descent through these
+    lengths (`nielsen._descend`).
     """
 
     def __init__(self, f: GraphSelfMap):
@@ -278,8 +279,8 @@ class EdgeIterates:
     def lengths(self, t: int) -> tuple[int, ...]:
         table = self._lengths
         while len(table) <= t:
-            prev = table[-1]
-            table.append(tuple(sum(prev[d >> 1] for d in img) for img in self._f.edge_image))
+            by_dart = list(chain.from_iterable(zip(table[-1], table[-1])))  # |f^(t-1)(d)|, dart d
+            table.append(tuple(sum(map(by_dart.__getitem__, img)) for img in self._f.edge_image))
         return table[t]
 
     def first_level_over(self, c: int) -> int:

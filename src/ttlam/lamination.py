@@ -57,18 +57,13 @@ def _clipped_levels(f: GraphSelfMap, n: int) -> Iterator[tuple[list[list[str]], 
     """
     m = n - 1
     cut = chr(f.graph.num_darts)
-    flip = _flip_table(f.graph)
+    flip = f.graph.flip_table
     clips = [chr(d) for d in f.graph.darts()]
     while True:
         runs = ["".join(map(clips.__getitem__, img)).split(cut) for img in f.edge_image]
         heads = [r[0] if len(r) == 1 and len(r[0]) < m else r[0][:m] + cut + r[-1][len(r[-1]) - m :] for r in runs]
         clips = [c for pair in zip(heads, _flips(heads, flip)) for c in pair]
         yield runs, clips
-
-
-def _flip_table(g: Graph) -> str:
-    """The `str.translate` table of a flip: d to d ^ 1, the cut to itself."""
-    return "".join([chr(d ^ 1) for d in g.darts()]) + chr(g.num_darts)
 
 
 def _flips(words: Collection[str], flip: str) -> list[str]:
@@ -131,7 +126,7 @@ def _leaf_codes(f: GraphSelfMap, n: int) -> set[str]:
     # f^k(x~ y), 2m darts: the tail [m + 1 :] of one pair and the head [:m] of another
     joins = [clips[x ^ 1][m + 1 :] + clips[y][:m] for x, y in used_turns(f)]
     words |= {w[i : i + n] for w in joins for i in range(m)}
-    return words.union(_flips(words, _flip_table(f.graph)))
+    return words.union(_flips(words, f.graph.flip_table))
 
 
 # -- uniform recurrence -----------------------------------------------------------
@@ -170,7 +165,7 @@ def uniform_recurrence_check(f: GraphSelfMap, m: int) -> RecurrenceReport:
     language, and the witness is -1.
     """
     lang = _leaf_codes(f, m)
-    flip = _flip_table(f.graph)
+    flip = f.graph.flip_table
     crossed = [{d >> 1 for d in img} for img in f.edge_image]
     held: list[frozenset[str]] = [frozenset()] * f.graph.num_edges
     seen: set[tuple] = set()
@@ -278,7 +273,7 @@ def _leaf_window_code(f: GraphSelfMap, leaf: SingularLeaf, n: int) -> str:
         raise MapError("prefix length must be >= 1")
     entry, connector, exit_ = leaf
     down, up = _coded_rays(f, n, (entry, exit_))
-    return down[::-1].translate(_flip_table(f.graph)) + "".join(map(chr, connector)) + up
+    return down[::-1].translate(f.graph.flip_table) + "".join(map(chr, connector)) + up
 
 
 # -- dual language ---------------------------------------------------------------------
@@ -292,7 +287,7 @@ def _singular_codes(f: GraphSelfMap, n: int) -> set[str]:
     """`singular_language(f, n)`, coded."""
     lines = [_leaf_window_code(f, leaf, n) for leaf in singular_leaves(f).leaves]
     words = {w[i : i + n] for w in lines for i in range(len(w) - n + 1)}
-    return words.union(_flips(words, _flip_table(f.graph)))
+    return words.union(_flips(words, f.graph.flip_table))
 
 
 def dual_language(f_minus: GraphSelfMap, n: int) -> frozenset[Path]:

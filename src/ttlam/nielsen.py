@@ -261,23 +261,26 @@ def _descend(f: GraphSelfMap, d: int, t: int, i: int, weight: Callable[[int], Se
 
 
 def _first_index(f: GraphSelfMap, d: int, t: int, x: int, lo: int, occurs: list[list[int]]) -> int | None:
-    """The first index >= lo, lo 0 or 1, of the dart x in f^t(d), or None,
-    for a train track map; occurs[r][c], r < t, is the bit mask of the
-    darts of f^r(c).
+    """The first index >= lo, lo 0 or 1, of the dart x in f^t(d), t >= 1,
+    or None, for a train track map; occurs[r][c], r < t, is the bit mask of
+    the darts of f^r(c).
 
     A depth-first descent through the blocks of `_descend` that enters
     only blocks holding x which end after lo.  Such a block holds x at an
     index >= lo unless it starts at 0 and holds x only there, so at most
-    one block per level is entered in vain: O(t * max|f(e)|) work.
+    one block per level is entered in vain: O(t * max|f(e)|) work.  A
+    block f(c) at pos of the last level has the masks 1 << c' of its darts
+    c', so its first x is one `str.find` in the coded f(c) from lo - pos.
     """
     require_train_track(f)
     lengths, images = f.edge_iterates.lengths, f.dart_images
     stack = [(d, t, 0)]  # (dart c, level r, index in f^t(d) where f^r(c) starts)
     while stack:
         d, r, pos = stack.pop()
-        if not r:  # d = x, by the masks
-            if pos >= lo:
-                return pos
+        if r == 1:
+            i = f.coded_images[d].find(chr(x), max(lo - pos, 0))
+            if i >= 0:
+                return pos + i
             continue
         sizes, holds = lengths(r - 1), occurs[r - 1]
         blocks = []
@@ -400,6 +403,12 @@ def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
     edge holding no orbit point keeps its name.  f must be a train track
     map, as `point_image` needs (NotTrainTrackError otherwise), and the
     rebuilt map is checked to stay an expanding train track map.
+
+    The refined f(e) is one `str.translate` of the coded f(e) through a
+    lift table, lift[d] the coded pieces of dart d, cut at the orbit
+    images.  The image of orbit point j is the r-th point along the edge of
+    d = f(e_j)[k], so its cut is |lift(f(e_j)[:k])| + r, or + |lift[d]| - r
+    when d is backward.
     """
     require_train_track(f)
     g = f.graph
@@ -441,27 +450,23 @@ def subdivide_at(f: GraphSelfMap, point: PeriodicPoint) -> SubdivisionResult:
         edges += zip(pieces, chain, chain[1:])
     new_graph = Graph.build(vertex_names, edges)
 
-    def rewrite(d: int) -> range:
-        e = d >> 1
-        if d & 1:
-            return range(2 * first[e + 1] - 1, 2 * first[e], -2)
-        return range(2 * first[e], 2 * first[e + 1], 2)
-
+    # lift[d]: the pieces of dart d, coded; a backward dart's are the flip of its edge's
+    forward = ["".join(map(chr, range(2 * a, 2 * b, 2))) for a, b in zip(first, first[1:])]
+    lift = [x for w in forward for x in (w, w[::-1].translate(new_graph.flip_table))]
     # edge images, cut where f(e) crosses the image of each orbit point on e
     images: list[Path] = []
     for e, pts in enumerate(on_edge):
-        img = f.edge_image[e]
-        w = [x for d in img for x in rewrite(d)]
+        code = f.coded_images[2 * e]
+        w = code.translate(lift)
         cuts = [0]
         for j in pts:
             k = cut_dart[j]
-            before = sum(len(rewrite(d)) for d in img[:k])
-            r = rank[(j + 1) % period]  # the image point's place along the edge of img[k]
-            cuts.append(before + (len(rewrite(img[k])) - r if img[k] & 1 else r))
+            d, r = f.edge_image[e][k], rank[(j + 1) % period]  # r: the image point's place along d's edge
+            cuts.append(len(code[:k].translate(lift)) + (len(lift[d]) - r if d & 1 else r))
         cuts.append(len(w))
         if any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise SubdivisionError("orbit images are not ordered along the edge image")
-        images += (tuple(w[a:b]) for a, b in zip(cuts, cuts[1:]))
+        images += (tuple(map(ord, w[a:b])) for a, b in zip(cuts, cuts[1:]))
 
     vertex_image = f.vertex_image + tuple(nv + (j + 1) % period for j in range(period))
     new_map = GraphSelfMap(new_graph, vertex_image, tuple(images))
@@ -729,7 +734,7 @@ def _scan_ray_pairs(
     floats.
     """
     rays = _coded_rays(f, window, periodic_structures(f).dart_period)
-    flip = {d: d ^ 1 for d in f.graph.darts()}
+    flip = f.graph.flip_table
     pf_len = None if lengths is None else {chr(d): lengths[d >> 1] for d in f.graph.darts()}
     min_agree = max(16, window // 2)
     verified: dict[Path, tuple[int, int]] = {}

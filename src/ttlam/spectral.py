@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConvergenceError, MapError, NotPrimitiveError
@@ -149,7 +150,7 @@ def _collatz_wielandt_certified(rows: list[list[int]], lam: float, w: np.ndarray
     r, s = _LAM_TOL.as_integer_ratio()
     lo, hi, scale = p * s - r * q, p * s + r * q, q * s
     for row, xi in zip(rows, x):
-        ax = scale * sum(c * xj for c, xj in zip(row, x) if c)
+        ax = scale * sum(map(mul, row, x))
         if not lo * xi <= ax <= hi * xi:
             return False
     return True

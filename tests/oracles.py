@@ -508,6 +508,66 @@ def detect_inps_cold(f, max_period, max_pf_len=None):
     return InpReport(inps, not notes, window, tuple(notes), sub, sub_inps)
 
 
+def subdivision_by_ranges(f, point, step):
+    """(graph, vertex images, edge images, edge_split, new vertex names) of
+    ``nielsen.subdivide_at(f, point)``, each refined image rewritten dart by
+    dart: every dart of f(e) becomes the range of the piece ids of its
+    edge, run backwards for a backward dart, and f(e) is cut where each
+    orbit image falls, after the ranges of the darts before it.  The orbit
+    walk is `step`, the library's ``nielsen.point_image``, which other
+    tests check against whole-path iteration; the refined map is not
+    checked."""
+    from ttlam.graph import Graph
+
+    g, t = f.graph, point.exponent
+    walk, cut_dart = [(point.edge, point.index)], []
+    for _ in range(t):
+        ce, ci = walk[-1]
+        ne, ni, k = step(f, ce, t, ci)
+        cut_dart.append(k)
+        if (ne, ni) == walk[0]:
+            break
+        walk.append((ne, ni))
+    period, nv = len(walk), g.num_vertices
+    on_edge = [[] for _ in range(g.num_edges)]
+    for j in sorted(range(period), key=lambda j: walk[j][1]):
+        on_edge[walk[j][0]].append(j)
+    rank, first = [0] * period, [0]
+    for pts in on_edge:
+        for r, j in enumerate(pts, start=1):
+            rank[j] = r
+        first.append(first[-1] + len(pts) + 1)
+    vertex_names = list(g.vertex_names) + [f"{g.edge_names[e]}*{rank[j]}" for j, (e, _) in enumerate(walk)]
+    edge_split, edges = {}, []
+    for e, pts in enumerate(on_edge):
+        name = g.edge_names[e]
+        pieces = tuple(f"{name}.{r}" for r in range(1, len(pts) + 2)) if pts else (name,)
+        edge_split[name] = pieces
+        ends = [vertex_names[v] for v in (g.dart_origin[2 * e], *(nv + j for j in pts), g.dart_origin[2 * e + 1])]
+        edges += zip(pieces, ends, ends[1:])
+
+    def rewrite(d):
+        e = d >> 1
+        if d & 1:
+            return range(2 * first[e + 1] - 1, 2 * first[e], -2)
+        return range(2 * first[e], 2 * first[e + 1], 2)
+
+    images = []
+    for e, pts in enumerate(on_edge):
+        img = f.edge_image[e]
+        w = [x for d in img for x in rewrite(d)]
+        cuts = [0]
+        for j in pts:
+            k = cut_dart[j]
+            before = sum(len(rewrite(d)) for d in img[:k])
+            r = rank[(j + 1) % period]
+            cuts.append(before + (len(rewrite(img[k])) - r if img[k] & 1 else r))
+        cuts.append(len(w))
+        images += (tuple(w[a:b]) for a, b in zip(cuts, cuts[1:]))
+    vertex_image = f.vertex_image + tuple(nv + (j + 1) % period for j in range(period))
+    return Graph.build(vertex_names, edges), vertex_image, tuple(images), edge_split, tuple(vertex_names[nv:])
+
+
 def quadratic_tail_stems(r1, r2, min_agree):
     """Stem lengths (m1, m2) of the eigenray tail candidates of a ray pair,
     in ascending shift order.  Every shift delta aligning r1[i] with

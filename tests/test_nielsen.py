@@ -1,5 +1,6 @@
 """Periodic structures, eigenrays, interior points, subdivision, INPs."""
 
+import functools
 import json
 
 import numpy as np
@@ -61,6 +62,7 @@ from oracles import (
     iterated_eigenray_prefix,
     quadratic_tail_stems,
     scan_ray_pairs_by_iteration,
+    subdivision_by_ranges,
 )
 
 
@@ -245,36 +247,43 @@ def test_eigenray_store_keeps_no_more_than_asked_cycle_at_once():
     _check_store_keeps_no_more_than_asked(ask)
 
 
+def _dart_iterate(f, d, t):
+    """f^t(d): `edge_iterate` for a forward dart, reversed for a backward one."""
+    p = edge_iterate(f, d >> 1, t)
+    return tuple(x ^ 1 for x in reversed(p)) if d & 1 else p
+
+
 def _check_coded_images(f):
-    """The descents read f^t(d), t <= 3, as the `apply_map` chain
-    `edge_iterate` has it for a forward dart, reversed for a backward one:
-    at every index i, `_descend` gives the dart P[i] of P = f^t(d) and the
+    """The descents read f^t(d), t <= 3, as `_dart_iterate` has it: at
+    every index i, `_descend` gives the dart P[i] of P = f^t(d) and the
     length |f^s(P[:i])| for s = 1 and t, which `point_image` and
-    `doubled_index` read, and `_first_index` the first index >= lo of each
-    dart, for lo = 0 and 1."""
+    `doubled_index` read; and `_check_first_index` holds."""
     lengths = f.edge_iterates.lengths
-    darts = range(f.graph.num_darts)
-
-    def word(d, t):
-        p = edge_iterate(f, d >> 1, t)
-        return tuple(x ^ 1 for x in reversed(p)) if d & 1 else p
-
-    occurs = [[sum(1 << x for x in set(word(d, r))) for d in darts] for r in range(3)]
     for t in (1, 2, 3):
-        for d in darts:
-            p = word(d, t)
+        for d in range(f.graph.num_darts):
+            p = _dart_iterate(f, d, t)
             for s in {1, t}:
                 size = [len(edge_iterate(f, e, s)) for e in range(f.graph.num_edges)]
                 ell = 0
                 for i, x in enumerate(p):
                     assert _descend(f, d, t, i, lambda r: lengths(r + s)) == (x, ell), (f.edge_image, d, t, i, s)
                     ell += size[x >> 1]
+    _check_first_index(f)
+
+
+def _check_first_index(f):
+    """`_first_index` finds the dart x in f^t(d), t <= 3, where `str.find`
+    finds it from lo in the coded `_dart_iterate`, for every d and x and
+    lo 0 and 1."""
+    darts = range(f.graph.num_darts)
+    occurs = [[sum(1 << x for x in set(_dart_iterate(f, d, r))) for d in darts] for r in range(3)]
+    for t in (1, 2, 3):
+        for d in darts:
+            code = "".join(map(chr, _dart_iterate(f, d, t)))
             for lo in (0, 1):
-                first = {}
-                for i in range(len(p) - 1, lo - 1, -1):
-                    first[p[i]] = i
                 for x in darts:
-                    assert _first_index(f, d, t, x, lo, occurs) == first.get(x), (f.edge_image, d, t, x, lo)
+                    i = code.find(chr(x), lo)
+                    assert _first_index(f, d, t, x, lo, occurs) == (i if i >= 0 else None), (f.edge_image, d, t, x, lo)
 
 
 def test_coded_images_match_iteration_fixtures(all_maps):
@@ -493,6 +502,43 @@ def test_subdivide_at_refuses_a_map_that_is_not_train_track():
         subdivide_at(f, PeriodicPoint(0, 2, 2, 1))
     with pytest.raises(NotTrainTrackError):
         _first_interior_point(f, 3)
+
+
+def _check_lift_laws(f, max_period):
+    """At the first interior point of period <= max_period, `subdivide_at`
+    builds the map that `subdivision_by_ranges` rewrites dart by dart;
+    `_check_first_index` holds; and `EdgeIterates.lengths(t)[e]`, t <= 4,
+    is |f^t(e)|."""
+    point = _first_interior_point(f, max_period)
+    if point is not None:
+        res = subdivide_at(f, point)
+        ours = (res.map.graph, res.map.vertex_image, res.map.edge_image, res.edge_split, res.new_vertices)
+        assert ours == subdivision_by_ranges(f, point, point_image), (f.edge_image, point)
+    _check_first_index(f)
+    for t in range(5):
+        assert f.edge_iterates.lengths(t) == tuple(len(f.iterate((2 * e,), t)) for e in range(f.graph.num_edges))
+
+
+@functools.cache
+def _signed_automorphisms():
+    """Eight train track automorphisms of each rank 2, 3 and 4 with a
+    backward dart in some image, so with reversed occurrences too."""
+    return tuple(f for rank in (2, 3, 4) for f in train_track_automorphisms(rank, 8, seed=30 + rank))
+
+
+@given(st.deferred(lambda: st.sampled_from(_signed_automorphisms())), st.sampled_from((1, 2, 6)))
+def test_lift_laws_signed_automorphisms(f, max_period):
+    _check_lift_laws(f, max_period)
+
+
+@given(st.deferred(lambda: st.sampled_from([f for _, f in pinned_inp_maps()])), st.sampled_from((1, 2, 6)))
+def test_lift_laws_pinned_inp_maps(f, max_period):
+    _check_lift_laws(f, max_period)
+
+
+@given(positive_rose_maps(), st.sampled_from((1, 2, 6)))
+def test_lift_laws_positive_roses(f, max_period):
+    _check_lift_laws(f, max_period)
 
 
 def _check_refined_pf(f, max_period):

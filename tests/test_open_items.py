@@ -19,7 +19,7 @@ from ttlam.cli import run_command
 from ttlam.graph import path_reduce
 from ttlam.mapfile import MapFile, serialize_map_file
 
-from conftest import FIXTURES, demo_env, rose_map
+from conftest import FIXTURES, demo_env, pinned_language_maps, rose_map
 
 
 def open_item(raises=AssertionError):
@@ -49,6 +49,21 @@ def test_item_02_commutator_map_is_not_conclusively_inp_free():
     # complete search finds an INP; the one-orbit pass finds none
     rep = detect_inps(rose_map(["a b~", "b a~ b b a~"]))
     assert not (rep.conclusive and not rep.inps and not rep.subdivided_inps)
+
+
+@open_item(raises=TimeoutError)
+def test_item_02_inps_on_the_rank20_rose_ends(tmp_path):
+    # the smallest PF length of this positive rank-20 rose (lambda ~ 7.525)
+    # is 1.237e-8, so the first scan's window is 49,557,418 darts and the
+    # search runs for over a minute.  A search that bounds its halves by PF
+    # length, not by a window counted in darts, ends at once; a child
+    # interpreter, stopped after 1.5 s, keeps the witness under 2 s
+    path = _map_file(tmp_path, dict(pinned_language_maps())["positive-rank20"], "rank20")
+    search = "import sys\nfrom ttlam import detect_inps, parse_map_path\ndetect_inps(parse_map_path(sys.argv[1]).map)\n"
+    try:
+        subprocess.run([sys.executable, "-c", search, path], env=demo_env(), timeout=1.5, check=True)
+    except subprocess.TimeoutExpired:
+        raise TimeoutError("inps on the rank-20 rose still running after 1.5 s") from None
 
 
 @open_item()
@@ -99,6 +114,14 @@ def test_item_10_subdivided_tribonacci_inv_passes_check(tmp_path):
     f = GraphSelfMap(renamed, sub.vertex_image, sub.edge_image)
     code, text = run_command(["check", _map_file(tmp_path, f), "--json"])
     assert code == 0 and json.loads(text)["pass"] is True
+
+
+@open_item()
+def test_item_17_check_is_not_expanding_on_a_finite_order_map(tmp_path):
+    # [f^3] is the identity, so no reduced iterate grows; the expansion
+    # verdict follows the images before reduction and says expanding
+    code, text = run_command(["check", _map_file(tmp_path, rose_map(["b", "a~ b~"])), "--json"])
+    assert json.loads(text)["expanding"] is False
 
 
 def test_item_12_inp_commands_on_long_period_roses_fit_300_mb(tmp_path):

@@ -189,7 +189,7 @@ def _cmd_pf(mf: MapFile, args, data: dict) -> int:
     if not prim:
         data["error"] = "transition matrix is not primitive"
         return VIOLATION
-    pf = pf_data(f, tol=args.tol)
+    pf = pf_data(f)
     data["lambda"] = _rounded(pf.lam)
     if g.num_edges <= 6:
         data["charpoly"] = charpoly_coefficients(m)
@@ -362,8 +362,7 @@ def _parsers() -> tuple[_CliParser, dict[str, _CliParser]]:
     add("check", "validate graph, expansion, train track, gates, primitivity", _cmd_check)
     add("gates", "gate partition, periodic vertices, eigen darts", _cmd_gates)
     add("turns", "legal/used table over all turns", _cmd_turns)
-    sp = add("pf", "dominant eigenvalue and edge lengths", _cmd_pf)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    add("pf", "dominant eigenvalue and edge lengths", _cmd_pf)
     sp = add("inps", "detect periodic indivisible Nielsen paths", _cmd_inps)
     sp.add_argument("--max-period", type=int, default=6)
     sp.add_argument("--max-pf-len", type=float, default=None)

@@ -4,7 +4,8 @@ A graph is stored as a list of vertices plus a list of (unoriented) edges.
 Edge ``i`` contributes two darts: ``2*i`` traverses the edge forward and
 ``2*i + 1`` traverses it backward, so reversal is a single xor.  Paths are
 tuples of dart ids; a path is *reduced* (also: tight) when no dart is
-immediately followed by its own reversal.
+immediately followed by its own reversal.  Every free reduction goes
+through `join_reduced`, on paths coded as strings, dart d as chr(d).
 
 Turns are unordered pairs of darts sharing an origin vertex.  They are kept
 canonical as ``(min, max)`` so that dict/set membership never depends on the
@@ -148,41 +149,56 @@ def _unknown_token(token: str) -> GraphError:
 
 # -- reduction and turns ----------------------------------------------------
 
-def path_reduce(path: Iterable[int]) -> Path:
-    """Free reduction: cancel adjacent dart/reverse pairs until none remain.
-
-    Single left-to-right pass with a stack; linear in the input length.
-    """
-    out: list[int] = []
-    for d in path:
-        if out and out[-1] == (d ^ 1):
-            out.pop()
-        else:
-            out.append(d)
-    return tuple(out)
-
-
-def extend_reduced(stack: list[int], blocks: Iterable[Sequence[int]]) -> list[int]:
-    """Append reduced blocks to a reduced stack, one junction at a time, and
-    return the stack, which then holds the free reduction of the stack and
-    all the blocks.
+def join_reduced(blocks: Iterable[str]) -> tuple[str, list[int]]:
+    """The free reduction of reduced paths laid end to end, and where each
+    block's leftover that stands in it starts, ascending; paths are coded,
+    dart d as chr(d).  This is the one place where darts cancel.
 
     When the stack and a block are each reduced, free reduction of their
     concatenation can only cancel where they meet: the stack's last dart
-    against the block's first, then the next pair inwards.  So each block
-    pops the stack while its top is the inverse of the block's next dart,
-    and the rest of the block is appended by one ``list.extend``.  What is
-    left is reduced again, since the two sides were reduced and their new
-    junction no longer cancels.  Dart images, f^k(e) and their reversals
-    are all reduced, so this is exact for every map, train track or not.
+    against the block's first, then the next pair inwards.  So the darts
+    cancelled are counted by comparing codes backwards from the stack's
+    end, and the stack is trimmed once; what is left is reduced again.
+    Dart images, f^k(d) and single darts are all reduced, so this is exact
+    for every map, train track or not.  The stack is kept as the leftovers
+    of the blocks, so a trim slices the top leftover only, and whole
+    leftovers are dropped; one join at the end builds the string.  A block
+    that cancels k darts on each side of a stack of s darts leaves its
+    leftover starting at s - k, a junction unless the leftover is empty or
+    starts the path.  A later block that pops the stack below a junction
+    consumes it.
     """
+    parts: list[str] = []
+    size = 0
+    junctions: list[int] = []
     for block in blocks:
-        i, n = 0, len(block)
-        while i < n and stack and stack[-1] == block[i] ^ 1:
-            stack.pop()
-            i += 1
-        stack.extend(block[i:] if i else block)
-    return stack
+        k, n = 0, len(block)
+        if n and parts and ord(parts[-1][-1]) ^ 1 == ord(block[0]):
+            while parts and k < n:
+                top = parts[-1]
+                i = len(top)
+                while i and k < n and ord(top[i - 1]) ^ 1 == ord(block[k]):
+                    i -= 1
+                    k += 1
+                if i:
+                    parts[-1] = top[:i]
+                    break
+                parts.pop()
+        if k < n:
+            parts.append(block[k:])
+        start = size - k
+        size = start + n - k
+        while junctions and junctions[-1] >= start:
+            junctions.pop()
+        if 0 < start < size:
+            junctions.append(start)
+    return "".join(parts), junctions
+
+
+def path_reduce(path: Iterable[int]) -> Path:
+    """Free reduction: `join_reduced` over the path's darts as one-dart
+    blocks."""
+    return tuple(map(ord, join_reduced(map(chr, path))[0]))
 
 
 def is_reduced(path: Sequence[int]) -> bool:

@@ -14,14 +14,7 @@ from operator import add, eq
 from typing import Callable, Sequence, TypeVar
 
 from .errors import MapError, NotExpandingError
-from .graph import (
-    Graph,
-    Path,
-    extend_reduced,
-    is_reduced,
-    path_reduce,
-    reverse_path,
-)
+from .graph import Graph, Path, is_reduced, join_reduced, path_reduce, reverse_path
 
 
 @dataclass(frozen=True)
@@ -101,9 +94,9 @@ class GraphSelfMap:
         return self.dart_images[d]
 
     def apply(self, path: Sequence[int]) -> Path:
-        """f(path), freely reduced: the dart images joined by
-        `extend_reduced`, which cancels only where two of them meet."""
-        return tuple(extend_reduced([], map(self.dart_images.__getitem__, path)))
+        """f(path), freely reduced: the coded dart images joined by
+        `join_reduced`, decoded."""
+        return tuple(map(ord, join_reduced(map(self.coded_images.__getitem__, path))[0]))
 
     def iterate(self, path: Sequence[int], n: int) -> Path:
         """[f^n(path)], reduced after every application."""

@@ -17,7 +17,7 @@ and translate d -> d ^ 1, is of a level's clips or a window set, never a word.
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import IncompatibleGraphsError, MapError
-from .graph import Graph, Path, equivalence_classes, path_reduce
+from .graph import Graph, Path, equivalence_classes, join_reduced, path_reduce
 from .graph_map import GraphSelfMap
 from .nielsen import _coded_rays, detect_inps, periodic_structures
 from .spectral import pf_data
@@ -427,7 +427,7 @@ def ilt_contraction(
     legal path: an illegal turn of f(w) sits where what is left of one block
     meets what is left of another.  The word is coded, dart d as chr(d), so
     each block is one `str.translate` of its segment through the map's
-    coded images, and `_join` lays the blocks end to end.  The illegal
+    coded images, and `join_reduced` lays the blocks end to end.  The illegal
     turns among the junctions left standing inside the chop window are the
     count, and the cuts of the next step.  A step thus takes one
     Python-level pass per legal segment of w, at most |w|, rather than one
@@ -456,7 +456,7 @@ def ilt_contraction(
     for _ in range(steps):
         if not cuts:
             break
-        stack, junctions = _join(code[a:b].translate(images) for a, b in zip([0] + cuts, cuts + [len(code)]))
+        stack, junctions = join_reduced(code[a:b].translate(images) for a, b in zip([0] + cuts, cuts + [len(code)]))
         end = len(stack) - chop
         cuts = [
             j - chop
@@ -474,44 +474,3 @@ def ilt_contraction(
         reached_le_one=reached >= 0,
         step_reached=reached,
     )
-
-
-def _join(blocks: Iterable[str]) -> tuple[str, list[int]]:
-    """The free reduction of coded, reduced blocks laid end to end, and
-    where each leftover of a block that stands in it starts, ascending.
-
-    When the stack and a block are each reduced, free reduction of their
-    concatenation can only cancel where they meet, as in
-    `graph.extend_reduced`: the darts cancelled are counted by comparing
-    codes backwards from the stack's end, and the stack is trimmed once.
-    The stack is kept as the leftovers of the blocks, so a trim slices the
-    top leftover only, and whole leftovers are dropped; one join at the end
-    builds the string.  A block that cancels k darts on each side of a
-    stack of s darts leaves its leftover starting at s - k.  A later block
-    that pops the stack below a junction consumes it.
-    """
-    parts: list[str] = []
-    size = 0
-    junctions: list[int] = []
-    for image in blocks:
-        k, n = 0, len(image)
-        if parts and ord(parts[-1][-1]) ^ 1 == ord(image[0]):
-            while parts and k < n:
-                top = parts[-1]
-                i = len(top)
-                while i and k < n and ord(top[i - 1]) ^ 1 == ord(image[k]):
-                    i -= 1
-                    k += 1
-                if i:
-                    parts[-1] = top[:i]
-                    break
-                parts.pop()
-        if k < n:
-            parts.append(image[k:])
-        start = size - k
-        size = start + n - k
-        while junctions and junctions[-1] >= start:
-            junctions.pop()
-        if 0 < start < size:
-            junctions.append(start)
-    return "".join(parts), junctions

@@ -43,7 +43,7 @@ from .errors import (
     NotPrimitiveError,
     SubdivisionError,
 )
-from .graph import Graph, Path, extend_reduced, turn
+from .graph import Graph, Path, join_reduced, turn
 from .graph_map import GraphSelfMap, per_map
 from .spectral import PFData, pf_data
 from .train_track import is_legal_turn, is_train_track, require_train_track
@@ -122,36 +122,26 @@ def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
     """First n darts of the eigenray of `dart`, of Df-period k, on any
     expanding map, by the rounds p_(j+1) = [f^k(p_j)].
 
-    The iterates are streamed, not recomputed.  Once p_j is known to be a
-    prefix of p_(j+1), write p_(j+1) = p_j s; free reduction is confluent, so
-
-        [f^k(p_(j+1))] = [f^k(p_j) f^k(s)] = [p_(j+1) [f^k(s)]].
-
-    Each round therefore reduces only the f^k-blocks of the new suffix s onto
-    a stack that already holds p_(j+1), with `extend_reduced`.  A block
-    [f^k(d)] is made by `GraphSelfMap.iterate` once per dart and call, and
-    this holds for any expanding map, train track or not.
+    Each round joins the coded blocks [f^k(d)] over the darts d of p_j with
+    `join_reduced`.  A block is made by `GraphSelfMap.iterate` once per
+    dart and call, and may be empty on a map that is not a train track map.
     A round that loses the prefix property raises ConvergenceError, and so
-    does a round without growth: it returns q = p with no new suffix, so
-    every later round would return p again.  Every other round grows the
-    prefix, so the loop ends.
+    does a round without growth: it returns p_(j+1) = p_j, so every later
+    round would return p_j again.  Every other round grows the prefix, so
+    the loop ends.
     """
-    blocks: dict[int, Path] = {}  # dart -> [f^k(dart)]
-    image: list[int] = []  # [f^k(p[:done])], reduced as a stack
-    p: Path = (dart,)
-    done = 0
+    blocks: dict[str, str] = {}  # coded dart -> [f^k(dart)], coded
+    p = chr(dart)
     while len(p) < n:
-        for d in set(p[done:]).difference(blocks):
-            blocks[d] = f.iterate((d,), k)
-        extend_reduced(image, map(blocks.__getitem__, p[done:]))
-        done = len(p)
-        q = tuple(image)
-        if q[:done] != p:
+        for c in set(p).difference(blocks):
+            blocks[c] = "".join(map(chr, f.iterate((ord(c),), k)))
+        q = join_reduced(map(blocks.__getitem__, p))[0]
+        if not q.startswith(p):
             raise ConvergenceError("eigenray iteration lost the prefix property")
-        if len(q) == done:
+        if len(q) == len(p):
             raise ConvergenceError("eigenray prefix stopped growing")
         p = q
-    return p[:n]
+    return tuple(map(ord, p[:n]))
 
 
 @per_map
@@ -705,7 +695,6 @@ def _scan_ray_pairs(
     window: int,
     max_period: int,
     lengths: Sequence[float] | None,
-    periods: dict[tuple[str, str], int | None],
 ) -> tuple[dict[Path, tuple[int, int]], list[tuple[str, Path]]]:
     """One pass of eigenray tail matching at a fixed window size, for a map
     already shown to be an expanding train track map.
@@ -719,12 +708,10 @@ def _scan_ray_pairs(
     are nonempty.  The junction turn must be illegal, and verification is
     the exact identity [f^s(eta)] = eta at the least s <= max_period where
     it holds (`_nielsen_period`, which rules most periods out by an integer
-    length test before building anything).  `periods` holds the verdicts
-    of `_nielsen_period` by coded stem pair, read and filled here, so a scan
-    at a wider window re-verifies no candidate that an earlier one settled.
-    A genuine INP expands both halves by the same overflow, forcing equal
-    PF-lengths; unequal-stem coincidences are discarded as impossible rather
-    than held against conclusiveness.
+    length test before building anything).  A genuine INP expands both
+    halves by the same overflow, forcing equal PF-lengths; unequal-stem
+    coincidences are discarded as impossible rather than held against
+    conclusiveness.
 
     The rays are read coded, every Df-cycle streamed at once until all of
     its rays hold the window (`_coded_rays`), and a candidate stays coded,
@@ -741,7 +728,7 @@ def _scan_ray_pairs(
     notes: list[tuple[str, Path]] = []
     seen: set[str] = set()
     for a, b, m1, m2 in _tail_candidates(rays, min_agree, chr(f.graph.num_darts)):
-        stems = h1, h2 = rays[a][:m1], rays[b][:m2]
+        h1, h2 = rays[a][:m1], rays[b][:m2]
         code = h1 + h2[::-1].translate(flip)
         if code in seen:
             continue
@@ -755,9 +742,7 @@ def _scan_ray_pairs(
         if is_legal_turn(f, turn(ord(h1[-1]) ^ 1, ord(h2[-1]) ^ 1)):
             notes.append(("tail coincidence with legal junction", eta))
             continue
-        if stems not in periods:
-            periods[stems] = _nielsen_period(f, eta[:m1], tuple(map(ord, h2)), max_period)
-        period = periods[stems]
+        period = _nielsen_period(f, eta[:m1], tuple(map(ord, h2)), max_period)
         if period is not None:
             verified[eta] = (period, m1)
         else:
@@ -774,16 +759,12 @@ def _detect_on(
     """Scan at the window, then at twice and four times it, until a scan
     leaves no note; the notes are those of the last scan.
 
-    The scans share one memo of period verdicts by stem pair: a verdict
-    depends on f, the two stems and max_period only, all fixed here, and a
-    candidate that leaves a note at one window tends to come back at the
-    next.  Each wider scan reads its rays on from where the last one
-    stopped (`_coded_rays`), and only the reported scan's notes are
-    rendered as text.
+    Each wider scan reads its rays on from where the last one stopped
+    (`_coded_rays`), and only the reported scan's notes are rendered as
+    text.
     """
-    periods: dict[tuple[str, str], int | None] = {}
     for w in (window, 2 * window, 4 * window):
-        verified, notes = _scan_ray_pairs(f, w, max_period, lengths, periods)
+        verified, notes = _scan_ray_pairs(f, w, max_period, lengths)
         if not notes:
             break
     inps = tuple(

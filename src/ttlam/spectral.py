@@ -25,7 +25,7 @@ from itertools import chain
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConvergenceError, MapError, NotPrimitiveError
+from .errors import ConvergenceError, NotPrimitiveError
 from .graph import Path
 from .graph_map import GraphSelfMap, per_map
 
@@ -124,7 +124,7 @@ class PFData(NamedTuple):
 # |lam - rho| bound that pf_data certifies
 _LAM_TOL = 1e-8
 
-# pf_data's default settling tolerance
+# pf_data's settling tolerance
 _SETTLE_TOL = 1e-12
 
 # power iteration steps pf_data takes before it gives up
@@ -156,15 +156,14 @@ def _collatz_wielandt_certified(rows: list[list[int]], lam: float, w: np.ndarray
     return True
 
 
-def pf_data(f: GraphSelfMap, tol: float = _SETTLE_TOL) -> PFData:
+def pf_data(f: GraphSelfMap) -> PFData:
     """Power iteration on M^T for the left eigenvector, with a certified lam.
 
     Requires a primitive transition matrix.  The iteration starts from the
     uniform vector and stops at the first iterate that has settled (every
-    entry moved by less than tol) and whose Collatz-Wielandt bracket pins
-    the dominant eigenvalue to within _LAM_TOL of the estimate, checked in
-    exact integer arithmetic at every size.  The settling tolerance tol
-    must be > 0.
+    entry moved by less than _SETTLE_TOL) and whose Collatz-Wielandt
+    bracket pins the dominant eigenvalue to within _LAM_TOL of the
+    estimate, checked in exact integer arithmetic at every size.
 
     Lemma: the settle test max_i |w_i - v_i| < tol fails whenever
     |w_0 - v_0| >= tol, since the maximum is at least that entry, and both
@@ -176,8 +175,7 @@ def pf_data(f: GraphSelfMap, tol: float = _SETTLE_TOL) -> PFData:
     """
     import numpy as np
 
-    if not tol > 0:
-        raise MapError("tolerance must be > 0")
+    tol = _SETTLE_TOL
     m = transition_matrix(f)
     if not is_primitive(m):
         raise NotPrimitiveError("transition matrix is not primitive")

@@ -575,13 +575,6 @@ def test_singular_rejects_empty_window(fixture_dir, window):
         assert error == "prefix length must be >= 1", name
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_pf_rejects_nonpositive_tol(fixture_dir, tol):
-    # pf --tol -1 used to run 200,000 power iteration steps and exit 2
-    error = _input_error(fixture_dir, "pf", "FIX/tribonacci.tt", "--tol", tol)
-    assert error == "tolerance must be > 0"
-
-
 @pytest.mark.parametrize("bound", ["0", "-1", "nan", "inf"])
 def test_inps_rejects_unusable_max_pf_len(fixture_dir, bound):
     # nan and inf used to crash while sizing the window; 0 and -1 were
@@ -675,8 +668,7 @@ def _argv_corpus(fixture_dir):
     name no subcommand."""
     path, other = str(fixture_dir / "tribonacci.tt"), str(fixture_dir / "tribonacci-inv.tt")
     options = {
-        "check": [], "gates": [], "turns": [],
-        "pf": [["--tol", "1e-10"]],
+        "check": [], "gates": [], "turns": [], "pf": [],
         "inps": [["--max-period", "1"], ["--max-pf-len", "3.5"]],
         "eigenrays": [["--length", "8"]],
         "bfh": [["--window", "4"]],

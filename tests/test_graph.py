@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from ttlam import Graph, GraphError, all_turns
 from ttlam.graph import (
-    extend_reduced,
     is_reduced,
+    join_reduced,
     path_reduce,
     reverse_path,
     turn,
@@ -147,14 +147,58 @@ def test_reduce_concat_associative(u, v):
 reduced_blocks = st.lists(st.integers(min_value=0, max_value=3), max_size=12).map(path_reduce)
 
 
+def _coded(path):
+    return "".join(map(chr, path))
+
+
 @given(reduced_blocks, st.lists(reduced_blocks, max_size=8))
-def test_extend_reduced_matches_reduction_of_concatenation(stack, blocks):
+def test_join_reduced_matches_reduction_of_concatenation(stack, blocks):
     joined = tuple(stack) + tuple(d for block in blocks for d in block)
-    out = extend_reduced(list(stack), blocks)
-    assert tuple(out) == path_reduce(joined) == reduce_word(joined)
+    code, _ = join_reduced(map(_coded, [stack, *blocks]))
+    assert tuple(map(ord, code)) == path_reduce(joined) == reduce_word(joined)
 
 
-def test_extend_reduced_cancels_across_blocks(rose2):
+def test_join_reduced_cancels_across_blocks(rose2):
     p = rose2.parse_path
-    out = extend_reduced(list(p("a b a")), [p("a~ b~"), p("a~"), p("a b")])
-    assert tuple(out) == p("a b")
+    code, junctions = join_reduced(map(_coded, [p("a b a"), p("a~ b~"), p("a~"), p("a b")]))
+    # a~ b~ and a~ consume a b a; a b then stands alone, at the start
+    assert tuple(map(ord, code)) == p("a b")
+    assert junctions == []
+
+
+def _join_by_blocks(blocks):
+    """Block by block on a list of darts: each block cancels against the
+    stack's top, dart by dart, and pushes its leftover, whose start is
+    recorded if the leftover is nonempty and not at the start; a recorded
+    start that a later block pops the stack down to, or below, is dropped."""
+    stack, starts = [], []
+    for block in blocks:
+        k = 0
+        while k < len(block) and stack and stack[-1] == block[k] ^ 1:
+            stack.pop()
+            k += 1
+        starts = [j for j in starts if j < len(stack)]
+        if k < len(block) and stack:
+            starts.append(len(stack))
+        stack.extend(block[k:])
+    return tuple(stack), starts
+
+
+# reduced blocks over two or three edges, with empty blocks among them: on
+# a map that is not a train track map a reduced image [f^k(d)] can be empty
+@given(
+    st.integers(min_value=2, max_value=3).flatmap(
+        lambda edges: st.lists(
+            st.one_of(
+                st.just(()),
+                st.lists(st.integers(min_value=0, max_value=2 * edges - 1), max_size=8).map(reduce_word),
+            ),
+            max_size=10,
+        )
+    )
+)
+def test_join_reduced_law_with_empty_blocks(blocks):
+    code, junctions = join_reduced(map(_coded, blocks))
+    joined = tuple(d for block in blocks for d in block)
+    assert tuple(map(ord, code)) == reduce_word(joined)
+    assert (tuple(map(ord, code)), junctions) == _join_by_blocks(blocks)

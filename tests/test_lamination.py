@@ -471,11 +471,11 @@ def test_contraction_series_matches_reference_loop_through_inps():
 def test_contraction_stops_applying_at_zero(monkeypatch, rose2):
     # the word's image grows about 2.6x per step while its count stays 0:
     # the default 39 steps would never end.  ilt_contraction applies f by
-    # joining the coded images of the word's pieces with _join, so the
-    # darts it joins, decoded, are those of exactly one application of f
+    # joining the coded images of the word's pieces with join_reduced, so
+    # the darts it joins, decoded, are those of exactly one application of f
     f = GraphSelfMap.build(rose2, {"a": "a b~ a", "b": "b a~"})
     joined = []
-    join = lamination._join
+    join = lamination.join_reduced
 
     def counting(blocks):
         blocks = list(blocks)
@@ -483,7 +483,7 @@ def test_contraction_stops_applying_at_zero(monkeypatch, rose2):
             joined.extend(map(ord, b))
         return join(blocks)
 
-    monkeypatch.setattr(lamination, "_join", counting)
+    monkeypatch.setattr(lamination, "join_reduced", counting)
     word = rose2.parse_path(" ".join(["a b"] * 12))
     rep = ilt_contraction(f, word, steps=8)
     assert rep.series == (11,) + (0,) * 8

@@ -130,8 +130,8 @@ def test_eigenray_rounds_raise_at_the_first_stall(monkeypatch):
     period = periodic_structures(f).dart_period
     assert f.is_expanding and not is_train_track(f) and set(period) == {1, 2, 3}
     rounds = []
-    inner = nielsen.extend_reduced
-    monkeypatch.setattr(nielsen, "extend_reduced", lambda *args: rounds.append(1) or inner(*args))
+    inner = nielsen.join_reduced
+    monkeypatch.setattr(nielsen, "join_reduced", lambda *args: rounds.append(1) or inner(*args))
     for d, k in period.items():
         rounds.clear()
         with pytest.raises(ConvergenceError, match="^eigenray prefix stopped growing$"):
@@ -910,10 +910,10 @@ def test_detect_inps_matches_cold_report_signed():
 # -- INP verification: the length test never changes a scan --------------------
 
 def _scan_against_oracle(f, window, max_period):
-    """One scan with a fresh verdict memo, its notes rendered as the report
-    words them, against the oracle's (verified, notes)."""
+    """One scan, its notes rendered as the report words them, against the
+    oracle's (verified, notes)."""
     pf = _pf_or_none(f)
-    verified, notes = _scan_ray_pairs(f, window, max_period, pf.pf_lengths if pf else None, {})
+    verified, notes = _scan_ray_pairs(f, window, max_period, pf.pf_lengths if pf else None)
     got = verified, _render_notes(f, window, notes)
     oracle = scan_ray_pairs_by_iteration(f, window, max_period, pf.pf_lengths if pf else None)
     assert got == oracle

@@ -15,7 +15,7 @@ from ttlam import (
     pf_data,
     transition_matrix,
 )
-from ttlam import nielsen
+from ttlam import nielsen, spectral
 from ttlam.errors import TtError
 from ttlam.spectral import _collatz_wielandt_certified
 
@@ -134,16 +134,18 @@ def test_collatz_wielandt_bracket():
     assert not _collatz_wielandt_certified(rows, phi, np.array([1.0, 0.0]))
 
 
-def test_pf_data_certifies_loose_tol_rank_7_and_8():
-    # a loose tol settles the iteration early; lam must still be certified
-    # to 1e-8 at ranks where no characteristic polynomial is computed
+def test_pf_data_certifies_loose_tol_rank_7_and_8(monkeypatch):
+    # a loose settling tolerance settles the iteration early; lam must still
+    # be certified to 1e-8 at ranks where no characteristic polynomial is
+    # computed
+    monkeypatch.setattr(spectral, "_SETTLE_TOL", 1e-4)
     maps = (
         rose_map(["a b c", "b c", "c d e", "d e", "e f", "f g a", "g a"]),
         rose_map(["a b", "b c", "c d", "d e", "e f", "f g", "g h", "h a b"]),
     )
     for f in maps:
         lam, _ = numpy_spectral(transition_matrix(f))
-        assert abs(pf_data(f, tol=1e-4).lam - lam) < 1e-8
+        assert abs(pf_data(f).lam - lam) < 1e-8
 
 
 @given(positive_rose_maps())

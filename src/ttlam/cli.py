@@ -7,7 +7,8 @@ their handler), no whitespace padding, schema version embedded.  Identical
 inputs and flags therefore produce byte-identical output.
 
 Exit codes: 0 = pass / result produced, 1 = property violation,
-2 = inconclusive (budget exhausted), 3 = input error.
+2 = inconclusive (`inps` or `singular` left an unverified candidate, or the
+power iteration did not converge: ConvergenceError), 3 = input error.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import functools
 import json
 import sys
 
-from .errors import MapError, ParseError, TtError
+from .errors import MapError, NotPrimitiveError, ParseError, TtError
 from .graph import all_turns, validate_graph
 from .graph_map import compose, is_inner
 from .lamination import (
@@ -184,12 +185,13 @@ def _cmd_pf(mf: MapFile, args, data: dict) -> int:
     g = f.graph
     m = transition_matrix(f)
     data["matrix"] = [[int(x) for x in row] for row in m]
-    prim = is_primitive(m)
-    data["primitive"] = prim
-    if not prim:
-        data["error"] = "transition matrix is not primitive"
+    try:
+        pf = pf_data(f)
+    except NotPrimitiveError as exc:
+        data["primitive"] = False
+        data["error"] = str(exc)
         return VIOLATION
-    pf = pf_data(f)
+    data["primitive"] = True
     data["lambda"] = _rounded(pf.lam)
     if g.num_edges <= 6:
         data["charpoly"] = charpoly_coefficients(m)

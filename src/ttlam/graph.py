@@ -159,14 +159,14 @@ def join_reduced(blocks: Iterable[str]) -> tuple[str, list[int]]:
     against the block's first, then the next pair inwards.  So the darts
     cancelled are counted by comparing codes backwards from the stack's
     end, and the stack is trimmed once; what is left is reduced again.
-    Dart images, f^k(d) and single darts are all reduced, so this is exact
-    for every map, train track or not.  The stack is kept as the leftovers
-    of the blocks, so a trim slices the top leftover only, and whole
-    leftovers are dropped; one join at the end builds the string.  A block
-    that cancels k darts on each side of a stack of s darts leaves its
-    leftover starting at s - k, a junction unless the leftover is empty or
-    starts the path.  A later block that pops the stack below a junction
-    consumes it.
+    Dart images, the images of legal segments and single darts are all
+    reduced, so this is exact for every map, train track or not.  The
+    stack is kept as the leftovers of the blocks, so a trim slices the top
+    leftover only, and whole leftovers are dropped; one join at the end
+    builds the string.  A block that cancels k darts on each side of a
+    stack of s darts leaves its leftover starting at s - k, a junction
+    unless the leftover is empty or starts the path.  A later block that
+    pops the stack below a junction consumes it.
     """
     parts: list[str] = []
     size = 0

@@ -43,10 +43,10 @@ from .errors import (
     NotPrimitiveError,
     SubdivisionError,
 )
-from .graph import Graph, Path, join_reduced, turn
+from .graph import Graph, Path, turn
 from .graph_map import GraphSelfMap, per_map
 from .spectral import PFData, pf_data
-from .train_track import is_legal_turn, is_train_track, require_train_track
+from .train_track import is_legal_turn, require_train_track
 
 
 # -- periodic vertices and darts ---------------------------------------------
@@ -95,53 +95,22 @@ def periodic_structures(f: GraphSelfMap) -> PeriodicData:
 # -- eigenrays ----------------------------------------------------------------
 
 def eigenray_prefix(f: GraphSelfMap, dart: int, n: int) -> Path:
-    """First n darts of the unique f-invariant ray in the direction `dart`.
+    """First n darts of the unique f-invariant ray in the direction `dart`,
+    on an expanding train track map.
 
-    The dart must be Df-periodic with some period k; iterating f^k on the
-    one-dart path then yields nested prefixes p_0 = (dart,),
-    p_(j+1) = [f^k(p_j)] of the ray.
-
-    On a train track map the ray is streamed along its Df-cycle
-    (`_coded_rays`), and a longer prefix continues the stream instead of
-    rebuilding it.  On any other map `_eigenray_by_rounds` runs afresh on
-    every call.
+    The dart must be Df-periodic with some period k; the ray is then the
+    limit of the nested prefixes p_0 = (dart,), p_(j+1) = f^k(p_j).  It is
+    streamed along its Df-cycle (`_coded_rays`), and a longer prefix
+    continues the stream instead of rebuilding it.  A map that is not a
+    train track map has no eigenray here: NotTrainTrackError.
     """
     if n < 1:
         raise MapError("prefix length must be >= 1")
-    k = periodic_structures(f).dart_period.get(dart)
-    if k is None:
+    if dart not in periodic_structures(f).dart_period:
         raise MapError(f"dart {f.graph.dart_name(dart)} is not Df-periodic; no eigenray")
     f.require_expanding()
-    if is_train_track(f):
-        (ray,) = _coded_rays(f, n, (dart,))
-        return tuple(map(ord, ray))
-    return _eigenray_by_rounds(f, dart, k, n)
-
-
-def _eigenray_by_rounds(f: GraphSelfMap, dart: int, k: int, n: int) -> Path:
-    """First n darts of the eigenray of `dart`, of Df-period k, on any
-    expanding map, by the rounds p_(j+1) = [f^k(p_j)].
-
-    Each round joins the coded blocks [f^k(d)] over the darts d of p_j with
-    `join_reduced`.  A block is made by `GraphSelfMap.iterate` once per
-    dart and call, and may be empty on a map that is not a train track map.
-    A round that loses the prefix property raises ConvergenceError, and so
-    does a round without growth: it returns p_(j+1) = p_j, so every later
-    round would return p_j again.  Every other round grows the prefix, so
-    the loop ends.
-    """
-    blocks: dict[str, str] = {}  # coded dart -> [f^k(dart)], coded
-    p = chr(dart)
-    while len(p) < n:
-        for c in set(p).difference(blocks):
-            blocks[c] = "".join(map(chr, f.iterate((ord(c),), k)))
-        q = join_reduced(map(blocks.__getitem__, p))[0]
-        if not q.startswith(p):
-            raise ConvergenceError("eigenray iteration lost the prefix property")
-        if len(q) == len(p):
-            raise ConvergenceError("eigenray prefix stopped growing")
-        p = q
-    return tuple(map(ord, p[:n]))
+    (ray,) = _coded_rays(f, n, (dart,))
+    return tuple(map(ord, ray))
 
 
 @per_map
@@ -823,11 +792,10 @@ def detect_inps(
     the rays of f and of the subdivided map, both shown to be train track
     maps first, are streamed along their Df-cycles, a wider window reading
     on where the last stopped (`_coded_rays`), and the orbit is found by
-    descent through f^t(e), never built (`_descend`).  The period verdicts
-    are kept by stem pair across the windows of one scan (`_detect_on`).
-    The subdivided map has no PF computation of its own: its lam is f's,
-    and its PF lengths are f's cut at the orbit (`_refined_pf`), so one
-    power iteration serves both passes.
+    descent through f^t(e), never built (`_descend`).  The subdivided map
+    has no PF computation of its own: its lam is f's, and its PF lengths
+    are f's cut at the orbit (`_refined_pf`), so one power iteration serves
+    both passes.
     """
     require_train_track(f)
     f.require_expanding()

@@ -458,14 +458,29 @@ def test_derived_data_lives_on_the_map(fixture_dir):
     assert ref() is None
 
 
-def test_eigenrays_that_stop_growing_are_inconclusive(tmp_path):
-    # [f^3] fixes every Df-periodic dart of this map that is no train track
-    # map, so no eigenray grows: exit 2, not a hang or a crash
+def test_eigenrays_refuse_a_map_that_is_no_train_track_map(tmp_path):
+    # a -> b, b -> a~ b~ is no train track map, and [f^3] fixes each of its
+    # Df-periodic darts: every command that reads the lamination, eigenrays
+    # included, refuses it with the same property error
     mf = tmp_path / "stall.tt"
     mf.write_text("graph stall\nvertex v\nedge a v v\nedge b v v\nmap\na -> b\nb -> a~ b~\n")
-    code, text = run_command(["eigenrays", str(mf), "--json"])
-    assert code == 2
-    assert json.loads(text) == {"error": "eigenray prefix stopped growing", "kind": "inconclusive", "schema": 1}
+    reports = {}
+    for argv in (
+        ["eigenrays"],
+        ["bfh", "--window", "3"],
+        ["inps"],
+        ["singular"],
+        ["dual", "--window", "3", "--assume-inverse"],
+        ["contract", "--word", "a b a b"],
+    ):
+        code, text = run_command([argv[0], str(mf), *argv[1:], "--json"])
+        reports[argv[0]] = json.loads(text)
+        assert (code, reports[argv[0]]["kind"]) == (1, "property"), argv
+    assert reports["eigenrays"] == {
+        "error": "used turns are degenerate under Df iterates: (a, b~)",
+        "kind": "property",
+        "schema": 1,
+    }
 
 
 def _non_train_track_map(tmp_path):

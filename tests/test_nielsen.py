@@ -19,7 +19,7 @@ from ttlam import (
     subdivide_at,
     transition_matrix,
 )
-from ttlam.errors import ConvergenceError, NotTrainTrackError, TtError
+from ttlam.errors import ConvergenceError, MapError, NotExpandingError, NotTrainTrackError, TtError
 from ttlam.spectral import _LAM_TOL
 from ttlam.nielsen import (
     NielsenPath,
@@ -27,7 +27,6 @@ from ttlam.nielsen import (
     _coded_rays,
     _cycle_periods,
     _descend,
-    _eigenray_by_rounds,
     _eigenrays,
     _first_index,
     _first_interior_point,
@@ -114,29 +113,22 @@ def test_eigenray_prefix_nesting(trib):
 
 
 def test_eigenray_rejects_non_eigen(trib):
-    from ttlam import MapError
-
     # dart a~ has Df-period 2 through b~, so a~ itself is not eigen
     with pytest.raises(MapError):
         eigenray_prefix(trib, 1, 8)
 
 
-def test_eigenray_rounds_raise_at_the_first_stall(monkeypatch):
+def test_eigenray_refuses_a_map_that_is_no_train_track_map():
     # f = a -> b, b -> a~ b~ is expanding but no train track map, and
     # [f^3] fixes each of its Df-periodic darts a~, b, b~ (Df-period 3):
-    # the first round adds nothing, so it raises at once, as the
-    # whole-path oracle does after its own count of stalled rounds
+    # eigenray_prefix refuses it, while the whole-path oracle, which takes
+    # any map, finds that no prefix grows
     f = rose_map(["b", "a~ b~"])
     period = periodic_structures(f).dart_period
     assert f.is_expanding and not is_train_track(f) and set(period) == {1, 2, 3}
-    rounds = []
-    inner = nielsen.join_reduced
-    monkeypatch.setattr(nielsen, "join_reduced", lambda *args: rounds.append(1) or inner(*args))
-    for d, k in period.items():
-        rounds.clear()
-        with pytest.raises(ConvergenceError, match="^eigenray prefix stopped growing$"):
+    for d in period:
+        with pytest.raises(NotTrainTrackError):
             eigenray_prefix(f, d, 8)
-        assert len(rounds) == 1
         assert _outcome(iterated_eigenray_prefix, f, d, 8) is ConvergenceError
 
 
@@ -156,11 +148,21 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _owed(f, d, n):
+    """What eigenray_prefix owes: on an expanding train track map, whole-path
+    iteration's answer, errors included; on any other map, MapError for a
+    dart that is not Df-periodic, else NotExpandingError, else
+    NotTrainTrackError."""
+    want = _outcome(iterated_eigenray_prefix, f, d, n)
+    if is_train_track(f) or want in (MapError, NotExpandingError):
+        return want
+    return NotTrainTrackError
+
+
 def _check_eigenrays_against_iteration(f, lengths):
     for d in f.graph.darts():
         for n in lengths:
-            want = _outcome(iterated_eigenray_prefix, f, d, n)
-            assert _outcome(eigenray_prefix, f, d, n) == want, (f.edge_image, d, n)
+            assert _outcome(eigenray_prefix, f, d, n) == _owed(f, d, n), (f.edge_image, d, n)
 
 
 def test_eigenray_streaming_matches_iteration_fixtures(all_maps):
@@ -173,7 +175,7 @@ def test_eigenray_streaming_matches_iteration_positive(f):
     _check_eigenrays_against_iteration(f, (1, 5, 40))
 
 
-# not train track: iterates cancel, lose the prefix, stall or never grow
+# mostly no train track maps: refused after the checks on the dart and on expansion
 @settings(max_examples=300)
 @given(reduced_rose_maps())
 def test_eigenray_streaming_matches_iteration_any_rose_map(f):
@@ -182,12 +184,10 @@ def test_eigenray_streaming_matches_iteration_any_rose_map(f):
 
 def _check_store_in_any_order(f, lengths, rng):
     """Prefixes asked of one map object in a shuffled order, streamed along
-    the Df-cycles when f is a train track map, equal those of whole-path
-    iteration, errors included, and on an expanding map those of the rounds
-    `_eigenray_by_rounds`, the path of a map that is not a train track map.
-    On an expanding train track map every ray is also asked at once, each
-    Df-cycle streamed whole (`_coded_rays`), at shuffled points between the
-    single asks."""
+    the Df-cycles when f is a train track map, are what eigenray_prefix
+    owes (`_owed`).  On an expanding train track map every ray is also
+    asked at once, each Df-cycle streamed whole (`_coded_rays`), at
+    shuffled points between the single asks."""
     period = periodic_structures(f).dart_period
     asked = [(d, n) for d in f.graph.darts() for n in lengths]
     if f.is_expanding and is_train_track(f):
@@ -198,10 +198,7 @@ def _check_store_in_any_order(f, lengths, rng):
             want = [tuple(map(chr, iterated_eigenray_prefix(f, c, n))) for c in period]
             assert [tuple(ray) for ray in _coded_rays(f, n, period)] == want, (f.edge_image, n)
             continue
-        got = _outcome(eigenray_prefix, f, d, n)
-        assert got == _outcome(iterated_eigenray_prefix, f, d, n), (f.edge_image, d, n)
-        if d in period and f.is_expanding:
-            assert got == _outcome(_eigenray_by_rounds, f, d, period[d], n), (f.edge_image, d, n)
+        assert _outcome(eigenray_prefix, f, d, n) == _owed(f, d, n), (f.edge_image, d, n)
 
 
 @given(positive_rose_maps(), st.randoms(use_true_random=False))
@@ -217,9 +214,9 @@ def test_eigenray_store_any_order_any_rose_map(f, rng):
 
 def _check_store_keeps_no_more_than_asked(ask):
     # Df-period 6: f^6(d) = d^4096 for every dart d, so the ray of d is d d
-    # d ..., and the rounds kept a whole [f^6(p)] however short the prefix;
-    # a ray streamed from its predecessor's reads at most as many darts as
-    # it lacks, each with an image of max|f(e)| = 4 darts
+    # d ..., and rounds p -> [f^6(p)] would keep a whole [f^6(p)] however
+    # short the prefix; a ray streamed from its predecessor's reads at most
+    # as many darts as it lacks, each with an image of max|f(e)| = 4 darts
     f = cycle_rose(6, 4)
     assert is_train_track(f)
     longest = 0
